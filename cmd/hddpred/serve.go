@@ -16,6 +16,27 @@ import (
 	"hddcart/internal/smart"
 )
 
+// Connection timeouts of hddpred serve. A client gets readHeaderTimeout
+// to send a request's headers, so a stalled or hostile one cannot hold a
+// connection open for free; an idle keep-alive connection is closed after
+// idleTimeout, long enough that collectors posting every few seconds
+// never race a server-side close. Bodies are bounded by size at /ingest,
+// not by time, so a large batch on a slow link still lands.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer returns the service's HTTP server for h on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // cmdServe runs the long-lived fleet-monitoring service: SMART batches
 // in over HTTP, routed to serial-sharded monitors, warnings out through
 // the merged feed, state snapshotted across restarts.
@@ -91,7 +112,7 @@ func cmdServe(args []string) (err error) {
 		fmt.Fprintf(os.Stderr, "serve: snapshot %s unusable, cold start (counted)\n", *snapshot)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	httpSrv := newHTTPServer(*addr, s.Handler())
 	errCh := make(chan error, 1)
 	//hddlint:ignore nakedgo the listener goroutine lives for the whole process; it is joined below through errCh (ListenAndServe only returns on Shutdown or a fatal listen error)
 	go func() { errCh <- httpSrv.ListenAndServe() }()

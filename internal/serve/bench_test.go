@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"hddcart/internal/simulate"
 	"hddcart/internal/smart"
 )
 
@@ -134,4 +135,45 @@ func BenchmarkServeIngestHTTP(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(drives)*float64(b.N)/b.Elapsed().Seconds(), "drives/s")
+}
+
+// BenchmarkDecodeIngestLine measures one JSON-lines ingest row through
+// the decoder, on simulated SMART traces rendered as the repository
+// benchmark's load generator renders them: "fast" is decodeIngestLine,
+// "stdlib" the json.Unmarshal + record() path it falls back to.
+func BenchmarkDecodeIngestLine(b *testing.B) {
+	fleet, err := simulate.New(simulate.Config{Seed: 1, GoodScale: 1e-4, FailedScale: 1e-3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var lines [][]byte
+	for i, d := range fleet.Drives() {
+		trace := fleet.Trace(i)
+		for j := range trace {
+			lines = append(lines, renderLine(d.Serial, &trace[j]))
+		}
+	}
+	for _, bc := range []struct {
+		name   string
+		decode func([]byte, *smart.Record) error
+	}{
+		{"fast", func(l []byte, rec *smart.Record) error {
+			_, err := decodeIngestLine(l, rec)
+			return err
+		}},
+		{"stdlib", func(l []byte, rec *smart.Record) (err error) {
+			_, *rec, err = stdlibLine(l)
+			return err
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var rec smart.Record
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.decode(lines[i%len(lines)], &rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
