@@ -403,7 +403,9 @@ func PrepareSweepBinned(series []BinnedSeries, shards int) (*PreparedFleet, erro
 // every drive is scored through the feature-major kernels, then each
 // drive's scores replay the paper's window sweep. Outcomes are identical
 // to ScanBatchBinned with the matching detector, for every worker and
-// shard count.
+// shard count. A fleet can be swept repeatedly but not concurrently:
+// each run resets the fleet's shared per-shard cursors and stats, so
+// overlapping runs would split each other's work.
 func RunSweep(model TiledPredictor, fleet *PreparedFleet, failHours []int, cfg SweepConfig) (*SweepResult, error) {
 	return sweep.Run(model, fleet, failHours, cfg)
 }

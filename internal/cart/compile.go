@@ -255,7 +255,9 @@ const partitionBlock = 1024
 const minSegPartition = 2
 
 // batchScratch holds the reusable buffers of a partitioned batch
-// traversal; pooled so steady-state batch scoring never allocates.
+// traversal; pooled so steady-state batch scoring never allocates. The
+// tiled engine grows only cur and next, so a gathering caller must
+// check rows' capacity as well as cur's.
 type batchScratch struct {
 	cur, next []int32
 	rows      []unsafe.Pointer
@@ -356,7 +358,7 @@ func (c *CompiledTree) scorePartitioned(xs [][]float64, dst, payload []float64, 
 	}
 
 	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.cur) < n {
+	if cap(sc.cur) < n || cap(sc.rows) < n {
 		//hddlint:ignore hotalloc cold path: pooled scratch grows to the high-water batch size once, then every Get reuses it
 		sc.cur = make([]int32, n)
 		//hddlint:ignore hotalloc cold path: pooled scratch grows once
@@ -650,7 +652,7 @@ func AccumulateBatch(trees []*CompiledTree, xs [][]float64, dst []float64) {
 func accumulatePartitioned(trees []*CompiledTree, xs [][]float64, dst []float64, need int) bool {
 	n := len(xs)
 	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.cur) < n {
+	if cap(sc.cur) < n || cap(sc.rows) < n {
 		//hddlint:ignore hotalloc cold path: pooled scratch grows to the high-water batch size once, then every Get reuses it
 		sc.cur = make([]int32, n)
 		//hddlint:ignore hotalloc cold path: pooled scratch grows once

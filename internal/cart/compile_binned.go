@@ -234,20 +234,13 @@ func (bt *BinnedTree) scorePartitioned(xs [][]uint8, dst, payload []float64, add
 	}
 
 	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.cur) < n {
+	if cap(sc.cur) < n || cap(sc.rows) < n {
 		//hddlint:ignore hotalloc cold path: pooled scratch grows to the high-water batch size once, then every Get reuses it
 		sc.cur = make([]int32, n)
 		//hddlint:ignore hotalloc cold path: pooled scratch grows once
 		sc.next = make([]int32, n)
 		//hddlint:ignore hotalloc cold path: pooled scratch grows once
 		sc.rows = make([]unsafe.Pointer, n)
-	}
-	if base, stride, ok := flatRows(xs, bt.needLen); ok {
-		l := partitionRootBinnedFlat(base, stride, n, unsafe.Pointer(&sc.cur[0]),
-			uintptr(bt.Feature[0]), bt.Cut[0])
-		bt.runSegmentsFlat(sc, base, stride, dst, payload, l, n, add)
-		batchScratchPool.Put(sc)
-		return true
 	}
 	rows := sc.rows[:n]
 	rp := unsafe.Pointer(&rows[0])
@@ -516,7 +509,7 @@ func AccumulateBatchBinned(trees []*BinnedTree, xs [][]uint8, dst []float64) {
 func accumulatePartitionedBinned(trees []*BinnedTree, xs [][]uint8, dst []float64, need int) bool {
 	n := len(xs)
 	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.cur) < n {
+	if cap(sc.cur) < n || cap(sc.rows) < n {
 		//hddlint:ignore hotalloc cold path: pooled scratch grows to the high-water batch size once, then every Get reuses it
 		sc.cur = make([]int32, n)
 		//hddlint:ignore hotalloc cold path: pooled scratch grows once
@@ -532,22 +525,6 @@ func accumulatePartitionedBinned(trees []*BinnedTree, xs [][]uint8, dst []float6
 		}
 	}
 	op := unsafe.Pointer(&sc.order[0])
-	if base, stride, ok := flatRows(xs, need); ok {
-		for _, t := range trees {
-			if t.Feature[0] < 0 { // single-leaf tree
-				p := t.Value[0]
-				for i := range dst {
-					dst[i] += p
-				}
-				continue
-			}
-			l := partitionSegBinnedFlat(op, unsafe.Pointer(&sc.cur[0]), n, base, stride,
-				uintptr(t.Feature[0]), t.Cut[0])
-			t.runSegmentsFlat(sc, base, stride, dst, t.Value, l, n, true)
-		}
-		batchScratchPool.Put(sc)
-		return true
-	}
 	rows := sc.rows[:n]
 	if !gatherRowsBinned(xs, rows, need) {
 		batchScratchPool.Put(sc)

@@ -14,9 +14,9 @@ import (
 // TileRows bytes — four cache lines — instead of a stride-NumFeatures
 // march across the block. Scoring a row range walks it tile chunk by
 // tile chunk (chunks never cross a tile boundary), running the same
-// segment-stack traversal as the flat path inside each chunk. Verdicts
-// are bit-identical to PredictBatch on the same rows; the internal/equiv
-// matrices pit all three layouts against each other.
+// segment-stack traversal as the gathered-row path inside each chunk.
+// Verdicts are bit-identical to PredictBatch on the same rows; the
+// internal/equiv matrices pit both layouts against each other.
 
 const tileRows = dataset.TileRows
 
@@ -217,7 +217,9 @@ func (bt *BinnedTree) runSegmentsTiled(sc *batchScratch, basep unsafe.Pointer,
 		}
 		colp := unsafe.Add(basep, uintptr(feat[node])*tileRows)
 		if ln := left[node]; feat[ln] < 0 && feat[ln+1] < 0 {
-			leafPairSegBinnedTiled(unsafe.Pointer(&src[sg.lo]), len(seg), colp, cut[node],
+			// One tier only: the payload delivery scatters float64s by
+			// sample index, so a vector compare would buy nothing.
+			leafPairSegTiledScalar(unsafe.Pointer(&src[sg.lo]), len(seg), colp, cut[node],
 				unsafe.Pointer(&dst[0]), unsafe.Pointer(&payload[ln]), add)
 			continue
 		}
@@ -238,20 +240,17 @@ func (bt *BinnedTree) runSegmentsTiled(sc *batchScratch, basep unsafe.Pointer,
 
 // partitionRootBinnedTiled splits the implicit chunk order 0..n-1 on
 // colp[k] < cut. The feature column is contiguous in the tiled layout —
-// no stride, no gather — which is exactly the shape the vector tiers
-// want: the dispatch picks the strongest kernel the CPU supports, and
-// every tier produces the same bytes in the same order (see
-// partition_scalar.go for the order contract).
+// no stride, no gather — which is exactly the shape the AVX2 tier
+// wants: the dispatch takes it when the CPU supports it and the scalar
+// tier otherwise, and both produce the same bytes in the same order
+// (see partition_scalar.go for the order contract).
 //
 //go:noinline
 //hddlint:noalloc //hddlint:nobc
 //hddlint:binned
 func partitionRootBinnedTiled(colp unsafe.Pointer, n int, outp unsafe.Pointer, cut uint8) int {
-	switch cpu.Active() {
-	case cpu.AVX2:
+	if cpu.Active() == cpu.AVX2 {
 		return partitionRootTiledAVX2(colp, n, outp, cut)
-	case cpu.SWAR:
-		return partitionRootTiledSWAR(colp, n, outp, cut)
 	}
 	return partitionRootTiledScalar(colp, n, outp, cut)
 }
@@ -263,31 +262,10 @@ func partitionRootBinnedTiled(colp unsafe.Pointer, n int, outp unsafe.Pointer, c
 //hddlint:noalloc //hddlint:nobc
 //hddlint:binned
 func partitionSegBinnedTiled(srcp, outp unsafe.Pointer, n int, colp unsafe.Pointer, cut uint8) int {
-	switch cpu.Active() {
-	case cpu.AVX2:
+	if cpu.Active() == cpu.AVX2 {
 		return partitionSegTiledAVX2(srcp, outp, n, colp, cut)
-	case cpu.SWAR:
-		return partitionSegTiledSWAR(srcp, outp, n, colp, cut)
 	}
 	return partitionSegTiledScalar(srcp, outp, n, colp, cut)
-}
-
-// leafPairSegBinnedTiled finishes a segment whose node has two leaf
-// children in one compare-and-deliver pass over the feature column.
-// The AVX2 tier shares the SWAR kernel: the payload delivery scatters
-// float64s by sample index either way, so only the 8-wide code compare
-// vectorizes and a dedicated assembly body would buy nothing.
-//
-//go:noinline
-//hddlint:noalloc //hddlint:nobc
-//hddlint:binned
-func leafPairSegBinnedTiled(srcp unsafe.Pointer, n int, colp unsafe.Pointer, cut uint8,
-	dstp, payp unsafe.Pointer, add bool) {
-	if cpu.Active() == cpu.Scalar {
-		leafPairSegTiledScalar(srcp, n, colp, cut, dstp, payp, add)
-		return
-	}
-	leafPairSegTiledSWAR(srcp, n, colp, cut, dstp, payp, add)
 }
 
 // walkSegBinnedTiled finishes a small segment sample-major down the

@@ -203,3 +203,40 @@ func TestTiledRangeNoAlloc(t *testing.T) {
 		t.Fatalf("AccumulateTiledRange allocated %.0f times per run", allocs)
 	}
 }
+
+// TestGatheredBatchAfterTiledScratch scores gathered-row batches on a
+// pooled scratch shaped as the tiled engine leaves it — cur and next
+// grown to a tile, rows never allocated — so one process can mix sweeps
+// with per-drive batch scoring.
+func TestGatheredBatchAfterTiledScratch(t *testing.T) {
+	tree, bm, x, codes := binnedFixture(t, 21, 200, 5, 24)
+	ct := tree.Compile()
+	bt, err := ct.CompileBinned(bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100 // a partitioned batch that fits in one tile
+	putTiledScratch := func() {
+		batchScratchPool.Put(&batchScratch{cur: make([]int32, tileRows), next: make([]int32, tileRows)})
+	}
+	check := func(name string, got []float64, want func(i int) float64) {
+		t.Helper()
+		for i := range got {
+			if w := want(i); got[i] != w {
+				t.Fatalf("%s[%d] = %v, want %v", name, i, got[i], w)
+			}
+		}
+	}
+	putTiledScratch()
+	check("BinnedTree.PredictBatch", bt.PredictBatch(codes[:n], nil), func(i int) float64 { return bt.Predict(codes[i]) })
+	putTiledScratch()
+	dst := make([]float64, n)
+	AccumulateBatchBinned([]*BinnedTree{bt}, codes[:n], dst)
+	check("AccumulateBatchBinned", dst, func(i int) float64 { return bt.Predict(codes[i]) })
+	putTiledScratch()
+	check("CompiledTree.PredictBatch", ct.PredictBatch(x[:n], nil), func(i int) float64 { return ct.Predict(x[i]) })
+	putTiledScratch()
+	dst = make([]float64, n)
+	AccumulateBatch([]*CompiledTree{ct}, x[:n], dst)
+	check("AccumulateBatch", dst, func(i int) float64 { return ct.Predict(x[i]) })
+}

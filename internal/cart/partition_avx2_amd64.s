@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // AVX2 compare-and-compress partition kernels. Shared scheme per
-// 8-code word (see partition_swar.go for the order/window contract):
+// 8-code word (see partition_avx2_amd64.go for the order/window contract):
 //
 //	mask  = VPMOVMSKB(VPCMPGTB(cut^80, x^80))      x[j] < cut, bit j
 //	left  = VPERMD(src, permTabL[mask])            lefts ascending

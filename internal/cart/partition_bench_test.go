@@ -12,7 +12,7 @@ import (
 // the sweep engine's root partitions run — with a balanced cut, and
 // reports elements per second. The impls are called directly (not
 // through dispatch) so each sub-benchmark pins one tier regardless of
-// HDDPRED_KERNELS.
+// cpu.Active.
 
 const benchPartN = 256
 
@@ -57,7 +57,6 @@ func BenchmarkPartitionRootTiled(b *testing.B) {
 		fn   func(colp unsafe.Pointer, n int, outp unsafe.Pointer, cut uint8) int
 	}{
 		{"scalar", partitionRootTiledScalar},
-		{"swar", partitionRootTiledSWAR},
 		{"avx2", partitionRootTiledAVX2},
 	}
 	for _, k := range kernels {
@@ -77,7 +76,6 @@ func BenchmarkPartitionSegTiled(b *testing.B) {
 		fn   func(srcp, outp unsafe.Pointer, n int, colp unsafe.Pointer, cut uint8) int
 	}{
 		{"scalar", partitionSegTiledScalar},
-		{"swar", partitionSegTiledSWAR},
 		{"avx2", partitionSegTiledAVX2},
 	}
 	for _, k := range kernels {
@@ -90,50 +88,17 @@ func BenchmarkPartitionSegTiled(b *testing.B) {
 	}
 }
 
-func BenchmarkPartitionSegFlat(b *testing.B) {
-	d := newPartBenchData()
-	const stride = 13
-	flat := make([]uint8, benchPartN*stride)
-	rng := rand.New(rand.NewSource(8))
-	for i := range flat {
-		flat[i] = uint8(rng.Intn(256))
-	}
-	base := unsafe.Pointer(&flat[0])
-	kernels := []struct {
-		name string
-		fn   func(srcp, outp unsafe.Pointer, n int, base unsafe.Pointer, stride, foff uintptr, cut uint8) int
-	}{
-		{"scalar", partitionSegFlatScalar},
-		{"swar", partitionSegFlatSWAR},
-	}
-	for _, k := range kernels {
-		b.Run("kernel="+k.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				k.fn(d.srcp, d.outp, benchPartN, base, stride, 3, d.cut)
-			}
-			reportElems(b, benchPartN)
-		})
-	}
-}
-
 func BenchmarkPartitionLeafPairTiled(b *testing.B) {
 	d := newPartBenchData()
 	dst := make([]float64, benchPartN)
 	pay := [2]float64{0.25, 0.75}
 	dstp, payp := unsafe.Pointer(&dst[0]), unsafe.Pointer(&pay[0])
-	kernels := []struct {
-		name string
-		fn   func(srcp unsafe.Pointer, n int, colp unsafe.Pointer, cut uint8, dstp, payp unsafe.Pointer, add bool)
-	}{
-		{"scalar", leafPairSegTiledScalar},
-		{"swar", leafPairSegTiledSWAR},
-	}
-	for _, k := range kernels {
-		b.Run("kernel="+k.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				k.fn(d.srcp, benchPartN, d.colp, d.cut, dstp, payp, true)
-			}
-			reportElems(b, benchPartN)
-		})
-	}
+	// The leaf-pair kernel has one tier; the kernel=scalar name keeps
+	// its BENCH_fleetsweep.json baseline row.
+	b.Run("kernel=scalar", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			leafPairSegTiledScalar(d.srcp, benchPartN, d.colp, d.cut, dstp, payp, true)
+		}
+		reportElems(b, benchPartN)
+	})
 }

@@ -6,17 +6,17 @@ import (
 	"unsafe"
 )
 
-// Kernel-tier contract tests: every partition tier (scalar, SWAR, AVX2
-// where linked) must produce byte-identical output — the same left
+// Kernel-tier contract tests: the AVX2 tier (where linked) must produce
+// byte-identical output to the scalar reference — the same left
 // count AND the same index order — because the kernels are
 // order-defining: the segment order they emit becomes the next level's
 // input order, so any divergence cascades into different (if equally
-// valid) trees downstream. The cases pin the seams the vector tiers
-// introduce: word (8) and window (16) boundaries, the 256-row tile
+// valid) trees downstream. The cases pin the seams the vector tier
+// introduces: word (8) and window (16) boundaries, the 256-row tile
 // size, degenerate cuts, uniform columns, and the reserved missing
 // code.
 
-// kernelSizes crosses the SWAR word (8), the blind-store window (16),
+// kernelSizes crosses the compare word (8), the blind-store window (16),
 // and the tile row count (256), each with its neighbors, plus the
 // empty and single-row cases the vector loops must fall through.
 var kernelSizes = []int{0, 1, 7, 8, 9, 15, 16, 17, 255, 256, 257}
@@ -56,19 +56,18 @@ func ptrOrNil(b []uint8) unsafe.Pointer {
 	return unsafe.Pointer(&b[0])
 }
 
-// rootKernels/segKernels list every linked tier for the tiled kernels.
-// On noasm or non-amd64 builds the AVX2 symbols route to SWAR, so the
-// table degrades to re-checking SWAR rather than skipping a tier.
+// rootKernels/segKernels list every linked vector tier for the tiled
+// kernels. On noasm or non-amd64 builds the AVX2 symbols route to
+// scalar, so the table degrades to re-checking scalar rather than
+// skipping a tier.
 func rootKernels() map[string]func(unsafe.Pointer, int, unsafe.Pointer, uint8) int {
 	return map[string]func(unsafe.Pointer, int, unsafe.Pointer, uint8) int{
-		"swar": partitionRootTiledSWAR,
 		"avx2": partitionRootTiledAVX2,
 	}
 }
 
 func segKernels() map[string]func(unsafe.Pointer, unsafe.Pointer, int, unsafe.Pointer, uint8) int {
 	return map[string]func(unsafe.Pointer, unsafe.Pointer, int, unsafe.Pointer, uint8) int{
-		"swar": partitionSegTiledSWAR,
 		"avx2": partitionSegTiledAVX2,
 	}
 }
@@ -127,155 +126,7 @@ func TestPartitionKernelTiersEdgeCases(t *testing.T) {
 	}
 }
 
-func TestPartitionKernelTiersFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range kernelSizes {
-		for _, cut := range kernelCuts {
-			stride := uintptr(1 + rng.Intn(5))
-			foff := uintptr(rng.Intn(int(stride)))
-			flat := make([]uint8, (300)*int(stride)+1)
-			for i := range flat {
-				flat[i] = uint8(rng.Intn(256))
-			}
-			fb := unsafe.Pointer(&flat[0])
-			ref := make([]int32, n+1)
-			got := make([]int32, n+1)
-			lref := partitionRootFlatScalar(fb, stride, n, unsafe.Pointer(&ref[0]), foff, cut)
-			lgot := partitionRootFlatSWAR(fb, stride, n, unsafe.Pointer(&got[0]), foff, cut)
-			if lgot != lref {
-				t.Fatalf("flat root swar n=%d cut=%d: left %d want %d", n, cut, lgot, lref)
-			}
-			for i := 0; i < n; i++ {
-				if got[i] != ref[i] {
-					t.Fatalf("flat root swar n=%d cut=%d: out[%d]=%d want %d", n, cut, i, got[i], ref[i])
-				}
-			}
-			src := make([]int32, n+1)
-			for i, p := range rng.Perm(300)[:n] {
-				src[i] = int32(p)
-			}
-			srcp := unsafe.Pointer(&src[0])
-			lref = partitionSegFlatScalar(srcp, unsafe.Pointer(&ref[0]), n, fb, stride, foff, cut)
-			lgot = partitionSegFlatSWAR(srcp, unsafe.Pointer(&got[0]), n, fb, stride, foff, cut)
-			if lgot != lref {
-				t.Fatalf("flat seg swar n=%d cut=%d: left %d want %d", n, cut, lgot, lref)
-			}
-			for i := 0; i < n; i++ {
-				if got[i] != ref[i] {
-					t.Fatalf("flat seg swar n=%d cut=%d: out[%d]=%d want %d", n, cut, i, got[i], ref[i])
-				}
-			}
-		}
-	}
-}
-
-func TestLeafPairKernelTiers(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range kernelSizes {
-		if n == 0 {
-			continue // leafPair callers never pass empty segments
-		}
-		for name, col := range kernelColumns(300, rng) {
-			for _, cut := range kernelCuts {
-				for _, add := range []bool{false, true} {
-					src := make([]int32, n)
-					for i, p := range rng.Perm(300)[:n] {
-						src[i] = int32(p)
-					}
-					pay := [2]float64{rng.Float64(), rng.Float64()}
-					ref := make([]float64, 300)
-					got := make([]float64, 300)
-					for i := range ref {
-						v := rng.Float64()
-						ref[i], got[i] = v, v
-					}
-					srcp, colp := unsafe.Pointer(&src[0]), unsafe.Pointer(&col[0])
-					payp := unsafe.Pointer(&pay[0])
-					leafPairSegTiledScalar(srcp, n, colp, cut, unsafe.Pointer(&ref[0]), payp, add)
-					leafPairSegTiledSWAR(srcp, n, colp, cut, unsafe.Pointer(&got[0]), payp, add)
-					for i := range ref {
-						if ref[i] != got[i] {
-							t.Fatalf("leafpair swar n=%d col=%s cut=%d add=%v: dst[%d]=%v want %v",
-								n, name, cut, add, i, got[i], ref[i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestLtMask8Exhaustive pins the SWAR compare and the movmask multiply
-// against the scalar definition for every (x, cut) byte pair in one
-// lane position at a time, plus every possible 8-bit compare mask
-// through the posTab compaction tables.
-func TestLtMask8Exhaustive(t *testing.T) {
-	// Every byte pair, rotated through all 8 lane positions.
-	for cut := 0; cut < 256; cut++ {
-		nc := ^(uint64(uint8(cut)) * swarL)
-		ncm := nc &^ swarH
-		for x := 0; x < 256; x++ {
-			want := uint64(0)
-			if uint8(x) < uint8(cut) {
-				want = 1
-			}
-			m := ltMask8(uint64(x)*swarL, nc, ncm) // all 8 lanes hold x
-			if wantMask := want * 0xff; m != wantMask {
-				t.Fatalf("ltMask8 x=%#x cut=%#x: mask %#x want %#x", x, cut, m, wantMask)
-			}
-		}
-		if cut == 0 {
-			continue
-		}
-		// Mixed lanes: every mask pattern with below-cut bytes (cut-1) in
-		// the set lanes and at-cut bytes elsewhere must reproduce exactly.
-		for want := uint64(0); want < 256; want++ {
-			var x uint64
-			for j := 0; j < 8; j++ {
-				b := uint64(uint8(cut))
-				if want>>j&1 == 1 {
-					b = uint64(uint8(cut) - 1)
-				}
-				x |= b << (8 * j)
-			}
-			if m := ltMask8(x, nc, ncm); m != want {
-				t.Fatalf("ltMask8 mixed cut=%#x want=%#x: got %#x", cut, want, m)
-			}
-		}
-	}
-	// Every 8-bit mask through the compaction tables: posTabL must list
-	// set-bit positions ascending, posTabR clear-bit positions ascending.
-	for m := 0; m < 256; m++ {
-		var wantL, wantR []int
-		for j := 0; j < 8; j++ {
-			if m>>j&1 == 1 {
-				wantL = append(wantL, j)
-			} else {
-				wantR = append(wantR, j)
-			}
-		}
-		for j, b := range wantL {
-			if got := int(posTabL[m] >> (8 * j) & 0xff); got != b {
-				t.Fatalf("posTabL[%#x] slot %d = %d want %d", m, j, got, b)
-			}
-			if got := int(permTabL[m][j]); got != b {
-				t.Fatalf("permTabL[%#x] lane %d = %d want %d", m, j, got, b)
-			}
-		}
-		for j, b := range wantR {
-			if got := int(posTabR[m] >> (8 * j) & 0xff); got != b {
-				t.Fatalf("posTabR[%#x] slot %d = %d want %d", m, j, got, b)
-			}
-			// permTabR is lane-reversed: the j-th right lands at lane 7-j so
-			// one 8-lane store at r-7 leaves rights in descending order.
-			if got := int(permTabR[m][7-j]); got != b {
-				t.Fatalf("permTabR[%#x] lane %d = %d want %d", m, 7-j, got, b)
-			}
-		}
-	}
-}
-
-// TestPartitionKernelRandomized cross-checks all tiers on randomized
+// TestPartitionKernelRandomized cross-checks the tiers on randomized
 // segments, sizes, and cuts — the fuzz-shaped complement to the
 // structured edge cases above.
 func TestPartitionKernelRandomized(t *testing.T) {

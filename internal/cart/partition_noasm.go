@@ -6,14 +6,14 @@ import "unsafe"
 
 // Without the assembly the AVX2 tier cannot be selected — internal/cpu
 // reports it unsupported and refuses SetActive — but the dispatch
-// switches still link the symbols, so route them to the SWAR tier.
+// switches still link the symbols, so route them to the scalar tier.
 
 func partitionRootTiledAVX2(colp unsafe.Pointer, n int, outp unsafe.Pointer, cut uint8) int {
-	return partitionRootTiledSWAR(colp, n, outp, cut)
+	return partitionRootTiledScalar(colp, n, outp, cut)
 }
 
 func partitionSegTiledAVX2(srcp, outp unsafe.Pointer, n int, colp unsafe.Pointer, cut uint8) int {
-	return partitionSegTiledSWAR(srcp, outp, n, colp, cut)
+	return partitionSegTiledScalar(srcp, outp, n, colp, cut)
 }
 
 var asmKernelRegistry []asmKernel

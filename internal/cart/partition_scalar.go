@@ -2,10 +2,10 @@ package cart
 
 import "unsafe"
 
-// Scalar reference tier for the partition kernels. Every other tier
-// (SWAR, AVX2) is pinned bit-identical to these loops — same left
-// count, same output index order — by the internal/equiv dispatch
-// matrix and the kernel table tests.
+// Scalar reference tier for the partition kernels, and the only tier
+// on builds without the assembly. The AVX2 tier is pinned bit-identical
+// to these loops — same left count, same output index order — by the
+// internal/equiv dispatch matrix and the kernel table tests.
 //
 // The loops are branch-free: both cursors live in one uint64 (left
 // cursor in the low half counting up, right cursor in the high half
@@ -14,7 +14,7 @@ import "unsafe"
 // of the two cursors. The old form kept `m--` and an off/w pair whose
 // recompute was data-dependent per iteration; folding both cursors
 // into a single register update removes that dependency chain and
-// benchmarks fairly against the vector tiers.
+// benchmarks fairly against the vector tier.
 
 // curStep advances the packed (left | right<<32) cursor pair: adding
 // curStep-2^32 bumps left; adding -2^32 drops right.
@@ -93,46 +93,4 @@ func leafPairSegTiledScalar(srcp unsafe.Pointer, n int, colp unsafe.Pointer, cut
 		}
 		*(*float64)(unsafe.Add(dstp, uintptr(uint32(idx))*8)) = *(*float64)(unsafe.Add(payp, off))
 	}
-}
-
-// partitionRootFlatScalar splits the implicit sample order 0..n-1 on
-// codes[f] < cut, marching down the feature column at the matrix
-// stride.
-//
-//go:noinline
-//hddlint:noalloc //hddlint:nobc
-//hddlint:binned
-func partitionRootFlatScalar(base unsafe.Pointer, stride uintptr, n int,
-	outp unsafe.Pointer, foff uintptr, cut uint8) int {
-	p := unsafe.Add(base, foff)
-	cur := uint64(uint32(n-1)) << 32
-	for k := 0; k < n; k++ {
-		cv := *(*uint8)(p)
-		p = unsafe.Add(p, stride)
-		w := ltBit(cv, cut)
-		pos := uint32(cur >> ((w ^ 1) << 5))
-		*(*int32)(unsafe.Add(outp, uintptr(pos)*4)) = int32(k)
-		cur += w*curStep - 1<<32
-	}
-	return int(uint32(cur))
-}
-
-// partitionSegFlatScalar is partitionSegTiledScalar with the code byte
-// located at base + idx·stride + foff instead of a contiguous column.
-//
-//go:noinline
-//hddlint:noalloc //hddlint:nobc
-//hddlint:binned
-func partitionSegFlatScalar(srcp, outp unsafe.Pointer, n int,
-	base unsafe.Pointer, stride, foff uintptr, cut uint8) int {
-	cur := uint64(uint32(n-1)) << 32
-	for k := 0; k < n; k++ {
-		idx := *(*int32)(unsafe.Add(srcp, uintptr(k)*4))
-		cv := *(*uint8)(unsafe.Add(base, uintptr(uint32(idx))*stride+foff))
-		w := ltBit(cv, cut)
-		pos := uint32(cur >> ((w ^ 1) << 5))
-		*(*int32)(unsafe.Add(outp, uintptr(pos)*4)) = idx
-		cur += w*curStep - 1<<32
-	}
-	return int(uint32(cur))
 }

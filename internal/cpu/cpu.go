@@ -1,107 +1,75 @@
 // Package cpu selects which partition-kernel implementation the binned
 // engines dispatch to at runtime.
 //
-// Three kernel tiers exist, strongest to weakest:
+// Two kernel tiers exist:
 //
 //   - AVX2: hand-written amd64 assembly (byte compares + movmask +
 //     table-driven order-preserving compaction). Requires CPU support
 //     (CPUID) and OS support (XGETBV), and is compiled out entirely
 //     under the noasm build tag or on non-amd64 targets.
-//   - SWAR: portable pure Go, 8 codes per uint64 with a branch-free
-//     bitmask walk. Always available.
-//   - Scalar: the reference one-byte-per-iteration kernels every other
-//     tier is pinned bit-identical to. Always available.
+//   - Scalar: the branch-free pure-Go reference kernels the AVX2 tier
+//     is pinned bit-identical to. Always available.
 //
-// The strongest supported tier is picked at init. The HDDPRED_KERNELS
-// environment variable (scalar|swar|avx2) overrides the choice for
-// tests and benchmarks; naming an unsupported or unknown tier keeps the
-// automatic pick. All tiers produce byte-identical output — the
-// internal/equiv dispatch matrix enforces it — so the selection is a
-// pure performance knob, never a correctness one.
+// AVX2 is picked at init when supported, scalar otherwise. Both tiers
+// produce byte-identical output — the internal/equiv dispatch matrix
+// enforces it — so the selection is a pure performance choice, never a
+// correctness one. Tests switch tiers through SetActive.
 package cpu
-
-import "os"
 
 // Kernel names one partition-kernel implementation tier.
 type Kernel uint8
 
 const (
-	// Scalar is the reference byte-at-a-time implementation.
+	// Scalar is the portable pure-Go implementation.
 	Scalar Kernel = iota
-	// SWAR is the portable 8-bytes-per-uint64 implementation.
-	SWAR
 	// AVX2 is the amd64 assembly implementation.
 	AVX2
 )
 
-// String returns the tier's name as spelled by HDDPRED_KERNELS.
+// String returns the tier's name, as profile labels and bench reports
+// print it.
 func (k Kernel) String() string {
 	switch k {
 	case Scalar:
 		return "scalar"
-	case SWAR:
-		return "swar"
 	case AVX2:
 		return "avx2"
 	}
 	return "unknown"
 }
 
-// ParseKernel maps an HDDPRED_KERNELS value to its tier.
-func ParseKernel(s string) (Kernel, bool) {
-	switch s {
-	case "scalar":
-		return Scalar, true
-	case "swar":
-		return SWAR, true
-	case "avx2":
-		return AVX2, true
-	}
-	return Scalar, false
-}
-
-// EnvVar is the environment variable consulted at init for a kernel
-// override.
-const EnvVar = "HDDPRED_KERNELS"
-
 // active is written at init and by SetActive; the scoring hot paths
 // read it on every partition call. SetActive must not race with
 // in-flight scoring — tests switch kernels only between runs.
-var active = pickKernel(os.Getenv(EnvVar), hasAVX2)
+var active = pickKernel(hasAVX2)
 
-// pickKernel resolves the active tier from the override string and the
-// detected CPU capability. Split out pure for tests.
-func pickKernel(env string, avx2 bool) Kernel {
-	best := SWAR
+// pickKernel returns the strongest tier the detected CPU capability
+// allows. Split out pure so tests cover both outcomes on any host.
+func pickKernel(avx2 bool) Kernel {
 	if avx2 {
-		best = AVX2
+		return AVX2
 	}
-	if k, ok := ParseKernel(env); ok && kernelSupported(k, avx2) {
-		return k
-	}
-	return best
-}
-
-func kernelSupported(k Kernel, avx2 bool) bool {
-	switch k {
-	case Scalar, SWAR:
-		return true
-	case AVX2:
-		return avx2
-	}
-	return false
+	return Scalar
 }
 
 // Active returns the tier the binned engines currently dispatch to.
 func Active() Kernel { return active }
 
 // Supported reports whether the tier can run on this CPU and build.
-func Supported(k Kernel) bool { return kernelSupported(k, hasAVX2) }
+func Supported(k Kernel) bool {
+	switch k {
+	case Scalar:
+		return true
+	case AVX2:
+		return hasAVX2
+	}
+	return false
+}
 
-// Supported kernels, weakest first. The slice is freshly allocated;
-// callers may reorder it.
+// Kernels returns the supported tiers, weakest first. The slice is
+// freshly allocated; callers may reorder it.
 func Kernels() []Kernel {
-	ks := []Kernel{Scalar, SWAR}
+	ks := []Kernel{Scalar}
 	if hasAVX2 {
 		ks = append(ks, AVX2)
 	}

@@ -1,60 +1,44 @@
 package cpu
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-func TestParseKernelRoundTrip(t *testing.T) {
-	for _, k := range []Kernel{Scalar, SWAR, AVX2} {
-		got, ok := ParseKernel(k.String())
-		if !ok || got != k {
-			t.Fatalf("ParseKernel(%q) = %v, %v", k.String(), got, ok)
+func TestKernelString(t *testing.T) {
+	for k, want := range map[Kernel]string{Scalar: "scalar", AVX2: "avx2", Kernel(250): "unknown"} {
+		if got := k.String(); got != want {
+			t.Fatalf("Kernel(%d).String() = %q, want %q", k, got, want)
 		}
-	}
-	if _, ok := ParseKernel("sse9"); ok {
-		t.Fatal("unknown kernel name accepted")
-	}
-	if Kernel(250).String() != "unknown" {
-		t.Fatalf("out-of-range Kernel stringified as %q", Kernel(250).String())
 	}
 }
 
 func TestPickKernel(t *testing.T) {
-	cases := []struct {
-		env  string
-		avx2 bool
-		want Kernel
-	}{
-		{"", false, SWAR},
-		{"", true, AVX2},
-		{"scalar", true, Scalar},
-		{"swar", true, SWAR},
-		{"avx2", true, AVX2},
-		// An unsupported or unknown override keeps the automatic pick.
-		{"avx2", false, SWAR},
-		{"neon", true, AVX2},
-		{"neon", false, SWAR},
+	if got := pickKernel(false); got != Scalar {
+		t.Errorf("pickKernel(avx2=false) = %v, want scalar", got)
 	}
-	for _, tc := range cases {
-		if got := pickKernel(tc.env, tc.avx2); got != tc.want {
-			t.Errorf("pickKernel(%q, avx2=%v) = %v, want %v", tc.env, tc.avx2, got, tc.want)
-		}
+	if got := pickKernel(true); got != AVX2 {
+		t.Errorf("pickKernel(avx2=true) = %v, want avx2", got)
+	}
+	// The init-time pick is the strongest supported tier.
+	if want := pickKernel(Supported(AVX2)); Active() != want {
+		t.Errorf("Active() = %v, want %v", Active(), want)
 	}
 }
 
 func TestSupportedAndKernels(t *testing.T) {
-	if !Supported(Scalar) || !Supported(SWAR) {
-		t.Fatal("scalar and swar must always be supported")
+	if !Supported(Scalar) {
+		t.Fatal("scalar must always be supported")
 	}
-	ks := Kernels()
-	if len(ks) < 2 || ks[0] != Scalar || ks[1] != SWAR {
-		t.Fatalf("Kernels() = %v", ks)
+	want := []Kernel{Scalar}
+	if Supported(AVX2) {
+		want = append(want, AVX2)
 	}
-	for _, k := range ks {
-		if !Supported(k) {
-			t.Fatalf("Kernels() lists unsupported tier %v", k)
-		}
+	if ks := Kernels(); !slices.Equal(ks, want) {
+		t.Fatalf("Kernels() = %v, want %v", ks, want)
 	}
-	if !Supported(Active()) {
-		t.Fatalf("active tier %v not supported", Active())
+	if Supported(Kernel(250)) {
+		t.Fatal("unknown tier reported supported")
 	}
 }
 
@@ -62,14 +46,15 @@ func TestSetActive(t *testing.T) {
 	orig := Active()
 	defer SetActive(orig)
 	for _, k := range Kernels() {
-		prev, ok := SetActive(k)
-		if !ok {
+		if _, ok := SetActive(k); !ok {
 			t.Fatalf("SetActive(%v) refused a supported tier", k)
 		}
-		_ = prev
 		if Active() != k {
 			t.Fatalf("Active() = %v after SetActive(%v)", Active(), k)
 		}
+	}
+	if prev, ok := SetActive(Kernel(250)); ok || prev != Active() {
+		t.Fatalf("SetActive(unknown) = %v, %v; want refusal leaving %v active", prev, ok, Active())
 	}
 	if !Supported(AVX2) {
 		if _, ok := SetActive(AVX2); ok {

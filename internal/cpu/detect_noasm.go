@@ -2,6 +2,6 @@
 
 package cpu
 
-// Without the amd64 assembly the AVX2 tier does not exist; SWAR is the
-// strongest pick.
+// Without the amd64 assembly the AVX2 tier does not exist; scalar is
+// the only tier.
 const hasAVX2 = false

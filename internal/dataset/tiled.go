@@ -22,10 +22,10 @@ const TileRows = 256
 // one *feature column* contiguous per tile — right for the partitioned
 // batch traversal, whose per-node kernel reads a single feature for every
 // sample in the block — and, being a straight byte run, is exactly the
-// shape the SIMD compare-and-compress partition tiers (SWAR 8-wide,
-// AVX2 16-wide; see cart's partition_*.go) consume with full-width
-// loads. The tail tile is allocated in full and zero-padded; kernels
-// only ever address rows below NumRows.
+// shape the AVX2 compare-and-compress partition tier (see cart's
+// partition_*.go) consumes with full-width loads. The tail tile is
+// allocated in full and zero-padded; kernels only ever address rows
+// below NumRows.
 //
 // A TiledMatrix is plain data: safe for concurrent readers once filled.
 type TiledMatrix struct {

@@ -296,10 +296,10 @@ func BinnedBatch(block int) Path {
 }
 
 // BinnedBatchScattered copies every quantized row into its own
-// allocation before scoring, defeating the batch engine's flat-matrix
-// layout detection: the rows out of Quantize share one contiguous
-// backing array and take the stride-arithmetic kernels, so this path
-// pins the gathered-pointer kernels against them.
+// allocation before scoring. The rows out of Quantize share one
+// contiguous backing array; this path pins the batch engine's
+// gathered-pointer kernels on rows that live in separate allocations,
+// as hand-built or sub-sampled slices do.
 func BinnedBatchScattered(block int) Path {
 	return Path{Name: fmt.Sprintf("binned-scattered/%d", block), Score: func(c *Case, dst []float64) {
 		scattered := make([][]uint8, len(c.Codes))

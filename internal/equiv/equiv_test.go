@@ -61,8 +61,8 @@ func verdictPaths() []Path {
 
 // TestEquivalenceMatrices is the tentpole assertion: over every
 // adversarial Spec, all twenty-three scoring paths are bit-identical on
-// the corpus — including the scattered-row paths that force the binned
-// engine off its flat-matrix kernels and the feature-major tiled paths
+// the corpus — including the scattered-row paths whose rows live in
+// separate allocations and the feature-major tiled paths
 // the fleet-sweep engine runs on. CI additionally stress-runs this test
 // with -count=5 -race.
 func TestEquivalenceMatrices(t *testing.T) {

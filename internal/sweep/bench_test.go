@@ -88,7 +88,7 @@ func buildBenchFleet(b *testing.B) *benchFleet {
 	return f
 }
 
-// BenchmarkFleetSweep measures the 1M-drive sweep. flat/workers=1 is the
+// BenchmarkFleetSweep measures the 1M-drive sweep. direct/workers=1 is the
 // per-drive binned scan (detect.ScanBatchBinnedDirect — the path the
 // sweep engine replaced for fleet-scale scans); tiled/workers=W is the
 // sharded engine over a prepared fleet, so the timed region is pure scan:
@@ -101,7 +101,7 @@ func BenchmarkFleetSweep(b *testing.B) {
 		b.ReportMetric(float64(f.samples)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msamples/s")
 	}
 	det := &detect.VotingBinned{Model: f.bt, Voters: 3}
-	b.Run("flat/workers=1", func(b *testing.B) {
+	b.Run("direct/workers=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			detect.ScanBatchBinnedDirect(det, f.series, f.failHours, 1)
 		}

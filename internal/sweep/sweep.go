@@ -131,7 +131,7 @@ type Result struct {
 	// Total is the fold of Shards in shard order.
 	Total Stats
 	// Kernel names the partition-kernel tier the sweep's scoring ran on
-	// ("scalar", "swar" or "avx2") — diagnostic only; every tier is
+	// ("scalar" or "avx2") — diagnostic only; both tiers are
 	// bit-identical, so Outcomes and the deterministic stats never vary
 	// with it.
 	Kernel string
@@ -381,9 +381,9 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Run sweeps a prepared fleet with the given model and returns outcomes
 // plus per-shard stats. failHours[i] is drive i's failure instant (-1 or
-// a nil slice for good drives). The same Fleet can be Run concurrently
-// or repeatedly; per-run state lives in the Result and in the shard
-// cursors, which Run resets up front.
+// a nil slice for good drives). The same Fleet can be Run repeatedly;
+// per-run state lives in the Result and in the shard cursors, which
+// Run resets up front.
 //
 // Run must not be invoked concurrently on one Fleet (the cursors are
 // shared); sweeps of different Fleets are independent.
@@ -417,7 +417,7 @@ func Run(model TiledPredictor, fleet *Fleet, failHours []int, cfg Config) (*Resu
 	}
 	out := make([]detect.Outcome, fleet.numDrives)
 	// The kernel label distinguishes profiles of the same phase taken
-	// under different dispatch tiers (HDDPRED_KERNELS sets the tier).
+	// under different dispatch tiers (AVX2 hosts vs scalar ones).
 	kern := cpu.Active().String()
 	var wg sync.WaitGroup
 	pprof.Do(context.Background(), pprof.Labels("sweep_phase", "partition", "kernel", kern), func(context.Context) {
