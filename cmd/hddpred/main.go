@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -100,26 +101,38 @@ func loadModel(path string) (detect.Predictor, *modelFile, error) {
 	}
 }
 
-// loadTraces reads every drive from a CSV file. format selects the native
-// trace layout ("hddcart") or Backblaze drive-stats snapshots
-// ("backblaze").
-func loadTraces(path, format string) ([]trace.DriveTrace, error) {
+// eachDrive passes every drive of a CSV trace file to fn, with the
+// drive's index in the file. format selects the native trace layout
+// ("hddcart") or Backblaze drive-stats snapshots ("backblaze"). Native
+// traces stream drive by drive, so a caller that keeps only what it
+// extracts holds one drive's records at a time; Backblaze rows must be
+// grouped and sorted first, so that format is read whole.
+func eachDrive(path, format string, fn func(i int, d trace.DriveTrace)) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 	switch format {
 	case "", "hddcart":
 		r, err := trace.NewReader(f)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return r.ReadAll()
+		for i := 0; ; i++ {
+			d, err := r.Next()
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			fn(i, d)
+		}
 	case "backblaze":
 		drives, stats, err := trace.ReadBackblazeStats(f, trace.BackblazeOptions{})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Real snapshot dumps are routinely dirty; make every dropped or
 		// repaired row visible instead of silently training on less data.
@@ -133,9 +146,12 @@ func loadTraces(path, format string) ([]trace.DriveTrace, error) {
 				fmt.Fprintf(os.Stderr, "hddpred:   %s\n", re.Error())
 			}
 		}
-		return drives, nil
+		for i, d := range drives {
+			fn(i, d)
+		}
+		return nil
 	default:
-		return nil, fmt.Errorf("unknown data format %q (want hddcart or backblaze)", format)
+		return fmt.Errorf("unknown data format %q (want hddcart or backblaze)", format)
 	}
 }
 
@@ -160,15 +176,11 @@ func cmdFeatsel(args []string) error {
 	if *data == "" {
 		return errors.New("featsel: -data is required")
 	}
-	drives, err := loadTraces(*data, *format)
-	if err != nil {
-		return err
-	}
 	pool := featsel.CandidateFeatures(*interval)
 	fsData := featsel.Data{Features: pool}
-	for _, d := range drives {
+	err := eachDrive(*data, *format, func(_ int, d trace.DriveTrace) {
 		if len(d.Records) == 0 {
-			continue
+			return
 		}
 		s := detect.ExtractSeries(pool, d.Records, 0, len(d.Records))
 		if d.Meta.Failed {
@@ -186,6 +198,9 @@ func cmdFeatsel(args []string) error {
 				fsData.Good = append(fsData.Good, s.X[i])
 			}
 		}
+	})
+	if err != nil {
+		return err
 	}
 	scores, err := featsel.Evaluate(fsData)
 	if err != nil {
@@ -219,11 +234,6 @@ func cmdTrain(args []string) error {
 	if *data == "" {
 		return errors.New("train: -data is required")
 	}
-	drives, err := loadTraces(*data, *format)
-	if err != nil {
-		return err
-	}
-
 	features := smart.CriticalFeatures()
 	failedWindow := *window
 	if *kind == "ann" {
@@ -244,12 +254,15 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	for i, d := range drives {
+	err = eachDrive(*data, *format, func(i int, d trace.DriveTrace) {
 		if d.Meta.Failed {
 			b.AddFailedDrive(i, d.Meta.FailHour, d.Records)
 		} else {
 			b.AddGoodDrive(i, d.Records)
 		}
+	})
+	if err != nil {
+		return err
 	}
 	ds, err := b.Finalize()
 	if err != nil {
@@ -424,32 +437,32 @@ func cmdEvaluate(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	drives, err := loadTraces(*data, *format)
-	if err != nil {
-		return err
-	}
 	features := smart.CriticalFeatures()
 	det := detectorFor(mf, compiledModel(model, mf), *voters, *threshold)
+	// Only the extracted series outlive each drive's records.
 	var series []detect.Series
 	var failHours []int
 	var isFailed []bool
-	for i, d := range drives {
+	err = eachDrive(*data, *format, func(i int, d trace.DriveTrace) {
 		if d.Meta.Failed {
 			if dataset.IsTrainFailedDrive(*seed, i, 0.7) {
-				continue
+				return
 			}
 			series = append(series, detect.ExtractSeries(features, d.Records, 0, len(d.Records)))
 			failHours = append(failHours, d.Meta.FailHour)
 			isFailed = append(isFailed, true)
-			continue
+			return
 		}
 		from, to, ok := dataset.TestStart(d.Records, *periodStart, *periodEnd, 0.7)
 		if !ok {
-			continue
+			return
 		}
 		series = append(series, detect.ExtractSeries(features, d.Records, from, to))
 		failHours = append(failHours, -1)
 		isFailed = append(isFailed, false)
+	})
+	if err != nil {
+		return err
 	}
 	// Drives scan on w goroutines; each outcome lands at its drive's own
 	// index, so the counts below are identical for every worker count.
@@ -536,30 +549,31 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	drives, err := loadTraces(*data, *format)
-	if err != nil {
-		return err
-	}
 	features := smart.CriticalFeatures()
 	det := detectorFor(mf, compiledModel(model, mf), *voters, *threshold)
-	series := make([]detect.Series, len(drives))
-	for i, d := range drives {
-		series[i] = detect.ExtractSeries(features, d.Records, 0, len(d.Records))
+	var serials []string
+	var series []detect.Series
+	err = eachDrive(*data, *format, func(_ int, d trace.DriveTrace) {
+		serials = append(serials, d.Meta.Serial)
+		series = append(series, detect.ExtractSeries(features, d.Records, 0, len(d.Records)))
+	})
+	if err != nil {
+		return err
 	}
 	// Scans fan out across w goroutines; outcomes land at each drive's own
 	// index, so the report below is printed in input order regardless of
 	// the worker count.
 	outs := detect.ScanBatch(det, series, nil, w)
 	warnings := 0
-	for i, d := range drives {
+	for i, serial := range serials {
 		if outs[i].Alarmed {
 			warnings++
-			fmt.Printf("%s\tWARNING at hour %d\n", d.Meta.Serial, outs[i].AlarmHour)
+			fmt.Printf("%s\tWARNING at hour %d\n", serial, outs[i].AlarmHour)
 		} else {
-			fmt.Printf("%s\thealthy\n", d.Meta.Serial)
+			fmt.Printf("%s\thealthy\n", serial)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "predict: %d warnings across %d drives\n", warnings, len(drives))
+	fmt.Fprintf(os.Stderr, "predict: %d warnings across %d drives\n", warnings, len(serials))
 	return nil
 }
 

@@ -12,6 +12,8 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -113,81 +115,211 @@ func (w *Writer) Flush() error {
 }
 
 // Reader streams drive traces from CSV. Rows of one drive must be
-// contiguous. The native format is machine-generated, so the reader is
-// strict — any malformed row is an error — but every error it returns is a
-// RowError pinned to the offending input line.
+// contiguous: a serial that reappears after its drive ended is an error.
+// The native format is machine-generated, so the reader is strict — any
+// malformed row is an error — but every error it returns names the
+// offending input line: a RowError for a row's content, encoding/csv's
+// own *csv.ParseError for its CSV syntax.
+//
+// Rows decode exactly as encoding/csv decodes them with FieldsPerRecord
+// set to the header width, error text included. A line holding no quote
+// and no CR is split on commas in place, in the read buffer. The first
+// line that holds either, or that outgrows the buffer, hands itself and
+// the rest of the stream to encoding/csv: a quoted field may span lines,
+// and only encoding/csv can tell where such a record ends.
 type Reader struct {
-	cr          *csv.Reader
-	pending     []string // first row of the next drive
-	pendingLine int      // input line of the pending row
-	eof         bool
+	br      *bufio.Reader
+	fields  [][]byte // the current row, split in place while cr is nil
+	line    int      // physical lines the splitter consumed
+	cr      *csv.Reader
+	crow    []string // the current row once cr has taken over
+	lineOff int      // lines consumed before cr took over
+	rowLine int      // input line of the current row
+	held    bool     // the current row is the first row of the next drive
+	eof     bool
+	seen    map[string]struct{} // serials of the drives already started
 }
+
+// readBufSize is the splitter's read buffer; a longer line goes to
+// encoding/csv.
+const readBufSize = 64 << 10
 
 // NewReader returns a Reader consuming r. It validates the header.
 func NewReader(r io.Reader) (*Reader, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(Header())
-	header, err := cr.Read()
-	if err != nil {
+	tr := newReader(r)
+	if err := tr.readRow(); err != nil {
 		return nil, fmt.Errorf("trace: read header: %w", err)
 	}
-	want := Header()
-	for i := range want {
-		if header[i] != want[i] {
-			return nil, fmt.Errorf("trace: header column %d is %q, want %q", i, header[i], want[i])
+	for i, want := range Header() {
+		if got := tr.field(i); got != want {
+			return nil, fmt.Errorf("trace: header column %d is %q, want %q", i, got, want)
 		}
 	}
-	return &Reader{cr: cr}, nil
+	return tr, nil
+}
+
+// newReader returns a Reader positioned before the header.
+func newReader(r io.Reader) *Reader {
+	return &Reader{
+		br:     bufio.NewReaderSize(r, readBufSize),
+		fields: make([][]byte, len(Header())),
+		seen:   make(map[string]struct{}),
+	}
+}
+
+// readRow advances to the next row as encoding/csv's Read would: blank
+// lines are skipped, a wrong field count is a *csv.ParseError, and the
+// end of the stream is io.EOF.
+func (r *Reader) readRow() error {
+	for r.cr == nil {
+		b, err := r.br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			r.decline(b, r.line)
+			break
+		}
+		if len(b) == 0 || (err != nil && err != io.EOF) {
+			return err
+		}
+		r.line++
+		row := b
+		if row[len(row)-1] == '\n' {
+			row = row[:len(row)-1]
+		}
+		if len(row) == 0 {
+			continue
+		}
+		if bytes.IndexByte(row, '"') >= 0 || bytes.IndexByte(row, '\r') >= 0 {
+			r.decline(b, r.line-1)
+			break
+		}
+		r.rowLine = r.line
+		if !splitRow(r.fields, row) {
+			return &csv.ParseError{StartLine: r.line, Line: r.line, Column: 1, Err: csv.ErrFieldCount}
+		}
+		return nil
+	}
+	row, err := r.cr.Read()
+	if pe, ok := err.(*csv.ParseError); ok {
+		shifted := *pe
+		shifted.StartLine += r.lineOff
+		shifted.Line += r.lineOff
+		return &shifted
+	}
+	if err != nil {
+		return err
+	}
+	r.crow = row
+	line, _ := r.cr.FieldPos(0)
+	r.rowLine = r.lineOff + line
+	return nil
+}
+
+// decline hands line b, which follows the first before lines, and the
+// rest of the stream to encoding/csv. b aliases the read buffer, so it is
+// copied.
+func (r *Reader) decline(b []byte, before int) {
+	r.cr = csv.NewReader(io.MultiReader(bytes.NewReader(bytes.Clone(b)), r.br))
+	r.cr.FieldsPerRecord = len(r.fields)
+	r.cr.ReuseRecord = true
+	r.lineOff = before
+}
+
+// splitRow splits row on commas into dst, reporting false when row does
+// not hold exactly len(dst) fields.
+//
+//hddlint:noalloc
+func splitRow(dst [][]byte, row []byte) bool {
+	if bytes.Count(row, comma) != len(dst)-1 {
+		return false
+	}
+	last := len(dst) - 1
+	for i := 0; i < last; i++ {
+		j := bytes.IndexByte(row, ',')
+		dst[i] = row[:j]
+		row = row[j+1:]
+	}
+	dst[last] = row
+	return true
+}
+
+var comma = []byte{','}
+
+// field returns column i of the current row.
+func (r *Reader) field(i int) string {
+	if r.cr != nil {
+		return r.crow[i]
+	}
+	return string(r.fields[i])
+}
+
+// inDrive reports whether the current row belongs to the drive serial.
+func (r *Reader) inDrive(serial string) bool {
+	if r.cr != nil {
+		return r.crow[0] == serial
+	}
+	return string(r.fields[0]) == serial
+}
+
+// parse parses the current row into meta and rec.
+func (r *Reader) parse(meta *DriveMeta, rec *smart.Record) error {
+	if r.cr != nil {
+		return parseRow(r.crow, r.rowLine, meta, rec)
+	}
+	return parseRow(r.fields, r.rowLine, meta, rec)
 }
 
 // Next returns the next drive's trace; io.EOF when the file is exhausted.
+// A malformed first row of a drive is reported by the Next call that
+// returns that drive, not by the one that ends the drive before it.
 func (r *Reader) Next() (DriveTrace, error) {
 	var dt DriveTrace
-	row, line := r.pending, r.pendingLine
-	r.pending = nil
-	if row == nil {
+	if !r.held {
 		if r.eof {
 			return dt, io.EOF
 		}
-		var err error
-		row, err = r.cr.Read()
-		if errors.Is(err, io.EOF) {
-			return dt, io.EOF
-		}
-		if err != nil {
+		if err := r.readRow(); err != nil {
+			if errors.Is(err, io.EOF) {
+				r.eof = true
+				return dt, io.EOF
+			}
 			return dt, fmt.Errorf("trace: read row: %w", err)
 		}
-		line, _ = r.cr.FieldPos(0)
 	}
-	meta, rec, err := parseRow(row, line)
-	if err != nil {
+	r.held = false
+	dt.Meta.Serial, dt.Meta.Family = r.field(0), r.field(1)
+	if _, ok := r.seen[dt.Meta.Serial]; ok {
+		return dt, RowError{Line: r.rowLine, Serial: dt.Meta.Serial,
+			Reason: "rows not contiguous: the drive's earlier rows end before this line"}
+	}
+	r.seen[dt.Meta.Serial] = struct{}{}
+	dt.Records = append(dt.Records, smart.Record{})
+	if err := r.parse(&dt.Meta, &dt.Records[0]); err != nil {
 		return dt, err
 	}
-	dt.Meta = meta
-	dt.Records = append(dt.Records, rec)
 	for {
-		row, err := r.cr.Read()
-		if errors.Is(err, io.EOF) {
-			r.eof = true
-			return dt, nil
-		}
-		if err != nil {
+		if err := r.readRow(); err != nil {
+			if errors.Is(err, io.EOF) {
+				r.eof = true
+				return dt, nil
+			}
 			return dt, fmt.Errorf("trace: read row: %w", err)
 		}
-		line, _ = r.cr.FieldPos(0)
-		if row[0] != dt.Meta.Serial {
-			r.pending, r.pendingLine = row, line
+		if !r.inDrive(dt.Meta.Serial) {
+			r.held = true
 			return dt, nil
 		}
-		_, rec, err := parseRow(row, line)
+		n := len(dt.Records)
+		dt.Records = append(dt.Records, smart.Record{})
+		meta := DriveMeta{Serial: dt.Meta.Serial}
+		err := r.parse(&meta, &dt.Records[n])
+		if err == nil && dt.Records[n].Hour <= dt.Records[n-1].Hour {
+			err = RowError{Line: r.rowLine, Serial: dt.Meta.Serial,
+				Reason: fmt.Sprintf("rows not chronological at hour %d", dt.Records[n].Hour)}
+		}
 		if err != nil {
+			dt.Records = dt.Records[:n]
 			return dt, err
 		}
-		if n := len(dt.Records); n > 0 && rec.Hour <= dt.Records[n-1].Hour {
-			return dt, RowError{Line: line, Serial: dt.Meta.Serial,
-				Reason: fmt.Sprintf("rows not chronological at hour %d", rec.Hour)}
-		}
-		dt.Records = append(dt.Records, rec)
 	}
 }
 
@@ -213,39 +345,42 @@ func (r *Reader) ReadAll() ([]DriveTrace, error) {
 // per-line accounting, where Reader's whole-drive strictness would abort
 // the batch. The row must already have len(Header()) fields.
 func ParseRow(row []string, line int) (DriveMeta, smart.Record, error) {
-	return parseRow(row, line)
+	meta := DriveMeta{Serial: row[0], Family: row[1]}
+	var rec smart.Record
+	err := parseRow(row, line, &meta, &rec)
+	return meta, rec, err
 }
 
-func parseRow(row []string, line int) (DriveMeta, smart.Record, error) {
-	var meta DriveMeta
-	var rec smart.Record
-	meta.Serial = row[0]
-	meta.Family = row[1]
+// parseRow parses the failure columns of a row into meta and its hour
+// and values into rec; meta.Serial names the drive in errors. Every
+// number goes through strconv, and a []byte row is converted field by
+// field without allocating.
+func parseRow[T ~string | ~[]byte](row []T, line int, meta *DriveMeta, rec *smart.Record) error {
 	rowErr := func(format string, args ...any) error {
 		return RowError{Line: line, Serial: meta.Serial, Reason: fmt.Sprintf(format, args...)}
 	}
-	failed, err := strconv.ParseBool(row[2])
+	var err error
+	meta.Failed, err = strconv.ParseBool(string(row[2]))
 	if err != nil {
-		return meta, rec, rowErr("bad failed flag %q: %v", row[2], err)
+		return rowErr("bad failed flag %q: %v", string(row[2]), err)
 	}
-	meta.Failed = failed
-	meta.FailHour, err = strconv.Atoi(row[3])
+	meta.FailHour, err = strconv.Atoi(string(row[3]))
 	if err != nil {
-		return meta, rec, rowErr("bad fail_hour %q: %v", row[3], err)
+		return rowErr("bad fail_hour %q: %v", string(row[3]), err)
 	}
-	rec.Hour, err = strconv.Atoi(row[4])
+	rec.Hour, err = strconv.Atoi(string(row[4]))
 	if err != nil {
-		return meta, rec, rowErr("bad hour %q: %v", row[4], err)
+		return rowErr("bad hour %q: %v", string(row[4]), err)
 	}
 	for i := 0; i < smart.NumAttrs; i++ {
-		rec.Normalized[i], err = strconv.ParseFloat(row[5+i], 64)
+		rec.Normalized[i], err = strconv.ParseFloat(string(row[5+i]), 64)
 		if err != nil {
-			return meta, rec, rowErr("bad normalized value %q: %v", row[5+i], err)
+			return rowErr("bad normalized value %q: %v", string(row[5+i]), err)
 		}
-		rec.Raw[i], err = strconv.ParseFloat(row[5+smart.NumAttrs+i], 64)
+		rec.Raw[i], err = strconv.ParseFloat(string(row[5+smart.NumAttrs+i]), 64)
 		if err != nil {
-			return meta, rec, rowErr("bad raw value %q: %v", row[5+smart.NumAttrs+i], err)
+			return rowErr("bad raw value %q: %v", string(row[5+smart.NumAttrs+i]), err)
 		}
 	}
-	return meta, rec, nil
+	return nil
 }

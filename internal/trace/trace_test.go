@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -199,5 +201,146 @@ func TestGoodDriveFailHourNormalized(t *testing.T) {
 	}
 	if got.Meta.FailHour != -1 {
 		t.Errorf("good drive fail_hour = %d, want -1", got.Meta.FailHour)
+	}
+}
+
+func TestReaderRejectsNonContiguousDrive(t *testing.T) {
+	header := strings.Join(Header(), ",")
+	pad := strings.Repeat(",1", 2*smart.NumAttrs)
+	raw := header + "\n" +
+		"A,W,false,-1,0" + pad + "\n" +
+		"B,W,false,-1,0" + pad + "\n" +
+		"A,W,false,-1,1" + pad + "\n"
+	r, err := NewReader(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.ReadAll()
+	var re RowError
+	if !errors.As(err, &re) || re.Line != 4 || re.Serial != "A" {
+		t.Fatalf("err = %v, want a RowError on line 4 naming drive A", err)
+	}
+}
+
+func TestReaderFallbackKeepsLineNumbers(t *testing.T) {
+	// A quoted serial on line 3 hands the rest of the stream to
+	// encoding/csv; line numbers must keep counting from the file start,
+	// in drives' errors and in encoding/csv's own errors alike.
+	header := strings.Join(Header(), ",")
+	pad := strings.Repeat(",1", 2*smart.NumAttrs)
+	raw := header + "\n" +
+		"A,W,false,-1,0" + pad + "\n" +
+		"\"B\",W,false,-1,0" + pad + "\n" +
+		"\n" +
+		"B,W,false,-1,x" + pad + "\n"
+	r, err := NewReader(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dt, err := r.Next(); err != nil || dt.Meta.Serial != "A" {
+		t.Fatalf("first drive = %+v, %v", dt.Meta, err)
+	}
+	_, err = r.Next()
+	var re RowError
+	if !errors.As(err, &re) || re.Line != 5 || re.Serial != "B" {
+		t.Fatalf("err = %v, want a RowError on line 5 naming drive B", err)
+	}
+
+	raw = header + "\nA,W,false,-1,0" + pad + "\n\"B\n"
+	r, err = NewReader(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.ReadAll()
+	cr := csv.NewReader(strings.NewReader(raw))
+	cr.FieldsPerRecord = len(Header())
+	var want error
+	for want == nil {
+		_, want = cr.Read()
+	}
+	if err == nil || err.Error() != "trace: read row: "+want.Error() {
+		t.Fatalf("err = %v, want encoding/csv's %v", err, want)
+	}
+}
+
+// gendataCSV renders a simulated fleet of about good healthy and failed
+// failing drives in the native layout, as cmd/gendata writes it.
+func gendataCSV(tb testing.TB, good, failed int) []byte {
+	tb.Helper()
+	fleet, err := simulate.New(simulate.Config{
+		Seed:        1,
+		GoodScale:   float64(good) / (22790 + 2441),
+		FailedScale: float64(failed) / (434 + 127),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, d := range fleet.Drives() {
+		meta := DriveMeta{Serial: d.Serial, Family: d.Family, Failed: d.Failed, FailHour: d.FailHour}
+		if err := w.WriteDrive(meta, fleet.Trace(d.Index)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkTraceReader decodes a gendata-shaped trace file end to end.
+func BenchmarkTraceReader(b *testing.B) {
+	data := gendataCSV(b, 8, 4)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.ReadAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func TestReadAllAllocsPerDrive(t *testing.T) {
+	// Decoding allocates per drive (serial, family, the record slice's
+	// growth, the contiguity set), never per row.
+	const drives, rows = 4, 2000
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for d := 0; d < drives; d++ {
+		hours := make([]int, rows)
+		for i := range hours {
+			hours[i] = i
+		}
+		dt := sampleTrace(fmt.Sprintf("D-%d", d), d%2 == 1, hours...)
+		if err := w.WriteDrive(dt.Meta, dt.Records); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	allocs := testing.AllocsPerRun(5, func() {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.ReadAll(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// NewReader's buffers and two Header calls plus ReadAll's slice are
+	// the fixed part (~150 allocations); a drive costs its serial, its
+	// family and the dozen growths of its record slice (~15), whatever
+	// its row count.
+	const fixed, perDrive = 200, 24
+	if allocs > fixed+perDrive*drives {
+		t.Fatalf("ReadAll of %d drives × %d rows: %.0f allocs, want ≤ %d", drives, rows, allocs, fixed+perDrive*drives)
 	}
 }
