@@ -84,3 +84,20 @@ func comparedCount(baseline, fresh *Report) int {
 	}
 	return n
 }
+
+// writeProcsNote tells the reader when the two reports ran at different
+// GOMAXPROCS: the gate still applies, but a parallel benchmark's ns/op
+// moves with the proc count, so a regression or a win may be the host's.
+func writeProcsNote(w io.Writer, baseline, fresh *Report) {
+	base, now := baseline.Context["gomaxprocs"], fresh.Context["gomaxprocs"]
+	if base == now {
+		return
+	}
+	if base == "" {
+		base = "unrecorded"
+	}
+	if now == "" {
+		now = "unrecorded"
+	}
+	fmt.Fprintf(w, "benchjson: note: baseline GOMAXPROCS %s, this run %s; ns/op compared anyway\n", base, now)
+}

@@ -98,3 +98,30 @@ func TestWriteDiffRendersBothOutcomes(t *testing.T) {
 		t.Errorf("regression output = %q", out)
 	}
 }
+
+// TestDiffAcrossGOMAXPROCS: reports from different proc counts are still
+// gated, and the diff says the counts differ.
+func TestDiffAcrossGOMAXPROCS(t *testing.T) {
+	base := report(map[string]float64{"A": 100})
+	base.Context = map[string]string{"gomaxprocs": "2"}
+	fresh := report(map[string]float64{"A": 500})
+	fresh.Context = map[string]string{"gomaxprocs": "4"}
+	if regs := Diff(base, fresh, 0.10); len(regs) != 1 {
+		t.Errorf("regression across GOMAXPROCS not flagged: %+v", regs)
+	}
+	var note strings.Builder
+	writeProcsNote(&note, base, fresh)
+	if !strings.Contains(note.String(), "baseline GOMAXPROCS 2, this run 4") {
+		t.Errorf("note = %q", note.String())
+	}
+
+	note.Reset()
+	writeProcsNote(&note, fresh, fresh)
+	if note.Len() != 0 {
+		t.Errorf("note for equal GOMAXPROCS: %q", note.String())
+	}
+	writeProcsNote(&note, report(map[string]float64{"A": 100}), fresh)
+	if !strings.Contains(note.String(), "baseline GOMAXPROCS unrecorded, this run 4") {
+		t.Errorf("note for a baseline without GOMAXPROCS = %q", note.String())
+	}
+}

@@ -8,7 +8,10 @@
 // run's ns/op medians are compared to the baseline's and the process
 // exits non-zero when any shared benchmark regressed beyond -tolerance
 // (default 0.10 = 10%). Benchmarks without a baseline entry are skipped,
-// so CI may run any subset.
+// so CI may run any subset. Each report records the GOMAXPROCS its
+// benchmarks ran at; when the baseline's differs, the diff says so and
+// gates anyway. An input that runs one benchmark at several GOMAXPROCS
+// (`-cpu 1,2`) is rejected.
 //
 // Usage:
 //
@@ -60,6 +63,7 @@ func main() {
 			fatal(fmt.Errorf("parse baseline %s: %w", *baseline, err))
 		}
 		regs := Diff(&base, report, *tolerance)
+		writeProcsNote(os.Stdout, &base, report)
 		writeDiff(os.Stdout, report, regs, comparedCount(&base, report), *tolerance)
 		if len(regs) > 0 {
 			os.Exit(1)

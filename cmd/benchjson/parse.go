@@ -13,7 +13,9 @@ import (
 // Report is the JSON document benchjson emits.
 type Report struct {
 	// Context echoes the `go test` environment lines (goos, goarch, pkg,
-	// cpu) when present in the input.
+	// cpu) when present in the input, and records under "gomaxprocs" the
+	// GOMAXPROCS the benchmarks ran at (comma-separated when benchmarks
+	// of one input ran at different values).
 	Context map[string]string `json:"context,omitempty"`
 	// Benchmarks holds one entry per distinct benchmark name, in input
 	// order of first appearance.
@@ -23,7 +25,8 @@ type Report struct {
 // Benchmark aggregates every run of one benchmark name.
 type Benchmark struct {
 	// Name is the benchmark name without the "Benchmark" prefix or the
-	// trailing -GOMAXPROCS suffix (e.g. "PredictCompiledTree/pointer").
+	// trailing -GOMAXPROCS suffix (e.g. "PredictCompiledTree/pointer");
+	// the report context records the GOMAXPROCS.
 	Name string `json:"name"`
 	// Runs is how many result lines were folded into this entry.
 	Runs int `json:"runs"`
@@ -35,11 +38,14 @@ type Benchmark struct {
 }
 
 // Parse reads `go test -bench` output and aggregates the result lines.
-// Unrecognized lines (PASS, ok, test logs) are ignored.
+// Unrecognized lines (PASS, ok, test logs) are ignored. Runs of one
+// benchmark at different GOMAXPROCS (`-cpu 1,2`) are an error: their
+// median would describe neither.
 func Parse(r io.Reader) (*Report, error) {
 	report := &Report{}
 	index := map[string]int{}          // name → position in report.Benchmarks
 	samples := map[string]*benchRuns{} // name → accumulated runs
+	procs := map[int]bool{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	lineNo := 0
@@ -54,9 +60,14 @@ func Parse(r io.Reader) (*Report, error) {
 			if _, seen := index[runs.name]; !seen {
 				index[runs.name] = len(report.Benchmarks)
 				report.Benchmarks = append(report.Benchmarks, Benchmark{Name: runs.name})
-				samples[runs.name] = &benchRuns{metrics: map[string][]float64{}}
+				samples[runs.name] = &benchRuns{procs: runs.procs, metrics: map[string][]float64{}}
 			}
 			acc := samples[runs.name]
+			if acc.procs != runs.procs {
+				return nil, fmt.Errorf("line %d: benchmark %s ran at GOMAXPROCS %d and %d; give one -cpu value per report",
+					lineNo, runs.name, acc.procs, runs.procs)
+			}
+			procs[runs.procs] = true
 			acc.iterations = append(acc.iterations, runs.iterations)
 			for unit, v := range runs.metrics {
 				acc.metrics[unit] = append(acc.metrics[unit], v)
@@ -77,6 +88,12 @@ func Parse(r io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	if len(procs) > 0 {
+		if report.Context == nil {
+			report.Context = map[string]string{}
+		}
+		report.Context["gomaxprocs"] = joinProcs(procs)
+	}
 	for i := range report.Benchmarks {
 		acc := samples[report.Benchmarks[i].Name]
 		report.Benchmarks[i].Runs = len(acc.iterations)
@@ -89,8 +106,23 @@ func Parse(r io.Reader) (*Report, error) {
 	return report, nil
 }
 
+// joinProcs renders a set of GOMAXPROCS values in increasing order.
+func joinProcs(procs map[int]bool) string {
+	vs := make([]int, 0, len(procs))
+	for p := range procs {
+		vs = append(vs, p)
+	}
+	sort.Ints(vs)
+	parts := make([]string, len(vs))
+	for i, p := range vs {
+		parts[i] = strconv.Itoa(p)
+	}
+	return strings.Join(parts, ",")
+}
+
 // benchRuns accumulates the repeated runs of one benchmark.
 type benchRuns struct {
+	procs      int
 	iterations []int64
 	metrics    map[string][]float64
 }
@@ -98,6 +130,7 @@ type benchRuns struct {
 // oneRun is a single parsed benchmark result line.
 type oneRun struct {
 	name       string
+	procs      int // GOMAXPROCS: the name's -N suffix, 1 without one
 	iterations int64
 	metrics    map[string]float64
 }
@@ -109,11 +142,11 @@ func parseBenchLine(line string) (*oneRun, error) {
 	if len(fields) < 4 || len(fields)%2 != 0 {
 		return nil, fmt.Errorf("malformed benchmark line %q", "Benchmark"+line)
 	}
-	name := fields[0]
+	name, procs := fields[0], 1
 	// Strip the -GOMAXPROCS suffix go test appends when procs > 1.
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], p
 		}
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
@@ -126,7 +159,7 @@ func parseBenchLine(line string) (*oneRun, error) {
 		// medians would silently skew them.
 		return nil, fmt.Errorf("non-positive iteration count %d", iters)
 	}
-	run := &oneRun{name: name, iterations: iters, metrics: map[string]float64{}}
+	run := &oneRun{name: name, procs: procs, iterations: iters, metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

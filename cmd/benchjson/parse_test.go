@@ -121,3 +121,41 @@ func TestParseEmptyInput(t *testing.T) {
 		t.Fatalf("got %d benchmarks, want 0", len(report.Benchmarks))
 	}
 }
+
+func TestParseRecordsGOMAXPROCS(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"BenchmarkX-2 10 5 ns/op\nBenchmarkY-2 10 5 ns/op\n", "2"},
+		{"BenchmarkX 10 5 ns/op\n", "1"},
+		{sampleOutput, "1,8"},
+	} {
+		report, err := Parse(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := report.Context["gomaxprocs"]; got != c.want {
+			t.Errorf("Parse(%q): gomaxprocs %q, want %q", c.in, got, c.want)
+		}
+	}
+	report, err := Parse(strings.NewReader("PASS\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := report.Context["gomaxprocs"]; ok {
+		t.Error("gomaxprocs recorded for an input without benchmarks")
+	}
+}
+
+// TestParseRejectsMixedGOMAXPROCS: `-cpu 1,2` prints one benchmark at two
+// proc counts; folding both into one median would describe neither.
+func TestParseRejectsMixedGOMAXPROCS(t *testing.T) {
+	in := "BenchmarkX 10 50 ns/op\nBenchmarkY-2 10 5 ns/op\nBenchmarkX-2 10 30 ns/op\n"
+	_, err := Parse(strings.NewReader(in))
+	if err == nil {
+		t.Fatal("mixed GOMAXPROCS accepted")
+	}
+	for _, want := range []string{"line 3", "X", "GOMAXPROCS 1 and 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}

@@ -119,6 +119,7 @@ func eachDrive(path, format string, fn func(i int, d trace.DriveTrace)) error {
 		if err != nil {
 			return err
 		}
+		defer r.Close()
 		for i := 0; ; i++ {
 			d, err := r.Next()
 			if errors.Is(err, io.EOF) {
@@ -414,7 +415,7 @@ func cmdEvaluate(args []string) (err error) {
 	periodStart := fs.Int("period-start", 0, "good test window start hour")
 	periodEnd := fs.Int("period-end", 168, "good test window end hour")
 	seed := fs.Int64("seed", 1, "failed-drive split seed (must match training)")
-	workers := fs.Int("workers", 0, "scan worker-pool size (0 = all cores); results are identical for any value")
+	workers := fs.Int("workers", 0, "scan worker-pool size (0 = all cores); results are identical for any value. Trace decode runs on GOMAXPROCS goroutines whatever this is")
 	useSweep := fs.Bool("sweep", false, "scan through the sharded fleet-sweep engine (tree models): quantize once, score feature-major tiles")
 	shards := fs.Int("shards", 0, "sweep shard count (0 = engine default); outcomes are identical for any value")
 	cpuProf, memProf := profileFlags(fs)

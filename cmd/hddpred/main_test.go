@@ -2,8 +2,11 @@ package main
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -37,6 +40,75 @@ func writeFixture(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// TestCLIGolden pins what hddpred prints and writes for the writeFixture
+// file: the evaluate result line (float and -sweep, ct and rt), the
+// predict output and the trained model bytes (both by SHA-256). Each must
+// come out the same under GOMAXPROCS 1, 2 and 4, so that neither the
+// parallel trace decoder nor a worker pool can move a result.
+func TestCLIGolden(t *testing.T) {
+	data := writeFixture(t)
+	want := map[string]string{
+		"train ct":           "dc45df6b672cc36a1e4201b9561d1c62222fbc5829d9346e7578141a1361a552",
+		"train rt":           "789098934516df1bea51bd5cfceab4a16939e1b398f302c996c4cd5612f164d3",
+		"evaluate ct":        "FAR 12.00%  FDR 100.00%  TIA 383.9 h (good 9/75, failed 20/20)\n",
+		"evaluate ct -sweep": "FAR 12.00%  FDR 100.00%  TIA 382.9 h (good 9/75, failed 20/20)\n",
+		"evaluate rt":        "FAR 0.00%  FDR 20.00%  TIA 126.8 h (good 0/75, failed 4/20)\n",
+		"evaluate rt -sweep": "FAR 0.00%  FDR 20.00%  TIA 128.0 h (good 0/75, failed 4/20)\n",
+		"predict ct":         "1d4237ed738e0f4605cdefd9e21e61c2d6f913002b1752e17bf1c950788df047",
+		"predict rt":         "72cb6b056c99f9fc42098ecd95a8d2d0f879b9a1293ec2f7a5eb18a11fb84693",
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		dir := t.TempDir()
+		got := map[string]string{}
+		for _, kind := range []string{"ct", "rt"} {
+			model := filepath.Join(dir, kind+".json")
+			stdout(t, "train", "-data", data, "-model", kind, "-o", model)
+			b, err := os.ReadFile(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got["train "+kind] = sha256Hex(b)
+			got["evaluate "+kind] = stdout(t, "evaluate", "-data", data, "-m", model)
+			got["evaluate "+kind+" -sweep"] = stdout(t, "evaluate", "-data", data, "-m", model, "-sweep")
+			got["predict "+kind] = sha256Hex([]byte(stdout(t, "predict", "-data", data, "-m", model)))
+		}
+		for k, w := range want {
+			if got[k] != w {
+				t.Errorf("GOMAXPROCS=%d: %s gives %q, want %q", procs, k, got[k], w)
+			}
+		}
+	}
+}
+
+// stdout runs hddpred with args and returns what it printed to stdout.
+func stdout(t *testing.T, args ...string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = saved
+	if err != nil {
+		t.Fatalf("hddpred %s: %v", strings.Join(args, " "), err)
+	}
+	b, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 func TestTrainEvaluatePredictInspectCT(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,9 +78,9 @@ func (s *Server) snapshotLoop() {
 // SnapshotNow writes the service state snapshot to Config.SnapshotPath:
 // each shard's monitor state (gathered inside the owning goroutine, so
 // every shard's contribution is internally consistent) plus its
-// undrained warning feed, written to a temporary file and renamed into
-// place so the path always holds either the previous or the new
-// complete snapshot, never a torn write.
+// undrained warning feed, written to a temporary file, synced and
+// renamed into place so the path always holds either the previous or the
+// new complete snapshot, never a torn write, even across a crash.
 func (s *Server) SnapshotNow() error {
 	if s.cfg.SnapshotPath == "" {
 		return errors.New("serve: no snapshot path configured")
@@ -115,16 +116,52 @@ func (s *Server) SnapshotNow() error {
 		return fmt.Errorf("serve: encode snapshot: %w", err)
 	}
 	data = append(data, '\n')
-	tmp := s.cfg.SnapshotPath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := installFile(s.cfg.SnapshotPath, data); err != nil {
 		s.snapshotErrors.Add(1)
-		return fmt.Errorf("serve: write snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, s.cfg.SnapshotPath); err != nil {
-		s.snapshotErrors.Add(1)
-		return fmt.Errorf("serve: install snapshot: %w", err)
+		return err
 	}
 	s.lastSnapshotUnix.Store(snap.TakenUnix)
+	return nil
+}
+
+// installFile replaces path with data durably: data goes to path.tmp,
+// which is synced before it is renamed over path, and the directory is
+// synced after, so a crash leaves the old or the new file, complete.
+// path.tmp is removed when any step fails.
+func installFile(path string, data []byte) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("serve: write snapshot: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			os.Remove(tmp)
+		}
+	}()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("serve: write snapshot: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("serve: install snapshot: %w", err)
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = dir.Sync()
+		if cerr := dir.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("serve: sync snapshot directory: %w", err)
+	}
 	return nil
 }
 

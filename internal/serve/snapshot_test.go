@@ -197,6 +197,32 @@ func TestServeSnapshotColdStarts(t *testing.T) {
 	})
 }
 
+// TestSnapshotFailedInstallCleansUp points SnapshotPath at a directory:
+// the snapshot cannot be installed, so Close reports it, SnapshotErrors
+// counts it and no temporary file is left behind.
+func TestSnapshotFailedInstallCleansUp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.snap")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{NewMonitor: newTestMonitor, Shards: 2, SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Ingest("drive-0000", recAt(0, 0.5))
+	s.Drain()
+	before := s.Metrics().SnapshotErrors
+	if err := s.Close(); err == nil {
+		t.Fatal("Close installed a snapshot over a directory")
+	}
+	if got := s.Metrics().SnapshotErrors; got != before+1 {
+		t.Errorf("SnapshotErrors = %d after the failed install, want %d", got, before+1)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Errorf("tmp file left behind: %v", err)
+	}
+}
+
 // TestSnapshotAtomicInstall checks the tmp+rename discipline: after a
 // snapshot the path holds complete versioned JSON and no tmp file
 // remains.

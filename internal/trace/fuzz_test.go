@@ -103,83 +103,193 @@ func FuzzSmartctlParse(f *testing.F) {
 // FuzzTraceReader holds the native reader to encoding/csv, the decoder
 // it must agree with on every input. Row by row it must give the same
 // fields, the same record line and the same error text, across the
-// hand-off from the in-place splitter to encoding/csv. Drive by drive it
-// must give the same traces, or the same error, as refReadAll.
+// hand-off from the block decoder to encoding/csv. Drive by drive it
+// must give the same traces, or the same error, as refReadAll, and Next
+// must go on after an error exactly as a reader that hands the whole
+// stream to encoding/csv does. Every input is decoded at each of
+// fuzzBlockSizes.
 func FuzzTraceReader(f *testing.F) {
-	header := strings.Join(Header(), ",")
-	row := func(serial string, hour int) string {
-		return serial + ",W,false,-1," + strconv.Itoa(hour) + strings.Repeat(",1", 2*smart.NumAttrs) + "\n"
-	}
-	valid := traceCSV(f, DriveMeta{Serial: "d0", Family: "W", FailHour: -1}, DriveMeta{Serial: "d1", Family: "Q", Failed: true, FailHour: 9})
-	seeds := []string{
-		valid,
-		header + "\n",
-		// Writer output for a serial holding a comma and a quote.
-		traceCSV(f, DriveMeta{Serial: `a,"b`, Family: "W", FailHour: -1}, DriveMeta{Serial: "c", Family: "W", FailHour: -1}),
-		strings.ReplaceAll(valid, "\n", "\r\n"), // CRLF line endings
-		strings.ReplaceAll(valid, "\n", "\n\n"), // blank lines
-		strings.TrimSuffix(valid, "\n"),         // no trailing newline
-		// A line longer than the read buffer.
-		header + "\n" + row(strings.Repeat("x", readBufSize+10), 0),
-		// Wrong field counts, in the header and in a row.
-		header + ",extra\n" + row("d0", 0),
-		header + "\n" + row("d0", 0) + "d0,W,false,-1,1\n",
-		// A quote first appearing mid-file.
-		header + "\n" + row("d0", 0) + row("d0", 1) + row(`"d1"`, 0) + row("d1", 1) + row("d0", 2),
-		// encoding/csv's own errors after the hand-off: a short row, a
-		// bare quote, a quoted field left open at the end.
-		header + "\n" + row("d0", 0) + row(`"d1"`, 0) + "d1,W\n" + row(`d"2`, 0) + row(`"d3`, 0),
-		// A drive whose rows are not contiguous.
-		header + "\n" + row("d0", 0) + row("d1", 0) + row("d0", 1),
-	}
-	for _, s := range seeds {
+	for _, s := range traceSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data string) {
-		cr := csv.NewReader(strings.NewReader(data))
-		cr.FieldsPerRecord = len(Header())
-		r := newReader(strings.NewReader(data))
-		for n := 0; ; n++ {
-			fields, want := cr.Read()
-			got := r.readRow()
-			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
-				t.Fatalf("row %d: err = %v, encoding/csv gives %v", n, got, want)
+		want, wantErr := refReadAll(data)
+		ref := nextAll(t, strings.NewReader(data), 1)
+		for _, size := range fuzzBlockSizes {
+			checkRows(t, data, size)
+			got, err := nextAll(t, strings.NewReader(data), size).readAll()
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("block %d: err = %v, reference gives %v", size, err, wantErr)
 			}
-			if errors.Is(want, io.EOF) {
-				break
+			if len(got) != len(want) {
+				t.Fatalf("block %d: %d drives, reference gives %d", size, len(got), len(want))
 			}
-			if want != nil {
-				continue
-			}
-			if line, _ := cr.FieldPos(0); r.rowLine != line {
-				t.Fatalf("row %d: line %d, encoding/csv gives %d", n, r.rowLine, line)
-			}
-			for i, w := range fields {
-				if g := r.field(i); g != w {
-					t.Fatalf("row %d field %d: %q, encoding/csv gives %q", n, i, g, w)
+			for i := range want {
+				if got[i].Meta != want[i].Meta || !sameRecords(got[i].Records, want[i].Records) {
+					t.Fatalf("block %d: drive %d (%s) differs from the reference", size, i, want[i].Meta.Serial)
 				}
 			}
-		}
-
-		want, wantErr := refReadAll(data)
-		var got []DriveTrace
-		tr, err := NewReader(strings.NewReader(data))
-		if err == nil {
-			got, err = tr.ReadAll()
-		}
-		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
-			t.Fatalf("err = %v, reference gives %v", err, wantErr)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%d drives, reference gives %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Meta != want[i].Meta || !sameRecords(got[i].Records, want[i].Records) {
-				t.Fatalf("drive %d (%s) differs from the reference", i, want[i].Meta.Serial)
+			if seq := nextAll(t, strings.NewReader(data), size); !seq.equal(ref) {
+				t.Fatalf("block %d: Next sequence %s, encoding/csv alone gives %s", size, seq, ref)
 			}
 		}
 	})
 }
+
+// fuzzBlockSizes are the block sizes FuzzTraceReader decodes at: the
+// production size, sizes at which rows straddle blocks and the hand-off
+// to encoding/csv happens with blocks in flight (the header alone is
+// ~250 bytes), and one that no line fits, so every stream goes to
+// encoding/csv from its first line.
+var fuzzBlockSizes = []int{blockSize, 512, 300, 16}
+
+// traceSeeds is FuzzTraceReader's seed corpus.
+func traceSeeds(tb testing.TB) []string {
+	header := strings.Join(Header(), ",")
+	row := func(serial string, hour int) string {
+		return serial + ",W,false,-1," + strconv.Itoa(hour) + strings.Repeat(",1", 2*smart.NumAttrs) + "\n"
+	}
+	valid := traceCSV(tb, DriveMeta{Serial: "d0", Family: "W", FailHour: -1}, DriveMeta{Serial: "d1", Family: "Q", Failed: true, FailHour: 9})
+	// many is a drive of many rows: several 512-byte blocks.
+	many := header + "\n"
+	for h := 0; h < 12; h++ {
+		many += row("d0", h)
+	}
+	// crAt512 puts a CR as the 512th byte of the stream, the last byte
+	// of the first 512-byte block, with its '\n' in the next block.
+	crAt512 := header + "\n" + row("d0", 0)
+	serial := strings.Repeat("c", 511-len(crAt512)-len(row("", 2))+1)
+	crAt512 += strings.TrimSuffix(row(serial, 2), "\n") + "\r\n" + row("d1", 0)
+	if crAt512[511] != '\r' {
+		tb.Fatalf("crAt512 has %q at byte 511, want a CR", crAt512[511])
+	}
+	return []string{
+		valid,
+		header + "\n",
+		// Writer output for a serial holding a comma and a quote.
+		traceCSV(tb, DriveMeta{Serial: `a,"b`, Family: "W", FailHour: -1}, DriveMeta{Serial: "c", Family: "W", FailHour: -1}),
+		strings.ReplaceAll(valid, "\n", "\r\n"), // CRLF line endings
+		strings.ReplaceAll(valid, "\n", "\n\n"), // blank lines
+		strings.TrimSuffix(valid, "\n"),         // no trailing newline
+		strings.TrimSuffix(valid, "\n") + "\r",  // a CR as the stream's last byte
+		// A line longer than a block, at the production size and at 512.
+		header + "\n" + row(strings.Repeat("x", blockSize+10), 0),
+		many + row(strings.Repeat("y", 600), 0) + row("d2", 0),
+		// Wrong field counts, in the header and in a row.
+		header + ",extra\n" + row("d0", 0),
+		header + "\n" + row("d0", 0) + "d0,W,false,-1,1\n",
+		// A quote first appearing mid-file, and in a later block.
+		header + "\n" + row("d0", 0) + row("d0", 1) + row(`"d1"`, 0) + row("d1", 1) + row("d0", 2),
+		many + row(`"d1"`, 0) + row("d1", 1),
+		crAt512,
+		// encoding/csv's own errors after the hand-off: a short row, a
+		// bare quote, a quoted field left open at the end.
+		header + "\n" + row("d0", 0) + row(`"d1"`, 0) + "d1,W\n" + row(`d"2`, 0) + row(`"d3`, 0),
+		// A row error (a bad hour) and, in a block parsed ahead of it, a
+		// wrong field count: the earlier row's error must win.
+		header + "\n" + row("d0", 0) + strings.Replace(row("d0", 1), ",1,", ",x,", 1) + many[len(header)+1:] + "d0,W\n",
+		// A drive whose rows are not contiguous.
+		header + "\n" + row("d0", 0) + row("d1", 0) + row("d0", 1),
+	}
+}
+
+// checkRows is the row-level differential: readRow at block size size
+// against encoding/csv's Read.
+func checkRows(t *testing.T, data string, size int) {
+	t.Helper()
+	cr := csv.NewReader(strings.NewReader(data))
+	cr.FieldsPerRecord = numColumns
+	r := newReader(strings.NewReader(data), size)
+	defer r.Close()
+	for n := 0; ; n++ {
+		fields, want := cr.Read()
+		got := r.readRow()
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Fatalf("block %d row %d: err = %v, encoding/csv gives %v", size, n, got, want)
+		}
+		if errors.Is(want, io.EOF) {
+			return
+		}
+		if want != nil {
+			continue
+		}
+		if line, _ := cr.FieldPos(0); r.cur.line != line {
+			t.Fatalf("block %d row %d: line %d, encoding/csv gives %d", size, n, r.cur.line, line)
+		}
+		for i, w := range fields {
+			if g := r.field(i); g != w {
+				t.Fatalf("block %d row %d field %d: %q, encoding/csv gives %q", size, n, i, g, w)
+			}
+		}
+	}
+}
+
+// nextResult is what one Next call returned.
+type nextResult struct {
+	dt  DriveTrace
+	err error
+}
+
+// nextSeq is every Next result up to io.EOF, or the header error.
+type nextSeq []nextResult
+
+// nextAll opens src at block size size and calls Next until io.EOF,
+// going on past errors.
+func nextAll(t *testing.T, src io.Reader, size int) nextSeq {
+	t.Helper()
+	r, err := openReader(src, size)
+	if err != nil {
+		return nextSeq{{err: err}}
+	}
+	defer r.Close()
+	var seq nextSeq
+	for {
+		dt, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			return seq
+		}
+		seq = append(seq, nextResult{dt, err})
+	}
+}
+
+// readAll is the sequence as ReadAll reports it: the drives before the
+// first error, or that error.
+func (s nextSeq) readAll() ([]DriveTrace, error) {
+	var out []DriveTrace
+	for _, res := range s {
+		if res.err != nil {
+			return nil, res.err
+		}
+		out = append(out, res.dt)
+	}
+	return out, nil
+}
+
+// equal compares two sequences drive by drive and error by error.
+func (s nextSeq) equal(o nextSeq) bool {
+	if len(s) != len(o) {
+		return false
+	}
+	for i := range s {
+		a, b := s[i], o[i]
+		if (a.err == nil) != (b.err == nil) || (a.err != nil && a.err.Error() != b.err.Error()) ||
+			a.dt.Meta != b.dt.Meta || !sameRecords(a.dt.Records, b.dt.Records) {
+			return false
+		}
+	}
+	return true
+}
+
+// strings renders each result as "serial×records error".
+func (s nextSeq) strings() []string {
+	out := make([]string, len(s))
+	for i, res := range s {
+		out[i] = fmt.Sprintf("%s×%d %v", res.dt.Meta.Serial, len(res.dt.Records), res.err)
+	}
+	return out
+}
+
+func (s nextSeq) String() string { return "[" + strings.Join(s.strings(), "] [") + "]" }
 
 // traceCSV renders two-record drives through Writer.
 func traceCSV(tb testing.TB, metas ...DriveMeta) string {
@@ -207,7 +317,7 @@ func traceCSV(tb testing.TB, metas ...DriveMeta) string {
 // contiguity and chronology rules checked in row order.
 func refReadAll(data string) ([]DriveTrace, error) {
 	cr := csv.NewReader(strings.NewReader(data))
-	cr.FieldsPerRecord = len(Header())
+	cr.FieldsPerRecord = numColumns
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("trace: read header: %w", err)

@@ -12,13 +12,14 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
+	"strings"
 
 	"hddcart/internal/smart"
 )
@@ -122,47 +123,61 @@ func (w *Writer) Flush() error {
 // own *csv.ParseError for its CSV syntax.
 //
 // Rows decode exactly as encoding/csv decodes them with FieldsPerRecord
-// set to the header width, error text included. A line holding no quote
-// and no CR is split on commas in place, in the read buffer. The first
-// line that holds either, or that outgrows the buffer, hands itself and
-// the rest of the stream to encoding/csv: a quoted field may span lines,
-// and only encoding/csv can tell where such a record ends.
+// set to the header width, error text included. Newline-aligned blocks
+// of the stream are split and parsed on GOMAXPROCS goroutines, and Next
+// merges their rows in stream order. The first line that holds a quote
+// or a CR, or that outgrows a block, hands itself and the rest of the
+// stream to encoding/csv: a quoted field may span lines, and only
+// encoding/csv can tell where such a record ends. So does the first
+// error Next returns, so that no goroutine outlives it.
+//
+// The decode goroutines stop when the stream ends or Next returns an
+// error; a caller that stops reading before then must call Close.
 type Reader struct {
-	br      *bufio.Reader
-	fields  [][]byte // the current row, split in place while cr is nil
-	line    int      // physical lines the splitter consumed
+	p       *pipeline // the block decoder; nil once it has stopped
+	blk     *block    // the block being merged
+	next    int       // index of blk's next row
+	cur     *row      // the current row
+	fields  [][]byte  // scratch for field
 	cr      *csv.Reader
 	crow    []string // the current row once cr has taken over
+	crRow   row      // its parse
 	lineOff int      // lines consumed before cr took over
-	rowLine int      // input line of the current row
 	held    bool     // the current row is the first row of the next drive
 	eof     bool
 	seen    map[string]struct{} // serials of the drives already started
 }
 
-// readBufSize is the splitter's read buffer; a longer line goes to
-// encoding/csv.
-const readBufSize = 64 << 10
+// numColumns is the width of the native layout, len(Header()).
+var numColumns = 5 + 2*smart.NumAttrs
 
 // NewReader returns a Reader consuming r. It validates the header.
 func NewReader(r io.Reader) (*Reader, error) {
-	tr := newReader(r)
+	return openReader(r, blockSize)
+}
+
+// openReader is NewReader decoding blocks of size bytes.
+func openReader(r io.Reader, size int) (*Reader, error) {
+	tr := newReader(r, size)
 	if err := tr.readRow(); err != nil {
+		tr.Close()
 		return nil, fmt.Errorf("trace: read header: %w", err)
 	}
 	for i, want := range Header() {
 		if got := tr.field(i); got != want {
+			tr.Close()
 			return nil, fmt.Errorf("trace: header column %d is %q, want %q", i, got, want)
 		}
 	}
 	return tr, nil
 }
 
-// newReader returns a Reader positioned before the header.
-func newReader(r io.Reader) *Reader {
+// newReader returns a Reader positioned before the header, decoding
+// blocks of size bytes.
+func newReader(r io.Reader, size int) *Reader {
 	return &Reader{
-		br:     bufio.NewReaderSize(r, readBufSize),
-		fields: make([][]byte, len(Header())),
+		p:      startPipeline(r, size, runtime.GOMAXPROCS(0)),
+		fields: make([][]byte, numColumns),
 		seen:   make(map[string]struct{}),
 	}
 }
@@ -172,33 +187,33 @@ func newReader(r io.Reader) *Reader {
 // end of the stream is io.EOF.
 func (r *Reader) readRow() error {
 	for r.cr == nil {
-		b, err := r.br.ReadSlice('\n')
-		if err == bufio.ErrBufferFull {
-			r.decline(b, r.line)
-			break
+		if b := r.blk; b != nil {
+			switch {
+			case r.next < len(b.rows):
+				r.cur = &b.rows[r.next]
+				r.next++
+				return r.cur.err
+			case b.decline:
+				r.handOff(b.data[b.cut:], b.cutLine)
+				continue
+			case b.err != nil:
+				err := b.err
+				b.err = nil
+				r.handOff(nil, b.cutLine)
+				return err
+			}
 		}
-		if len(b) == 0 || (err != nil && err != io.EOF) {
-			return err
+		if r.p == nil {
+			return io.EOF // ended or closed
 		}
-		r.line++
-		row := b
-		if row[len(row)-1] == '\n' {
-			row = row[:len(row)-1]
+		if r.blk = r.p.next(r.blk); r.blk == nil {
+			r.p.stop(nil)
+			r.p = nil
+			return io.EOF
 		}
-		if len(row) == 0 {
-			continue
-		}
-		if bytes.IndexByte(row, '"') >= 0 || bytes.IndexByte(row, '\r') >= 0 {
-			r.decline(b, r.line-1)
-			break
-		}
-		r.rowLine = r.line
-		if !splitRow(r.fields, row) {
-			return &csv.ParseError{StartLine: r.line, Line: r.line, Column: 1, Err: csv.ErrFieldCount}
-		}
-		return nil
+		r.next = 0
 	}
-	row, err := r.cr.Read()
+	rec, err := r.cr.Read()
 	if pe, ok := err.(*csv.ParseError); ok {
 		shifted := *pe
 		shifted.StartLine += r.lineOff
@@ -208,47 +223,94 @@ func (r *Reader) readRow() error {
 	if err != nil {
 		return err
 	}
-	r.crow = row
+	r.crow = rec
 	line, _ := r.cr.FieldPos(0)
-	r.rowLine = r.lineOff + line
+	r.crRow = row{line: r.lineOff + line}
+	r.crRow.perr = parseRow(rec, r.crRow.line, &r.crRow.meta, &r.crRow.rec)
+	r.cur = &r.crRow
 	return nil
 }
 
-// decline hands line b, which follows the first before lines, and the
-// rest of the stream to encoding/csv. b aliases the read buffer, so it is
-// copied.
-func (r *Reader) decline(b []byte, before int) {
-	r.cr = csv.NewReader(io.MultiReader(bytes.NewReader(bytes.Clone(b)), r.br))
-	r.cr.FieldsPerRecord = len(r.fields)
+// handOff stops the block decoder and hands head, which follows the
+// first lineOff lines of the stream, and the rest of the stream to
+// encoding/csv. The rest is every block still in flight, the producer's
+// partial last line and the unread source, in that order.
+func (r *Reader) handOff(head []byte, lineOff int) {
+	rest := append([]byte(nil), head...)
+	readErr := r.p.stop(&rest)
+	if r.blk != nil && r.blk.err != nil {
+		readErr = r.blk.err
+	}
+	src := r.p.src
+	r.p, r.blk = nil, nil
+	in := io.MultiReader(bytes.NewReader(rest), src)
+	if readErr != nil {
+		in = io.MultiReader(bytes.NewReader(rest), &onceErr{err: readErr}, src)
+	}
+	r.cr = csv.NewReader(in)
+	r.cr.FieldsPerRecord = numColumns
 	r.cr.ReuseRecord = true
-	r.lineOff = before
+	r.lineOff = lineOff
+}
+
+// onceErr fails the first Read with err and reports EOF after, so a read
+// error met by a block still in flight reaches encoding/csv at its place
+// in the stream.
+type onceErr struct{ err error }
+
+func (o *onceErr) Read([]byte) (int, error) {
+	err := o.err
+	if err == nil {
+		return 0, io.EOF
+	}
+	o.err = nil
+	return 0, err
+}
+
+// Close stops the decode goroutines. Next after Close returns io.EOF.
+// Close does not close the underlying reader.
+func (r *Reader) Close() error {
+	if r.p != nil {
+		r.p.stop(nil)
+		r.p, r.blk = nil, nil
+	}
+	r.eof, r.held = true, false
+	return nil
 }
 
 // splitRow splits row on commas into dst, reporting false when row does
-// not hold exactly len(dst) fields.
+// not hold exactly len(dst) fields. Fields are a few bytes long, so one
+// pass over the bytes beats a search call per field.
 //
 //hddlint:noalloc
 func splitRow(dst [][]byte, row []byte) bool {
-	if bytes.Count(row, comma) != len(dst)-1 {
+	n, start := 0, 0
+	for i, c := range row {
+		if c != ',' {
+			continue
+		}
+		if n == len(dst)-1 {
+			return false
+		}
+		dst[n] = row[start:i]
+		n++
+		start = i + 1
+	}
+	if n != len(dst)-1 {
 		return false
 	}
-	last := len(dst) - 1
-	for i := 0; i < last; i++ {
-		j := bytes.IndexByte(row, ',')
-		dst[i] = row[:j]
-		row = row[j+1:]
-	}
-	dst[last] = row
+	dst[n] = row[start:]
 	return true
 }
 
-var comma = []byte{','}
+var newline = []byte{'\n'}
 
 // field returns column i of the current row.
 func (r *Reader) field(i int) string {
 	if r.cr != nil {
 		return r.crow[i]
 	}
+	splitRow(r.fields, r.cur.raw)
 	return string(r.fields[i])
 }
 
@@ -257,21 +319,24 @@ func (r *Reader) inDrive(serial string) bool {
 	if r.cr != nil {
 		return r.crow[0] == serial
 	}
-	return string(r.fields[0]) == serial
-}
-
-// parse parses the current row into meta and rec.
-func (r *Reader) parse(meta *DriveMeta, rec *smart.Record) error {
-	if r.cr != nil {
-		return parseRow(r.crow, r.rowLine, meta, rec)
-	}
-	return parseRow(r.fields, r.rowLine, meta, rec)
+	return string(r.cur.serial) == serial
 }
 
 // Next returns the next drive's trace; io.EOF when the file is exhausted.
 // A malformed first row of a drive is reported by the Next call that
 // returns that drive, not by the one that ends the drive before it.
 func (r *Reader) Next() (DriveTrace, error) {
+	dt, err := r.nextDrive()
+	if err != nil && err != io.EOF && r.p != nil {
+		// The current row is the one in error; the stream after it goes
+		// to encoding/csv, which decodes it as the blocks would have.
+		r.handOff(r.blk.data[r.cur.end:], r.cur.line)
+	}
+	return dt, err
+}
+
+// nextDrive is Next's row-by-row state machine.
+func (r *Reader) nextDrive() (DriveTrace, error) {
 	var dt DriveTrace
 	if !r.held {
 		if r.eof {
@@ -286,15 +351,17 @@ func (r *Reader) Next() (DriveTrace, error) {
 		}
 	}
 	r.held = false
+	cur := r.cur
 	dt.Meta.Serial, dt.Meta.Family = r.field(0), r.field(1)
 	if _, ok := r.seen[dt.Meta.Serial]; ok {
-		return dt, RowError{Line: r.rowLine, Serial: dt.Meta.Serial,
+		return dt, RowError{Line: cur.line, Serial: dt.Meta.Serial,
 			Reason: "rows not contiguous: the drive's earlier rows end before this line"}
 	}
 	r.seen[dt.Meta.Serial] = struct{}{}
-	dt.Records = append(dt.Records, smart.Record{})
-	if err := r.parse(&dt.Meta, &dt.Records[0]); err != nil {
-		return dt, err
+	dt.Meta.Failed, dt.Meta.FailHour = cur.meta.Failed, cur.meta.FailHour
+	dt.Records = append(dt.Records, cur.rec)
+	if cur.perr != nil {
+		return dt, cur.perr
 	}
 	for {
 		if err := r.readRow(); err != nil {
@@ -304,22 +371,20 @@ func (r *Reader) Next() (DriveTrace, error) {
 			}
 			return dt, fmt.Errorf("trace: read row: %w", err)
 		}
+		cur := r.cur
 		if !r.inDrive(dt.Meta.Serial) {
 			r.held = true
 			return dt, nil
 		}
-		n := len(dt.Records)
-		dt.Records = append(dt.Records, smart.Record{})
-		meta := DriveMeta{Serial: dt.Meta.Serial}
-		err := r.parse(&meta, &dt.Records[n])
-		if err == nil && dt.Records[n].Hour <= dt.Records[n-1].Hour {
-			err = RowError{Line: r.rowLine, Serial: dt.Meta.Serial,
-				Reason: fmt.Sprintf("rows not chronological at hour %d", dt.Records[n].Hour)}
+		err := cur.perr
+		if err == nil && cur.rec.Hour <= dt.Records[len(dt.Records)-1].Hour {
+			err = RowError{Line: cur.line, Serial: dt.Meta.Serial,
+				Reason: fmt.Sprintf("rows not chronological at hour %d", cur.rec.Hour)}
 		}
 		if err != nil {
-			dt.Records = dt.Records[:n]
 			return dt, err
 		}
+		dt.Records = append(dt.Records, cur.rec)
 	}
 }
 
@@ -352,34 +417,35 @@ func ParseRow(row []string, line int) (DriveMeta, smart.Record, error) {
 }
 
 // parseRow parses the failure columns of a row into meta and its hour
-// and values into rec; meta.Serial names the drive in errors. Every
-// number goes through strconv, and a []byte row is converted field by
-// field without allocating.
-func parseRow[T ~string | ~[]byte](row []T, line int, meta *DriveMeta, rec *smart.Record) error {
+// and values into rec; row[0] names the drive in errors. Every number
+// goes through strconv. parseRow keeps no input string: an error copies
+// what it quotes (strconv's errors clone their input too), so the row
+// may be views of a buffer that is reused once parseRow returns.
+func parseRow(row []string, line int, meta *DriveMeta, rec *smart.Record) error {
 	rowErr := func(format string, args ...any) error {
-		return RowError{Line: line, Serial: meta.Serial, Reason: fmt.Sprintf(format, args...)}
+		return RowError{Line: line, Serial: strings.Clone(row[0]), Reason: fmt.Sprintf(format, args...)}
 	}
 	var err error
-	meta.Failed, err = strconv.ParseBool(string(row[2]))
+	meta.Failed, err = strconv.ParseBool(row[2])
 	if err != nil {
-		return rowErr("bad failed flag %q: %v", string(row[2]), err)
+		return rowErr("bad failed flag %q: %v", row[2], err)
 	}
-	meta.FailHour, err = strconv.Atoi(string(row[3]))
+	meta.FailHour, err = strconv.Atoi(row[3])
 	if err != nil {
-		return rowErr("bad fail_hour %q: %v", string(row[3]), err)
+		return rowErr("bad fail_hour %q: %v", row[3], err)
 	}
-	rec.Hour, err = strconv.Atoi(string(row[4]))
+	rec.Hour, err = strconv.Atoi(row[4])
 	if err != nil {
-		return rowErr("bad hour %q: %v", string(row[4]), err)
+		return rowErr("bad hour %q: %v", row[4], err)
 	}
 	for i := 0; i < smart.NumAttrs; i++ {
-		rec.Normalized[i], err = strconv.ParseFloat(string(row[5+i]), 64)
+		rec.Normalized[i], err = strconv.ParseFloat(row[5+i], 64)
 		if err != nil {
-			return rowErr("bad normalized value %q: %v", string(row[5+i]), err)
+			return rowErr("bad normalized value %q: %v", row[5+i], err)
 		}
-		rec.Raw[i], err = strconv.ParseFloat(string(row[5+smart.NumAttrs+i]), 64)
+		rec.Raw[i], err = strconv.ParseFloat(row[5+smart.NumAttrs+i], 64)
 		if err != nil {
-			return rowErr("bad raw value %q: %v", string(row[5+smart.NumAttrs+i]), err)
+			return rowErr("bad raw value %q: %v", row[5+smart.NumAttrs+i], err)
 		}
 	}
 	return nil

@@ -335,10 +335,10 @@ func TestReadAllAllocsPerDrive(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// NewReader's buffers and two Header calls plus ReadAll's slice are
-	// the fixed part (~150 allocations); a drive costs its serial, its
-	// family and the dozen growths of its record slice (~15), whatever
-	// its row count.
+	// NewReader's Header call, the pipeline's blocks, row slices and
+	// goroutines, and ReadAll's slice are the fixed part (~150
+	// allocations); a drive costs its serial, its family and the dozen
+	// growths of its record slice (~17), whatever its row count.
 	const fixed, perDrive = 200, 24
 	if allocs > fixed+perDrive*drives {
 		t.Fatalf("ReadAll of %d drives × %d rows: %.0f allocs, want ≤ %d", drives, rows, allocs, fixed+perDrive*drives)
