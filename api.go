@@ -84,17 +84,8 @@ type (
 	// BinnedPredictor scores one quantized code row (binned trees,
 	// forests and committees qualify).
 	BinnedPredictor = detect.BinnedPredictor
-	// BinnedBatchPredictor additionally scores whole blocks of code rows.
-	BinnedBatchPredictor = detect.BinnedBatchPredictor
-	// BinnedDetector scans a drive's quantized samples for an alarm.
-	BinnedDetector = detect.BinnedDetector
 	// BinnedSeries is a drive's quantized sample sequence.
 	BinnedSeries = detect.BinnedSeries
-	// BinnedVotingDetector is the voting detector over quantized rows.
-	BinnedVotingDetector = detect.VotingBinned
-	// BinnedMeanThresholdDetector is the health-degree detector over
-	// quantized rows.
-	BinnedMeanThresholdDetector = detect.MeanThresholdBinned
 	// FleetCodes is the reusable backing QuantizeFleet fills, amortizing
 	// fleet quantization to zero steady-state allocations.
 	FleetCodes = detect.FleetCodes
@@ -105,10 +96,10 @@ type (
 	// byte runs.
 	TiledMatrix = dataset.TiledMatrix
 	// TiledPredictor scores row ranges of a TiledMatrix (binned trees,
-	// forests and committees qualify), bit-identical to PredictBatch.
+	// forests and committees qualify), bit-identical to per-row Predict.
 	TiledPredictor = sweep.TiledPredictor
-	// SweepConfig parameterizes a fleet sweep (window, threshold, shard
-	// and worker counts).
+	// SweepConfig parameterizes a fleet sweep (window, threshold, mean
+	// or voting sweep, worker count).
 	SweepConfig = sweep.Config
 	// SweepStats counts one shard's (or a whole sweep's) scanned drives,
 	// alarms, samples, NaN exclusions and steals.
@@ -313,15 +304,22 @@ func CompileModel(p Predictor) Predictor {
 	}
 }
 
+// BinnedModel is a model compiled onto a binned matrix's code space: it
+// scores one quantized row (the Monitor's Bins path) and row ranges of a
+// TiledMatrix (RunSweep).
+type BinnedModel interface {
+	BinnedPredictor
+	TiledPredictor
+}
+
 // CompileModelBinned remaps a tree, forest or boosting model onto a
-// binned matrix's uint8 code space for binned-code inference
-// (one byte per feature, byte-compare kernels): the fleet-scan fast
-// path. Both pointer and compiled forms are accepted; any other
-// predictor — including the BP ANN, whose dense layers have no binned
-// form — is rejected. Scores are bit-identical to the float compiled
-// path for inputs whose values the bins represent (see BinnedTree's
-// equivalence contract).
-func CompileModelBinned(p Predictor, bm *BinnedMatrix) (BinnedBatchPredictor, error) {
+// binned matrix's uint8 code space for binned-code inference (one byte
+// per feature, byte-compare kernels). Both pointer and compiled forms are
+// accepted; any other predictor — including the BP ANN, whose dense
+// layers have no binned form — is rejected. Scores are bit-identical to
+// the float compiled path for inputs whose values the bins represent
+// (see BinnedTree's equivalence contract).
+func CompileModelBinned(p Predictor, bm *BinnedMatrix) (BinnedModel, error) {
 	switch m := p.(type) {
 	case *cart.Tree:
 		return m.Compile().CompileBinned(bm)
@@ -347,36 +345,10 @@ func BinFeatureMatrix(x [][]float64, maxBins int) (*BinnedMatrix, error) {
 	return dataset.BinMatrix(x, maxBins)
 }
 
-// QuantizeSeries maps a drive's series onto a binned matrix's code space
-// for binned-code scanning.
+// QuantizeSeries maps a drive's series onto a binned matrix's code space,
+// ready for PrepareSweepBinned.
 func QuantizeSeries(bm *BinnedMatrix, s Series) (BinnedSeries, error) {
 	return detect.QuantizeSeries(bm, s)
-}
-
-// NewBinnedVotingDetector returns a validated voting detector over
-// quantized rows; it alarms at exactly the float detector's index
-// wherever the binned model scores match the float model's.
-func NewBinnedVotingDetector(model BinnedBatchPredictor, voters int, threshold float64) (*BinnedVotingDetector, error) {
-	return detect.NewVotingBinned(model, voters, threshold)
-}
-
-// NewBinnedMeanThresholdDetector returns a validated health-degree
-// detector over quantized rows.
-func NewBinnedMeanThresholdDetector(model BinnedBatchPredictor, voters int, threshold float64) (*BinnedMeanThresholdDetector, error) {
-	return detect.NewMeanThresholdBinned(model, voters, threshold)
-}
-
-// ScanBinned runs a binned detector over a drive's quantized series;
-// failHour is -1 for good drives.
-func ScanBinned(d BinnedDetector, s BinnedSeries, failHour int) Outcome {
-	return detect.ScanBinned(d, s, failHour)
-}
-
-// ScanBatchBinned runs a binned detector over many drives' quantized
-// series on up to workers goroutines, with outcomes identical for every
-// worker count (as ScanBatch).
-func ScanBatchBinned(d BinnedDetector, series []BinnedSeries, failHours []int, workers int) []Outcome {
-	return detect.ScanBatchBinned(d, series, failHours, workers)
 }
 
 // QuantizeFleet maps every drive's series onto a binned matrix's code
@@ -401,23 +373,15 @@ func PrepareSweepBinned(series []BinnedSeries, shards int) (*PreparedFleet, erro
 
 // RunSweep sweeps a prepared fleet with a tiled model: every sample of
 // every drive is scored through the feature-major kernels, then each
-// drive's scores replay the paper's window sweep. Outcomes are identical
-// to ScanBatchBinned with the matching detector, for every worker and
-// shard count. A fleet can be swept repeatedly but not concurrently:
-// each run resets the fleet's shared per-shard cursors and stats, so
-// overlapping runs would split each other's work.
+// drive's scores replay the paper's window sweep. Outcomes equal scoring
+// each row with Predict and running the Voting (or, with cfg.Mean,
+// MeanThreshold) window over the scores, for every worker and shard
+// count. This is the code-space path for whole fleets; per-drive scans
+// (Scan, ScanBatch) stay on float rows. A fleet can be swept repeatedly
+// but not concurrently: each run resets the fleet's shared per-shard
+// cursors and stats, so overlapping runs would split each other's work.
 func RunSweep(model TiledPredictor, fleet *PreparedFleet, failHours []int, cfg SweepConfig) (*SweepResult, error) {
 	return sweep.Run(model, fleet, failHours, cfg)
-}
-
-// SweepFleet prepares and sweeps a float-series fleet in one call.
-func SweepFleet(model TiledPredictor, bm *BinnedMatrix, series []Series, failHours []int, cfg SweepConfig) (*SweepResult, error) {
-	return sweep.SweepFleet(model, bm, series, failHours, cfg)
-}
-
-// SweepFleetBinned prepares and sweeps an already-quantized fleet.
-func SweepFleetBinned(model TiledPredictor, series []BinnedSeries, failHours []int, cfg SweepConfig) (*SweepResult, error) {
-	return sweep.SweepFleetBinned(model, series, failHours, cfg)
 }
 
 // PersonalizedWindows derives per-drive deterioration windows from a

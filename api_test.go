@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"hddcart/internal/detect"
 )
 
 // buildSmallDataset assembles a training set from a tiny fleet.
@@ -184,8 +186,9 @@ func TestDetectorConstructors(t *testing.T) {
 
 // TestFleetSweepFacade drives the sweep surface end to end through the
 // facade: quantize the evaluation fleet with QuantizeFleet, sweep it
-// with SweepFleet, and require outcomes identical to the per-drive
-// binned scan — the invariant the sweep engine is built around.
+// from float and from code rows, and require outcomes identical to the
+// per-row binned reference (Predict, then the voting window) — the
+// invariant the sweep engine is built around.
 func TestFleetSweepFacade(t *testing.T) {
 	fleet, ds := buildSmallDataset(t, 8)
 	tree, err := TrainClassificationTree(ds, TreeParams{LossFA: 10})
@@ -200,10 +203,6 @@ func TestFleetSweepFacade(t *testing.T) {
 	model, err := CompileModelBinned(tree, bm)
 	if err != nil {
 		t.Fatal(err)
-	}
-	tiled, ok := model.(TiledPredictor)
-	if !ok {
-		t.Fatalf("%T does not implement TiledPredictor", model)
 	}
 	var series []Series
 	var failHours []int
@@ -221,31 +220,39 @@ func TestFleetSweepFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := NewBinnedVotingDetector(model, 11, 0)
+	want := make([]Outcome, len(binned))
+	for i, s := range binned {
+		scores := make([]float64, len(s.Codes))
+		for j, row := range s.Codes {
+			scores[j] = model.Predict(row)
+		}
+		idx, _ := detect.VoteAlarm(scores, 11, 0)
+		want[i] = detect.AlarmOutcome(s.Hours, idx, failHours[i])
+	}
+	pf, err := PrepareSweep(bm, series, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ScanBatchBinned(det, binned, failHours, 1)
-	res, err := SweepFleet(tiled, bm, series, failHours, SweepConfig{Voters: 11, Workers: 2})
+	res, err := RunSweep(model, pf, failHours, SweepConfig{Voters: 11, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Outcomes, want) {
-		t.Fatal("SweepFleet outcomes diverged from ScanBatchBinned")
+		t.Fatal("RunSweep outcomes over PrepareSweep diverged from the per-row reference")
 	}
 	if res.Total.Drives != int64(len(series)) {
 		t.Fatalf("sweep scanned %d drives, fleet has %d", res.Total.Drives, len(series))
 	}
-	// The prepared-fleet form must land on the same outcomes.
-	pf, err := PrepareSweepBinned(binned, 4)
+	// The already-quantized form must land on the same outcomes.
+	pf, err = PrepareSweepBinned(binned, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := RunSweep(tiled, pf, failHours, SweepConfig{Voters: 11})
+	again, err := RunSweep(model, pf, failHours, SweepConfig{Voters: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again.Outcomes, want) {
-		t.Fatal("RunSweep outcomes diverged from ScanBatchBinned")
+		t.Fatal("RunSweep outcomes over PrepareSweepBinned diverged from the per-row reference")
 	}
 }

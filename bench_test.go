@@ -406,13 +406,6 @@ func BenchmarkPredictCompiledTree(b *testing.B) {
 		}
 		reportPerSample(b, len(x))
 	})
-	b.Run("binnedBatch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bt.PredictBatch(codes, dst)
-		}
-		reportPerSample(b, len(x))
-	})
 }
 
 // benchBinnedTree compiles the benchmark tree to binned-code form over a
@@ -525,31 +518,6 @@ func BenchmarkFleetScan(b *testing.B) {
 			det := &detect.Voting{Model: compiled, Voters: 11}
 			for i := 0; i < b.N; i++ {
 				detect.ScanBatch(det, series, failHours, workers)
-			}
-			throughput(b)
-		})
-	}
-	// Binned variants: the same scan over pre-quantized series (one byte
-	// per feature), the steady-state shape of a monitor fleet that keeps
-	// its telemetry in code space.
-	bt, _ := benchBinnedTree(b, compiled, x)
-	bm, err := dataset.BinMatrix(x, dataset.MaxBinsLimit)
-	if err != nil {
-		b.Fatal(err)
-	}
-	binned := make([]detect.BinnedSeries, len(series))
-	for i, s := range series {
-		bs, err := detect.QuantizeSeries(bm, s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		binned[i] = bs
-	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("binned/workers=%d", workers), func(b *testing.B) {
-			det := &detect.VotingBinned{Model: bt, Voters: 11}
-			for i := 0; i < b.N; i++ {
-				detect.ScanBatchBinned(det, binned, failHours, workers)
 			}
 			throughput(b)
 		})

@@ -85,6 +85,30 @@ func comparedCount(baseline, fresh *Report) int {
 	return n
 }
 
+// writeMissingNote names every baseline benchmark the fresh run lacks.
+// Those are not gated, so a deleted or renamed benchmark would otherwise
+// leave the gate without a word; the gate itself is unchanged.
+func writeMissingNote(w io.Writer, baseline, fresh *Report) {
+	ran := map[string]bool{}
+	for _, b := range fresh.Benchmarks {
+		ran[b.Name] = true
+	}
+	var missing []string
+	for _, b := range baseline.Benchmarks {
+		if !ran[b.Name] {
+			missing = append(missing, b.Name)
+		}
+	}
+	if len(missing) == 0 {
+		return
+	}
+	sort.Strings(missing)
+	fmt.Fprintf(w, "benchjson: note: %d baseline benchmarks absent from this run, not gated:\n", len(missing))
+	for _, name := range missing {
+		fmt.Fprintf(w, "  %s\n", name)
+	}
+}
+
 // writeProcsNote tells the reader when the two reports ran at different
 // GOMAXPROCS: the gate still applies, but a parallel benchmark's ns/op
 // moves with the proc count, so a regression or a win may be the host's.

@@ -125,3 +125,24 @@ func TestDiffAcrossGOMAXPROCS(t *testing.T) {
 		t.Errorf("note for a baseline without GOMAXPROCS = %q", note.String())
 	}
 }
+
+// TestWriteMissingNote: every baseline benchmark absent from the fresh
+// run is named, sorted; a run covering the baseline prints nothing.
+func TestWriteMissingNote(t *testing.T) {
+	base := report(map[string]float64{"Gone/b": 100, "Shared": 100, "Gone/a": 100})
+	fresh := report(map[string]float64{"Shared": 100, "New": 100})
+	var note strings.Builder
+	writeMissingNote(&note, base, fresh)
+	want := "benchjson: note: 2 baseline benchmarks absent from this run, not gated:\n  Gone/a\n  Gone/b\n"
+	if note.String() != want {
+		t.Errorf("note = %q, want %q", note.String(), want)
+	}
+	if regs := Diff(base, fresh, 0.10); len(regs) != 0 {
+		t.Errorf("absent benchmarks changed the gate: %+v", regs)
+	}
+	note.Reset()
+	writeMissingNote(&note, base, base)
+	if note.Len() != 0 {
+		t.Errorf("note for a complete run: %q", note.String())
+	}
+}

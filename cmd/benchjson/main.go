@@ -8,7 +8,9 @@
 // run's ns/op medians are compared to the baseline's and the process
 // exits non-zero when any shared benchmark regressed beyond -tolerance
 // (default 0.10 = 10%). Benchmarks without a baseline entry are skipped,
-// so CI may run any subset. Each report records the GOMAXPROCS its
+// so CI may run any subset; baseline benchmarks the run lacks are named
+// in a note, so a deleted or renamed one does not leave the gate
+// silently. Each report records the GOMAXPROCS its
 // benchmarks ran at; when the baseline's differs, the diff says so and
 // gates anyway. An input that runs one benchmark at several GOMAXPROCS
 // (`-cpu 1,2`) is rejected.
@@ -64,6 +66,7 @@ func main() {
 		}
 		regs := Diff(&base, report, *tolerance)
 		writeProcsNote(os.Stdout, &base, report)
+		writeMissingNote(os.Stdout, &base, report)
 		writeDiff(os.Stdout, report, regs, comparedCount(&base, report), *tolerance)
 		if len(regs) > 0 {
 			os.Exit(1)

@@ -323,12 +323,13 @@ func cmdTrain(args []string) error {
 	return nil
 }
 
-// detectorFor builds the right detector for a model type.
-func detectorFor(mf *modelFile, model detect.Predictor, voters int, threshold float64) detect.Detector {
+// detectorFor builds the right detector for a model type, rejecting a
+// window below 1 and an rt threshold outside [-1, 1] as serve does.
+func detectorFor(mf *modelFile, model detect.Predictor, voters int, threshold float64) (detect.Detector, error) {
 	if mf.Type == "rt" {
-		return &detect.MeanThreshold{Model: model, Voters: voters, Threshold: threshold}
+		return detect.NewMeanThreshold(model, voters, threshold)
 	}
-	return &detect.Voting{Model: model, Voters: voters, Threshold: 0}
+	return detect.NewVoting(model, voters, 0)
 }
 
 // compiledModel returns the inference-optimized form of a loaded model:
@@ -417,7 +418,6 @@ func cmdEvaluate(args []string) (err error) {
 	seed := fs.Int64("seed", 1, "failed-drive split seed (must match training)")
 	workers := fs.Int("workers", 0, "scan worker-pool size (0 = all cores); results are identical for any value. Trace decode runs on GOMAXPROCS goroutines whatever this is")
 	useSweep := fs.Bool("sweep", false, "scan through the sharded fleet-sweep engine (tree models): quantize once, score feature-major tiles")
-	shards := fs.Int("shards", 0, "sweep shard count (0 = engine default); outcomes are identical for any value")
 	cpuProf, memProf := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -438,8 +438,11 @@ func cmdEvaluate(args []string) (err error) {
 	if err != nil {
 		return err
 	}
+	det, err := detectorFor(mf, compiledModel(model, mf), *voters, *threshold)
+	if err != nil {
+		return fmt.Errorf("evaluate: %w", err)
+	}
 	features := smart.CriticalFeatures()
-	det := detectorFor(mf, compiledModel(model, mf), *voters, *threshold)
 	// Only the extracted series outlive each drive's records.
 	var series []detect.Series
 	var failHours []int
@@ -469,7 +472,7 @@ func cmdEvaluate(args []string) (err error) {
 	// index, so the counts below are identical for every worker count.
 	var outcomes []detect.Outcome
 	if *useSweep {
-		outcomes, err = sweepEvaluate(mf, series, failHours, *voters, *threshold, *shards, w)
+		outcomes, err = sweepEvaluate(mf, series, failHours, *voters, *threshold, w)
 		if err != nil {
 			return err
 		}
@@ -496,7 +499,7 @@ func cmdEvaluate(args []string) (err error) {
 // straddled thresholds may verdict individual samples differently; the
 // -sweep flag trades that for fleet-scale throughput.
 func sweepEvaluate(mf *modelFile, series []detect.Series, failHours []int,
-	voters int, threshold float64, shards, workers int) ([]detect.Outcome, error) {
+	voters int, threshold float64, workers int) ([]detect.Outcome, error) {
 	if mf.Type != "ct" && mf.Type != "rt" {
 		return nil, fmt.Errorf("evaluate: -sweep needs a tree model, not %q", mf.Type)
 	}
@@ -515,12 +518,16 @@ func sweepEvaluate(mf *modelFile, series []detect.Series, failHours []int,
 	if err != nil {
 		return nil, err
 	}
-	cfg := sweep.Config{Voters: voters, Shards: shards, Workers: workers}
+	cfg := sweep.Config{Voters: voters, Workers: workers}
 	if mf.Type == "rt" {
 		cfg.Mean = true
 		cfg.Threshold = threshold
 	}
-	res, err := sweep.SweepFleet(bt, bm, series, failHours, cfg)
+	fleet, err := sweep.Prepare(bm, series, 0)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sweep.Run(bt, fleet, failHours, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -550,8 +557,11 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
+	det, err := detectorFor(mf, compiledModel(model, mf), *voters, *threshold)
+	if err != nil {
+		return fmt.Errorf("predict: %w", err)
+	}
 	features := smart.CriticalFeatures()
-	det := detectorFor(mf, compiledModel(model, mf), *voters, *threshold)
 	var serials []string
 	var series []detect.Series
 	err = eachDrive(*data, *format, func(_ int, d trace.DriveTrace) {

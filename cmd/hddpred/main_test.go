@@ -4,13 +4,17 @@ import (
 	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"hddcart/internal/cart"
 	"hddcart/internal/simulate"
+	"hddcart/internal/smart"
 	"hddcart/internal/trace"
 )
 
@@ -295,8 +299,8 @@ func TestBackblazeFormat(t *testing.T) {
 }
 
 // TestEvaluateSweepFlag covers the -sweep path on both tree model kinds:
-// the sharded fleet-sweep engine must evaluate cleanly at several shard
-// counts, and non-tree models are rejected up front.
+// the sharded fleet-sweep engine must evaluate cleanly, and non-tree
+// models are rejected up front.
 func TestEvaluateSweepFlag(t *testing.T) {
 	data := writeFixture(t)
 	for _, kind := range []string{"ct", "rt"} {
@@ -304,10 +308,8 @@ func TestEvaluateSweepFlag(t *testing.T) {
 		if err := run([]string{"train", "-data", data, "-model", kind, "-o", model}); err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []string{"0", "1", "4"} {
-			if err := run([]string{"evaluate", "-data", data, "-m", model, "-sweep", "-shards", shards, "-workers", "2"}); err != nil {
-				t.Errorf("%s -sweep -shards %s: %v", kind, shards, err)
-			}
+		if err := run([]string{"evaluate", "-data", data, "-m", model, "-sweep", "-workers", "2"}); err != nil {
+			t.Errorf("%s -sweep: %v", kind, err)
 		}
 	}
 	ann := filepath.Join(t.TempDir(), "ann.json")
@@ -317,5 +319,57 @@ func TestEvaluateSweepFlag(t *testing.T) {
 	err := run([]string{"evaluate", "-data", data, "-m", ann, "-sweep"})
 	if err == nil || !strings.Contains(err.Error(), "tree model") {
 		t.Errorf("ann -sweep: got %v, want tree-model error", err)
+	}
+}
+
+// TestDetectorFlagValidation pins that evaluate (float and -sweep) and
+// predict reject a window below 1 and an rt threshold outside [-1, 1]
+// before reading any data, with the error serve gives for the same
+// values. The ct vote cut is fixed at 0, so -threshold is ignored there.
+func TestDetectorFlagValidation(t *testing.T) {
+	dir := t.TempDir()
+	models := map[string]string{}
+	for kind, k := range map[string]cart.Kind{"ct": cart.Classification, "rt": cart.Regression} {
+		tree := &cart.Tree{Root: &cart.Node{Value: 1, N: 1, W: 1}, Kind: k, NumFeatures: len(smart.CriticalFeatures())}
+		b, err := json.Marshal(modelFile{Type: kind, Tree: tree})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[kind] = filepath.Join(dir, kind+".json")
+		if err := os.WriteFile(models[kind], b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The data file does not exist: a flag that passed validation would
+	// fail on opening it instead, with a different message.
+	data := filepath.Join(dir, "absent.csv")
+	cases := []struct {
+		kind  string
+		flags []string
+		want  string // error substring; "" means the flags are valid
+	}{
+		{"ct", []string{"-voters", "0"}, "window N must be positive"},
+		{"ct", []string{"-voters", "-3"}, "window N must be positive"},
+		{"rt", []string{"-voters", "0"}, "window N must be positive"},
+		{"rt", []string{"-threshold", "5"}, "outside [-1, 1]"},
+		{"rt", []string{"-threshold", "-5"}, "outside [-1, 1]"},
+		{"rt", []string{"-threshold", "NaN"}, "outside [-1, 1]"},
+		{"ct", []string{"-threshold", "5"}, ""},
+		{"rt", []string{"-voters", "1", "-threshold", "-1"}, ""},
+	}
+	for _, c := range cases {
+		for _, cmd := range [][]string{{"evaluate"}, {"evaluate", "-sweep"}, {"predict"}} {
+			args := append(append(append([]string(nil), cmd...), "-data", data, "-m", models[c.kind]), c.flags...)
+			err := run(args)
+			if c.want == "" {
+				if !errors.Is(err, os.ErrNotExist) {
+					t.Errorf("%s %v: got %v, want only the missing-data error", c.kind, args, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) || !strings.HasPrefix(err.Error(), cmd[0]+": ") {
+				t.Errorf("%s %v: got %v, want %q from %s", c.kind, args, err, c.want, cmd[0])
+			}
+		}
 	}
 }

@@ -64,23 +64,6 @@ func (b *Binned) Predict(codes []uint8) float64 {
 // PredictFailed reports whether the ensemble classifies the row as failed.
 func (b *Binned) PredictFailed(codes []uint8) bool { return b.Predict(codes) < 0 }
 
-// PredictBatch scores a block of quantized rows into dst and returns it
-// (nil or short dst allocates; a caller-provided len(xs) buffer keeps the
-// path allocation-free). dst[i] equals Predict(xs[i]) exactly.
-//
-//hddlint:noalloc
-func (b *Binned) PredictBatch(xs [][]uint8, dst []float64) []float64 {
-	if cap(dst) < len(xs) {
-		//hddlint:ignore hotalloc cold path: a nil or short dst allocates once; callers pass a len(xs) buffer to stay allocation-free
-		dst = make([]float64, len(xs))
-	}
-	dst = dst[:len(xs)]
-	for i, codes := range xs {
-		dst[i] = b.Predict(codes)
-	}
-	return dst
-}
-
 // binnedTileScores pools the per-learner scratch PredictTiledRange folds
 // through, keyed to the caller's range length.
 var binnedTileScores = sync.Pool{New: func() any { return new([]float64) }}

@@ -44,14 +44,19 @@ func TestBinnedBoostBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := b.PredictBatch(codes, nil)
+	tm, err := dataset.TileCodes(codes, bm.NumFeatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := make([]float64, len(codes))
+	b.PredictTiledRange(tm, 0, len(codes), preds)
 	for i, p := range probes {
 		want := c.Predict(p)
 		if got := b.Predict(codes[i]); got != want {
 			t.Fatalf("Predict diverged at %d: float %v, binned %v", i, want, got)
 		}
 		if preds[i] != want {
-			t.Fatalf("PredictBatch diverged at %d: %v vs %v", i, preds[i], want)
+			t.Fatalf("PredictTiledRange diverged at %d: %v vs %v", i, preds[i], want)
 		}
 		if c.PredictFailed(p) != b.PredictFailed(codes[i]) {
 			t.Fatalf("PredictFailed diverged at %d", i)
@@ -85,18 +90,25 @@ func TestBinnedBoostCoarseCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := b.PredictBatch(codes, nil)
+	tm, err := dataset.TileCodes(codes, bm.NumFeatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := make([]float64, len(codes))
+	b.PredictTiledRange(tm, 0, len(codes), preds)
 	for i, row := range x {
 		want := c.Predict(row)
 		if got := b.Predict(codes[i]); got != want {
 			t.Fatalf("corpus row %d diverged: float %v, binned %v", i, want, got)
 		}
 		if preds[i] != want {
-			t.Fatalf("corpus PredictBatch[%d] diverged", i)
+			t.Fatalf("corpus PredictTiledRange[%d] diverged", i)
 		}
 	}
 }
 
+// TestBinnedBoostBatchNoAlloc proves per-row code-space scoring — the
+// Monitor's Bins path — allocates nothing.
 func TestBinnedBoostBatchNoAlloc(t *testing.T) {
 	x, y := boostData(17, 600)
 	e, err := Train(x, y, nil, Config{Rounds: 5, MaxDepth: 3, Workers: 1})
@@ -115,9 +127,13 @@ func TestBinnedBoostBatchNoAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]float64, len(codes))
-	if allocs := testing.AllocsPerRun(10, func() { b.PredictBatch(codes, dst) }); allocs != 0 {
-		t.Fatalf("PredictBatch with caller buffer allocated %.0f times per run", allocs)
+	var sink float64
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, row := range codes {
+			sink += b.Predict(row)
+		}
+	}); allocs != 0 {
+		t.Fatalf("per-row Predict allocated %.0f times per run (sink %v)", allocs, sink)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"hddcart/internal/dataset"
 )
 
-// TestBinnedBoostTiledRange checks PredictTiledRange against PredictBatch
-// bit for bit over ranges crossing tile boundaries — the TiledPredictor
+// TestBinnedBoostTiledRange checks PredictTiledRange against per-row
+// Predict bit for bit over ranges crossing tile boundaries — the TiledPredictor
 // contract the sweep engine relies on. The alpha-weighted fold happens in
 // learner order per sample on both paths, so equality is exact.
 func TestBinnedBoostTiledRange(t *testing.T) {
@@ -32,7 +32,10 @@ func TestBinnedBoostTiledRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := b.PredictBatch(codes, nil)
+	want := make([]float64, len(codes))
+	for i, row := range codes {
+		want[i] = b.Predict(row)
+	}
 	dst := make([]float64, len(codes))
 	for _, r := range [][2]int{{0, len(codes)}, {0, 0}, {5, 40},
 		{dataset.TileRows - 7, dataset.TileRows + 9}, {200, len(codes)}} {

@@ -591,26 +591,13 @@ func (c *CompiledTree) PredictBatch(xs [][]float64, dst []float64) []float64 {
 	return dst
 }
 
-// PredictBatchAdd accumulates Predict(xs[i]) onto dst[i] for every sample.
-// dst must already hold len(xs) partial sums. Ensemble scorers use it to
-// fold per-tree contributions directly in the leaf-delivery pass instead
-// of materializing a per-tree score slice and adding it separately; each
-// dst[i] receives exactly one += per call, so calling it once per tree in
-// ensemble order reproduces the pointer ensemble's sample-major sum to the
-// last bit.
-//
-//hddlint:noalloc
-func (c *CompiledTree) PredictBatchAdd(xs [][]float64, dst []float64) {
-	c.scoreBatch(xs, dst[:len(xs)], c.Value, true)
-}
-
 // AccumulateBatch accumulates every tree's Predict(xs[i]) onto dst[i], in
 // tree order per sample — the shared inner loop of ensemble batch scoring.
-// dst must already hold len(xs) partial sums. Compared with calling
-// PredictBatchAdd per tree it validates and gathers each block's row
-// pointers once for the whole ensemble instead of once per tree. The
-// accumulation order per sample is identical, so results still match the
-// pointer ensemble bit for bit.
+// dst must already hold len(xs) partial sums. Each block's row pointers
+// are validated and gathered once for the whole ensemble, not once per
+// tree, and every dst[i] receives exactly one += per tree in ensemble
+// order, so results match the pointer ensemble's sample-major sum bit
+// for bit.
 //
 //hddlint:noalloc
 func AccumulateBatch(trees []*CompiledTree, xs [][]float64, dst []float64) {
@@ -704,23 +691,6 @@ func gatherRows(xs [][]float64, rows []unsafe.Pointer, need int) bool {
 		rows[k] = unsafe.Pointer(&row[0])
 	}
 	return true
-}
-
-// ProbFailedBatch fills dst with per-sample failed probabilities (NaN for
-// regression trees), matching ProbFailed exactly.
-//
-//hddlint:noalloc
-func (c *CompiledTree) ProbFailedBatch(xs [][]float64, dst []float64) []float64 {
-	//hddlint:ignore hotalloc nil/short-dst convenience path allocates by contract; a len(xs) dst is allocation-free
-	dst = sizeBuf(dst, len(xs))
-	if c.Kind != Classification {
-		for i := range dst {
-			dst[i] = math.NaN()
-		}
-		return dst
-	}
-	c.scoreBatch(xs, dst, c.PFailed, false)
-	return dst
 }
 
 // sizeBuf returns dst truncated/grown to length n, reusing its storage

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"unsafe"
 
 	"hddcart/internal/dataset"
 )
@@ -171,393 +170,4 @@ func (bt *BinnedTree) ProbFailed(codes []uint8) float64 {
 		return math.NaN()
 	}
 	return bt.PFailed[bt.leaf(codes)]
-}
-
-// scoreBatch fills dst[i] with payload[leaf(xs[i])] (or accumulates it,
-// when add is set), bit-identical to a per-row walk — the binned
-// analogue of CompiledTree.scoreBatch, sharing its pooled scratch and
-// block structure.
-//
-//hddlint:noalloc
-//hddlint:binned
-func (bt *BinnedTree) scoreBatch(xs [][]uint8, dst, payload []float64, add bool) {
-	if len(xs) < minPartitionBatch {
-		if add {
-			for i, codes := range xs {
-				dst[i] += payload[bt.leaf(codes)]
-			}
-		} else {
-			for i, codes := range xs {
-				dst[i] = payload[bt.leaf(codes)]
-			}
-		}
-		return
-	}
-	for lo := 0; lo < len(xs); lo += partitionBlock {
-		hi := min(lo+partitionBlock, len(xs))
-		if !bt.scorePartitioned(xs[lo:hi], dst[lo:hi], payload, add) {
-			if add {
-				for i, codes := range xs[lo:hi] {
-					dst[lo+i] += payload[bt.leaf(codes)]
-				}
-			} else {
-				for i, codes := range xs[lo:hi] {
-					dst[lo+i] = payload[bt.leaf(codes)]
-				}
-			}
-		}
-	}
-}
-
-// scorePartitioned is the binned batch engine: the tree-major partitioned
-// traversal of CompiledTree.scorePartitioned with the float compares
-// replaced by byte compares against the node's cut code. A block's
-// working set is NumFeatures bytes per row instead of 8·NumFeatures, so
-// far more rows stay cache-resident across tree levels.
-//
-//hddlint:noalloc
-//hddlint:binned
-func (bt *BinnedTree) scorePartitioned(xs [][]uint8, dst, payload []float64, add bool) bool {
-	n := len(xs)
-	if bt.Feature[0] < 0 { // single-leaf tree
-		p := payload[0]
-		if add {
-			for i := range dst {
-				dst[i] += p
-			}
-		} else {
-			for i := range dst {
-				dst[i] = p
-			}
-		}
-		return true
-	}
-
-	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.cur) < n || cap(sc.rows) < n {
-		//hddlint:ignore hotalloc cold path: pooled scratch grows to the high-water batch size once, then every Get reuses it
-		sc.cur = make([]int32, n)
-		//hddlint:ignore hotalloc cold path: pooled scratch grows once
-		sc.next = make([]int32, n)
-		//hddlint:ignore hotalloc cold path: pooled scratch grows once
-		sc.rows = make([]unsafe.Pointer, n)
-	}
-	rows := sc.rows[:n]
-	rp := unsafe.Pointer(&rows[0])
-
-	l, ok := partitionRootBinned(xs, rows, unsafe.Pointer(&sc.cur[0]), bt.needLen,
-		uintptr(bt.Feature[0]), bt.Cut[0])
-	if !ok {
-		batchScratchPool.Put(sc)
-		return false
-	}
-	bt.runSegments(sc, rp, dst, payload, l, n, add)
-	batchScratchPool.Put(sc)
-	return true
-}
-
-// runSegments drains the partitioned traversal below an already-split
-// root, exactly as CompiledTree.runSegments does on float rows.
-//
-//hddlint:noalloc
-//hddlint:binned
-func (bt *BinnedTree) runSegments(sc *batchScratch, rp unsafe.Pointer,
-	dst, payload []float64, rootLeft, n int, add bool) {
-	feat := bt.Feature
-	cut := bt.Cut
-	left, right := bt.Left, bt.Right
-	cur, next := sc.cur[:n], sc.next[:n]
-	stack := sc.stack[:0]
-	//hddlint:ignore hotalloc append targets pooled scratch that grows to the tree depth once, then stays within capacity
-	stack = append(stack,
-		segment{node: right[0], lo: int32(rootLeft), hi: int32(n)},
-		segment{node: left[0], lo: 0, hi: int32(rootLeft)})
-	for len(stack) > 0 {
-		sg := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if sg.lo == sg.hi {
-			continue
-		}
-		src, out := cur, next
-		if sg.flipped {
-			src, out = next, cur
-		}
-		node := sg.node
-		seg := src[sg.lo:sg.hi]
-		if feat[node] < 0 { // leaf: deliver the payload to every sample here
-			p := payload[node]
-			if add {
-				for _, idx := range seg {
-					dst[idx] += p
-				}
-			} else {
-				for _, idx := range seg {
-					dst[idx] = p
-				}
-			}
-			continue
-		}
-		if ln := left[node]; feat[ln] < 0 && feat[ln+1] < 0 {
-			leafPairSegBinned(unsafe.Pointer(&src[sg.lo]), len(seg), rp,
-				uintptr(feat[node]), cut[node],
-				unsafe.Pointer(&dst[0]), unsafe.Pointer(&payload[ln]), add)
-			continue
-		}
-		if len(seg) < minSegPartition {
-			walkSegBinned(bt.nodes, seg, rp, dst, payload, node, add)
-			continue
-		}
-		nl := partitionSegBinned(unsafe.Pointer(&src[sg.lo]), unsafe.Pointer(&out[sg.lo]),
-			len(seg), rp, uintptr(feat[node]), cut[node])
-		mid := sg.lo + int32(nl)
-		//hddlint:ignore hotalloc append targets pooled scratch that grows to the tree depth once, then stays within capacity
-		stack = append(stack,
-			segment{node: right[node], lo: mid, hi: sg.hi, flipped: !sg.flipped},
-			segment{node: left[node], lo: sg.lo, hi: mid, flipped: !sg.flipped})
-	}
-	sc.stack = stack[:0]
-}
-
-// partitionRootBinned splits the implicit sample order 0..n-1 on
-// codes[f] < cut, gathering and validating the row pointers in the same
-// fused pass — CompiledTree's partitionRoot with a one-byte feature load.
-// foff is the byte offset of the split feature within a code row.
-//
-//go:noinline
-//hddlint:noalloc
-//hddlint:binned
-func partitionRootBinned(xs [][]uint8, rows []unsafe.Pointer, outp unsafe.Pointer,
-	need int, foff uintptr, cut uint8) (int, bool) {
-	l, m := 0, len(xs)-1
-	for k, row := range xs {
-		if len(row) < need {
-			return 0, false
-		}
-		p := unsafe.Pointer(&row[0])
-		rows[k] = p
-		cv := *(*uint8)(unsafe.Add(p, foff))
-		off, w := m, 0
-		if cv < cut {
-			off, w = 0, 1
-		}
-		*(*int32)(unsafe.Add(outp, uintptr(l+off)*4)) = int32(k)
-		l += w
-		m--
-	}
-	return l, true
-}
-
-// partitionSegBinned is partitionRootBinned for an interior node: sample
-// indices come from srcp and the rows were gathered at the root.
-//
-//go:noinline
-//hddlint:noalloc //hddlint:nobc
-//hddlint:binned
-func partitionSegBinned(srcp, outp unsafe.Pointer, n int, rp unsafe.Pointer, foff uintptr, cut uint8) int {
-	l, m := 0, n-1
-	for k := 0; k < n; k++ {
-		idx := *(*int32)(unsafe.Add(srcp, uintptr(k)*4))
-		cv := *(*uint8)(unsafe.Add(*(*unsafe.Pointer)(unsafe.Add(rp, uintptr(uint32(idx))*8)), foff))
-		off, w := m, 0
-		if cv < cut {
-			off, w = 0, 1
-		}
-		*(*int32)(unsafe.Add(outp, uintptr(l+off)*4)) = idx
-		l += w
-		m--
-	}
-	return l
-}
-
-// leafPairSegBinned finishes a segment whose node has two leaf children
-// in one compare-and-deliver pass, as leafPairSeg does on float rows.
-//
-//go:noinline
-//hddlint:noalloc //hddlint:nobc
-//hddlint:binned
-func leafPairSegBinned(srcp unsafe.Pointer, n int, rp unsafe.Pointer, foff uintptr, cut uint8,
-	dstp, payp unsafe.Pointer, add bool) {
-	if add {
-		for k := 0; k < n; k++ {
-			idx := *(*int32)(unsafe.Add(srcp, uintptr(k)*4))
-			cv := *(*uint8)(unsafe.Add(*(*unsafe.Pointer)(unsafe.Add(rp, uintptr(uint32(idx))*8)), foff))
-			off := uintptr(8)
-			if cv < cut {
-				off = 0
-			}
-			*(*float64)(unsafe.Add(dstp, uintptr(uint32(idx))*8)) += *(*float64)(unsafe.Add(payp, off))
-		}
-		return
-	}
-	for k := 0; k < n; k++ {
-		idx := *(*int32)(unsafe.Add(srcp, uintptr(k)*4))
-		cv := *(*uint8)(unsafe.Add(*(*unsafe.Pointer)(unsafe.Add(rp, uintptr(uint32(idx))*8)), foff))
-		off := uintptr(8)
-		if cv < cut {
-			off = 0
-		}
-		*(*float64)(unsafe.Add(dstp, uintptr(uint32(idx))*8)) = *(*float64)(unsafe.Add(payp, off))
-	}
-}
-
-// walkSegBinned finishes a small segment sample-major down the packed
-// subtree, as walkSeg does on float rows. The unchecked byte loads are
-// safe because every row was validated against needLen at the root.
-//
-//hddlint:noalloc
-//hddlint:binned
-func walkSegBinned(nodes []binnedNode, seg []int32, rp unsafe.Pointer,
-	dst, payload []float64, node int32, add bool) {
-	for _, idx := range seg {
-		row := *(*unsafe.Pointer)(unsafe.Add(rp, uintptr(uint32(idx))*8))
-		i := node
-		for {
-			nd := &nodes[i]
-			f := nd.feature
-			if f < 0 {
-				break
-			}
-			if *(*uint8)(unsafe.Add(row, uintptr(f))) < nd.cut {
-				i = nd.left
-			} else {
-				i = nd.left + 1
-			}
-		}
-		if add {
-			dst[idx] += payload[i]
-		} else {
-			dst[idx] = payload[i]
-		}
-	}
-}
-
-// PredictBatch scores a block of quantized rows into dst and returns it.
-// A nil or short dst is replaced by a fresh slice; passing a len(xs)
-// buffer makes the steady-state path allocation-free. dst[i] equals
-// Predict(xs[i]) exactly.
-//
-//hddlint:noalloc
-func (bt *BinnedTree) PredictBatch(xs [][]uint8, dst []float64) []float64 {
-	//hddlint:ignore hotalloc nil/short-dst convenience path allocates by contract; a len(xs) dst is allocation-free
-	dst = sizeBuf(dst, len(xs))
-	bt.scoreBatch(xs, dst, bt.Value, false)
-	return dst
-}
-
-// PredictBatchAdd accumulates Predict(xs[i]) onto dst[i] for every row,
-// as CompiledTree.PredictBatchAdd does for ensemble scorers.
-//
-//hddlint:noalloc
-func (bt *BinnedTree) PredictBatchAdd(xs [][]uint8, dst []float64) {
-	bt.scoreBatch(xs, dst[:len(xs)], bt.Value, true)
-}
-
-// ProbFailedBatch fills dst with per-row failed probabilities (NaN for
-// regression trees), matching ProbFailed exactly.
-//
-//hddlint:noalloc
-func (bt *BinnedTree) ProbFailedBatch(xs [][]uint8, dst []float64) []float64 {
-	//hddlint:ignore hotalloc nil/short-dst convenience path allocates by contract; a len(xs) dst is allocation-free
-	dst = sizeBuf(dst, len(xs))
-	if bt.Kind != Classification {
-		for i := range dst {
-			dst[i] = math.NaN()
-		}
-		return dst
-	}
-	bt.scoreBatch(xs, dst, bt.PFailed, false)
-	return dst
-}
-
-// AccumulateBatchBinned accumulates every tree's Predict(xs[i]) onto
-// dst[i], in tree order per row — the binned analogue of
-// AccumulateBatch: each block's row pointers are validated and gathered
-// once for the whole ensemble, then every tree root-partitions the
-// shared identity order.
-//
-//hddlint:noalloc
-func AccumulateBatchBinned(trees []*BinnedTree, xs [][]uint8, dst []float64) {
-	if len(trees) == 0 || len(xs) == 0 {
-		return
-	}
-	dst = dst[:len(xs)]
-	need := 0
-	for _, t := range trees {
-		need = max(need, t.needLen)
-	}
-	if len(xs) < minPartitionBatch {
-		for _, t := range trees {
-			t.scoreBatch(xs, dst, t.Value, true)
-		}
-		return
-	}
-	for lo := 0; lo < len(xs); lo += partitionBlock {
-		hi := min(lo+partitionBlock, len(xs))
-		if !accumulatePartitionedBinned(trees, xs[lo:hi], dst[lo:hi], need) {
-			for _, t := range trees {
-				t.scoreBatch(xs[lo:hi], dst[lo:hi], t.Value, true)
-			}
-		}
-	}
-}
-
-// accumulatePartitionedBinned runs one cache-resident block of quantized
-// rows through every tree, as accumulatePartitioned does on float rows.
-//
-//hddlint:noalloc
-//hddlint:binned
-func accumulatePartitionedBinned(trees []*BinnedTree, xs [][]uint8, dst []float64, need int) bool {
-	n := len(xs)
-	sc := batchScratchPool.Get().(*batchScratch)
-	if cap(sc.cur) < n || cap(sc.rows) < n {
-		//hddlint:ignore hotalloc cold path: pooled scratch grows to the high-water batch size once, then every Get reuses it
-		sc.cur = make([]int32, n)
-		//hddlint:ignore hotalloc cold path: pooled scratch grows once
-		sc.next = make([]int32, n)
-		//hddlint:ignore hotalloc cold path: pooled scratch grows once
-		sc.rows = make([]unsafe.Pointer, n)
-	}
-	if cap(sc.order) < n {
-		//hddlint:ignore hotalloc cold path: pooled scratch grows once
-		sc.order = make([]int32, n)
-		for i := range sc.order {
-			sc.order[i] = int32(i)
-		}
-	}
-	op := unsafe.Pointer(&sc.order[0])
-	rows := sc.rows[:n]
-	if !gatherRowsBinned(xs, rows, need) {
-		batchScratchPool.Put(sc)
-		return false
-	}
-	rp := unsafe.Pointer(&rows[0])
-	for _, t := range trees {
-		if t.Feature[0] < 0 { // single-leaf tree
-			p := t.Value[0]
-			for i := range dst {
-				dst[i] += p
-			}
-			continue
-		}
-		l := partitionSegBinned(op, unsafe.Pointer(&sc.cur[0]), n, rp,
-			uintptr(t.Feature[0]), t.Cut[0])
-		t.runSegments(sc, rp, dst, t.Value, l, n, true)
-	}
-	batchScratchPool.Put(sc)
-	return true
-}
-
-// gatherRowsBinned validates every code row of a block against the
-// ensemble-wide need and records the row data pointers.
-//
-//go:noinline
-//hddlint:noalloc
-func gatherRowsBinned(xs [][]uint8, rows []unsafe.Pointer, need int) bool {
-	for k, row := range xs {
-		if len(row) < need {
-			return false
-		}
-		rows[k] = unsafe.Pointer(&row[0])
-	}
-	return true
 }

@@ -46,15 +46,15 @@ func requireBinnedBitIdentical(t *testing.T, ct *CompiledTree, bt *BinnedTree, x
 			t.Fatalf("row %d: ProbFailed diverged: %v vs %v", i, pw, pg)
 		}
 	}
-	preds := bt.PredictBatch(codes, nil)
-	probs := bt.ProbFailedBatch(codes, nil)
+	tm, err := dataset.TileCodes(codes, bt.NumFeatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := make([]float64, len(codes))
+	bt.PredictTiledRange(tm, 0, len(codes), preds)
 	for i := range codes {
 		if want := bt.Predict(codes[i]); preds[i] != want && !(math.IsNaN(preds[i]) && math.IsNaN(want)) {
-			t.Fatalf("PredictBatch[%d] = %v, want %v", i, preds[i], want)
-		}
-		pw := bt.ProbFailed(codes[i])
-		if probs[i] != pw && !(math.IsNaN(probs[i]) && math.IsNaN(pw)) {
-			t.Fatalf("ProbFailedBatch[%d] = %v, want %v", i, probs[i], pw)
+			t.Fatalf("PredictTiledRange[%d] = %v, want %v", i, preds[i], want)
 		}
 	}
 }
@@ -185,7 +185,7 @@ func TestCompileBinnedErrors(t *testing.T) {
 }
 
 // TestBinnedSingleLeaf covers the degenerate no-split tree through both
-// the scalar and partitioned batch paths.
+// the per-row and tiled batch paths.
 func TestBinnedSingleLeaf(t *testing.T) {
 	ct := (&Tree{
 		Root: &Node{Value: -1, PFailed: 0.9, N: 3, W: 3},
@@ -206,9 +206,15 @@ func TestBinnedSingleLeaf(t *testing.T) {
 	for i := range codes {
 		codes[i] = []uint8{uint8(i % 3), uint8(i % 2)}
 	}
-	for _, got := range bt.PredictBatch(codes, nil) {
-		if got != -1 {
-			t.Fatalf("single-leaf batch predicted %v, want -1", got)
+	tm, err := dataset.TileCodes(codes, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, len(codes))
+	bt.PredictTiledRange(tm, 0, len(codes), dst)
+	for i, got := range dst {
+		if got != -1 || bt.Predict(codes[i]) != -1 {
+			t.Fatalf("single-leaf row %d predicted %v, want -1", i, got)
 		}
 	}
 	if bt.ProbFailed(codes[0]) != 0.9 {
@@ -216,9 +222,10 @@ func TestBinnedSingleLeaf(t *testing.T) {
 	}
 }
 
-// TestBinnedBatchBoundaries sweeps batch sizes that straddle the scalar
-// cutoff and the block size, proving the partitioned engine is
-// bit-identical to the per-row walk at every seam.
+// TestBinnedBatchBoundaries sweeps batch sizes that straddle the
+// per-row walk cutoff, the tile height and the float engine's block size,
+// proving the tiled partition engine is bit-identical to the per-row walk
+// at every seam.
 func TestBinnedBatchBoundaries(t *testing.T) {
 	tree, bm, _, codes := binnedFixture(t, 13, 2600, 5, 24)
 	bt, err := tree.Compile().CompileBinned(bm)
@@ -226,98 +233,46 @@ func TestBinnedBatchBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, minPartitionBatch - 1, minPartitionBatch, minPartitionBatch + 1,
-		partitionBlock - 1, partitionBlock, partitionBlock + 1, len(codes)} {
+		tileRows - 1, tileRows + 1, partitionBlock - 1, partitionBlock, partitionBlock + 1, len(codes)} {
 		batch := codes[:n]
-		got := bt.PredictBatch(batch, nil)
-		for i := range batch {
-			if want := bt.Predict(batch[i]); got[i] != want {
-				t.Fatalf("n=%d: PredictBatch[%d] = %v, want %v", n, i, got[i], want)
-			}
-		}
-	}
-}
-
-// TestAccumulateBatchBinned checks ensemble accumulation against the
-// per-tree scalar sum, in tree order, across the block boundary.
-func TestAccumulateBatchBinned(t *testing.T) {
-	var trees []*BinnedTree
-	var bm *dataset.BinnedMatrix
-	var codes [][]uint8
-	for i, seed := range []int64{5, 6, 7} {
-		tree, m, _, c := binnedFixture(t, seed, 1500, 4, 16)
-		if i == 0 {
-			bm, codes = m, c
-		}
-		// All fixtures share the synth distribution; rebuild each tree's
-		// cuts against the first fixture's matrix so one code row feeds
-		// the whole ensemble.
-		bt, err := tree.Compile().CompileBinned(bm)
+		tm, err := dataset.TileCodes(batch, bm.NumFeatures)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees = append(trees, bt)
-	}
-	for _, n := range []int{minPartitionBatch - 1, partitionBlock + 37, len(codes)} {
-		batch := codes[:n]
-		dst := make([]float64, n)
-		AccumulateBatchBinned(trees, batch, dst)
+		got := make([]float64, n)
+		bt.PredictTiledRange(tm, 0, n, got)
 		for i := range batch {
-			want := 0.0
-			for _, bt := range trees {
-				want += bt.Predict(batch[i])
-			}
-			if dst[i] != want {
-				t.Fatalf("n=%d: AccumulateBatchBinned[%d] = %v, want %v", n, i, dst[i], want)
+			if want := bt.Predict(batch[i]); got[i] != want {
+				t.Fatalf("n=%d: PredictTiledRange[%d] = %v, want %v", n, i, got[i], want)
 			}
 		}
 	}
 }
 
-// TestBinnedBatchNoAlloc proves the //hddlint:noalloc contract for the
-// binned batch kernels with caller-supplied buffers.
+// TestBinnedBatchNoAlloc proves the //hddlint:noalloc contract of the
+// per-row code-space path the Monitor runs: QuantizeRow into a caller
+// buffer, then Predict and ProbFailed on the codes.
 func TestBinnedBatchNoAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds items under the race detector")
-	}
-	tree, bm, _, codes := binnedFixture(t, 9, 400, 5, 32)
+	tree, bm, _, _ := binnedFixture(t, 9, 400, 5, 32)
 	bt, err := tree.Compile().CompileBinned(bm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := []*BinnedTree{bt, bt, bt}
-	dst := make([]float64, len(codes))
+	row := make([]uint8, bm.NumFeatures)
+	var sink float64
 	allocs := testing.AllocsPerRun(20, func() {
-		out := bt.PredictBatch(codes, dst)
-		if &out[0] != &dst[0] {
-			t.Fatal("PredictBatch did not reuse the provided buffer")
-		}
+		bm.QuantizeRow([]float64{1, 2, 3, 4, 5}, row)
+		sink += bt.Predict(row) + bt.ProbFailed(row)
 	})
 	if allocs != 0 {
-		t.Fatalf("PredictBatch allocated %.0f times per run", allocs)
-	}
-	allocs = testing.AllocsPerRun(20, func() { bt.PredictBatchAdd(codes, dst) })
-	if allocs != 0 {
-		t.Fatalf("PredictBatchAdd allocated %.0f times per run", allocs)
-	}
-	allocs = testing.AllocsPerRun(20, func() { bt.ProbFailedBatch(codes, dst) })
-	if allocs != 0 {
-		t.Fatalf("ProbFailedBatch allocated %.0f times per run", allocs)
-	}
-	allocs = testing.AllocsPerRun(20, func() { AccumulateBatchBinned(trees, codes, dst) })
-	if allocs != 0 {
-		t.Fatalf("AccumulateBatchBinned allocated %.0f times per run", allocs)
-	}
-	row := make([]uint8, bm.NumFeatures)
-	allocs = testing.AllocsPerRun(20, func() { bm.QuantizeRow([]float64{1, 2, 3, 4, 5}, row) })
-	if allocs != 0 {
-		t.Fatalf("QuantizeRow allocated %.0f times per run", allocs)
+		t.Fatalf("QuantizeRow + Predict allocated %.0f times per run (sink %v)", allocs, sink)
 	}
 }
 
-// TestBinnedShortRowRejected proves the partitioned path falls back (and
-// stays correct) when a code row is shorter than the deepest feature the
-// tree reads — the same row-validation contract the float engine has.
-// Rows here are exactly needLen long, shorter than NumFeatures.
+// TestBinnedShortRowRejected pins the width contract of the tiled engine:
+// a code matrix exactly as wide as the deepest feature the tree reads
+// (narrower than NumFeatures) scores correctly, and one column less is
+// rejected with a panic rather than read out of bounds.
 func TestBinnedShortRowRejected(t *testing.T) {
 	tree, bm, _, codes := binnedFixture(t, 21, 800, 6, 16)
 	bt, err := tree.Compile().CompileBinned(bm)
@@ -331,10 +286,25 @@ func TestBinnedShortRowRejected(t *testing.T) {
 	for i := range codes {
 		short[i] = codes[i][:bt.needLen]
 	}
-	got := bt.PredictBatch(short, nil)
+	tm, err := dataset.TileCodes(short, bt.needLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, len(short))
+	bt.PredictTiledRange(tm, 0, len(short), got)
 	for i := range short {
 		if want := bt.Predict(codes[i]); got[i] != want {
 			t.Fatalf("short-row batch[%d] = %v, want %v", i, got[i], want)
 		}
 	}
+	narrow, err := dataset.NewTiledMatrix(len(codes), bt.needLen-1)
+	if err != nil {
+		t.Skip("tree reads only feature 0")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("matrix narrower than the tree's deepest feature was accepted")
+		}
+	}()
+	bt.PredictTiledRange(narrow, 0, len(codes), got)
 }

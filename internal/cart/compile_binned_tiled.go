@@ -1,22 +1,22 @@
 package cart
 
 import (
-	"math"
 	"unsafe"
 
 	"hddcart/internal/cpu"
 	"hddcart/internal/dataset"
 )
 
-// Tiled fast path for the binned batch engine. A dataset.TiledMatrix
-// stores each tile of TileRows rows feature-major, so the code column a
-// partition kernel reads at a node is one straight byte run of at most
-// TileRows bytes — four cache lines — instead of a stride-NumFeatures
-// march across the block. Scoring a row range walks it tile chunk by
-// tile chunk (chunks never cross a tile boundary), running the same
-// segment-stack traversal as the gathered-row path inside each chunk.
-// Verdicts are bit-identical to PredictBatch on the same rows; the
-// internal/equiv matrices pit both layouts against each other.
+// The binned batch engine: code-space scoring over the tiled layout the
+// fleet sweep packs. A dataset.TiledMatrix stores each tile of TileRows
+// rows feature-major, so the code column a partition kernel reads at a
+// node is one straight byte run of at most TileRows bytes — four cache
+// lines — instead of a stride-NumFeatures march across a block of rows.
+// Scoring a row range walks it tile chunk by tile chunk (chunks never
+// cross a tile boundary), running the segment-stack traversal of the
+// float engine (CompiledTree.runSegments) inside each chunk. Verdicts
+// are bit-identical to Predict on each row; the internal/equiv matrices
+// pit the two against each other.
 
 const tileRows = dataset.TileRows
 
@@ -37,23 +37,7 @@ var (
 //
 //hddlint:noalloc //hddlint:nobc
 func (bt *BinnedTree) PredictTiledRange(tm *dataset.TiledMatrix, lo, hi int, dst []float64) {
-	bt.scoreTiledRange(tm, lo, hi, dst, bt.Value, false)
-}
-
-// ProbFailedTiledRange fills dst[:hi-lo] with per-row failed-leaf
-// probabilities over rows [lo, hi), matching ProbFailed exactly
-// (regression trees fill NaN, as the float paths do).
-//
-//hddlint:noalloc
-func (bt *BinnedTree) ProbFailedTiledRange(tm *dataset.TiledMatrix, lo, hi int, dst []float64) {
-	if bt.Kind != Classification {
-		dst = dst[:hi-lo]
-		for i := range dst {
-			dst[i] = math.NaN()
-		}
-		return
-	}
-	bt.scoreTiledRange(tm, lo, hi, dst, bt.PFailed, false)
+	bt.scoreTiledRange(tm, lo, hi, dst)
 }
 
 // scoreTiledRange drives the per-tile-chunk traversal. The bounds and
@@ -64,8 +48,7 @@ func (bt *BinnedTree) ProbFailedTiledRange(tm *dataset.TiledMatrix, lo, hi int, 
 //
 //hddlint:noalloc
 //hddlint:binned
-func (bt *BinnedTree) scoreTiledRange(tm *dataset.TiledMatrix, lo, hi int,
-	dst, payload []float64, add bool) {
+func (bt *BinnedTree) scoreTiledRange(tm *dataset.TiledMatrix, lo, hi int, dst []float64) {
 	if lo < 0 || lo > hi || hi > tm.NumRows {
 		panic(errTiledRowRange)
 	}
@@ -77,15 +60,9 @@ func (bt *BinnedTree) scoreTiledRange(tm *dataset.TiledMatrix, lo, hi int,
 		return
 	}
 	if bt.Feature[0] < 0 { // single-leaf tree
-		p := payload[0]
-		if add {
-			for i := range dst {
-				dst[i] += p
-			}
-		} else {
-			for i := range dst {
-				dst[i] = p
-			}
+		p := bt.Value[0]
+		for i := range dst {
+			dst[i] = p
 		}
 		return
 	}
@@ -104,11 +81,11 @@ func (bt *BinnedTree) scoreTiledRange(tm *dataset.TiledMatrix, lo, hi int,
 		basep := unsafe.Pointer(&tm.Data[t*tileRows*nf+(a-t*tileRows)])
 		cdst := dst[a-lo : b-lo]
 		if n < minPartitionBatch {
-			walkRangeTiled(bt.nodes, basep, n, cdst, payload, add)
+			walkRangeTiled(bt.nodes, basep, n, cdst, bt.Value, false)
 		} else {
 			l := partitionRootBinnedTiled(unsafe.Add(basep, uintptr(bt.Feature[0])*tileRows),
 				n, unsafe.Pointer(&sc.cur[0]), bt.Cut[0])
-			bt.runSegmentsTiled(sc, basep, cdst, payload, l, n, add)
+			bt.runSegmentsTiled(sc, basep, cdst, bt.Value, l, n, false)
 		}
 		a = b
 	}
@@ -117,7 +94,7 @@ func (bt *BinnedTree) scoreTiledRange(tm *dataset.TiledMatrix, lo, hi int,
 
 // AccumulateTiledRange accumulates every tree's prediction for rows
 // [lo, hi) onto dst[:hi-lo], in tree order per row — the tiled analogue
-// of AccumulateBatchBinned for ensemble scorers. All trees share one
+// of AccumulateBatch for ensemble scorers. All trees share one
 // pooled scratch per call.
 //
 //hddlint:noalloc
@@ -303,7 +280,7 @@ func walkSegBinnedTiled(nodes []binnedNode, seg []int32, basep unsafe.Pointer,
 
 // walkRangeTiled scores a whole small chunk (implicit order 0..n-1)
 // sample-major from the root — the tiled analogue of the small-batch
-// per-row walk in scoreBatch.
+// per-row walk in CompiledTree.scoreBatch.
 //
 //hddlint:noalloc
 //hddlint:binned

@@ -1,7 +1,6 @@
 package cart
 
 import (
-	"math"
 	"testing"
 
 	"hddcart/internal/dataset"
@@ -43,19 +42,12 @@ func TestPredictTiledRangeBitIdentical(t *testing.T) {
 				t.Fatalf("range [%d,%d): row %d = %v, want %v", lo, hi, i, dst[i-lo], want)
 			}
 		}
-		bt.ProbFailedTiledRange(tm, lo, hi, dst)
-		for i := lo; i < hi; i++ {
-			want := bt.ProbFailed(codes[i])
-			if dst[i-lo] != want && !(math.IsNaN(dst[i-lo]) && math.IsNaN(want)) {
-				t.Fatalf("range [%d,%d): prob row %d = %v, want %v", lo, hi, i, dst[i-lo], want)
-			}
-		}
 	}
 }
 
 // TestPredictTiledRangeMissingCode routes the reserved missing code
 // through the tiled kernels: rows carrying it must score exactly as they
-// do through PredictBatch (missing descends right at every split).
+// do through Predict (missing descends right at every split).
 func TestPredictTiledRangeMissingCode(t *testing.T) {
 	tree, bm, _, codes := binnedFixture(t, 29, 1200, 5, 16)
 	bt, err := tree.Compile().CompileBinned(bm)
@@ -193,50 +185,35 @@ func TestTiledRangeNoAlloc(t *testing.T) {
 		t.Fatalf("PredictTiledRange allocated %.0f times per run", allocs)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		bt.ProbFailedTiledRange(tm, 0, len(codes), dst)
-	}); allocs != 0 {
-		t.Fatalf("ProbFailedTiledRange allocated %.0f times per run", allocs)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
 		AccumulateTiledRange(trees, tm, 0, len(codes), dst)
 	}); allocs != 0 {
 		t.Fatalf("AccumulateTiledRange allocated %.0f times per run", allocs)
 	}
 }
 
-// TestGatheredBatchAfterTiledScratch scores gathered-row batches on a
-// pooled scratch shaped as the tiled engine leaves it — cur and next
+// TestGatheredBatchAfterTiledScratch scores gathered-row float batches
+// on a pooled scratch shaped as the tiled engine leaves it — cur and next
 // grown to a tile, rows never allocated — so one process can mix sweeps
 // with per-drive batch scoring.
 func TestGatheredBatchAfterTiledScratch(t *testing.T) {
-	tree, bm, x, codes := binnedFixture(t, 21, 200, 5, 24)
+	tree, _, x, _ := binnedFixture(t, 21, 200, 5, 24)
 	ct := tree.Compile()
-	bt, err := ct.CompileBinned(bm)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 100 // a partitioned batch that fits in one tile
 	putTiledScratch := func() {
 		batchScratchPool.Put(&batchScratch{cur: make([]int32, tileRows), next: make([]int32, tileRows)})
 	}
-	check := func(name string, got []float64, want func(i int) float64) {
+	check := func(name string, got []float64) {
 		t.Helper()
 		for i := range got {
-			if w := want(i); got[i] != w {
+			if w := ct.Predict(x[i]); got[i] != w {
 				t.Fatalf("%s[%d] = %v, want %v", name, i, got[i], w)
 			}
 		}
 	}
 	putTiledScratch()
-	check("BinnedTree.PredictBatch", bt.PredictBatch(codes[:n], nil), func(i int) float64 { return bt.Predict(codes[i]) })
+	check("CompiledTree.PredictBatch", ct.PredictBatch(x[:n], nil))
 	putTiledScratch()
 	dst := make([]float64, n)
-	AccumulateBatchBinned([]*BinnedTree{bt}, codes[:n], dst)
-	check("AccumulateBatchBinned", dst, func(i int) float64 { return bt.Predict(codes[i]) })
-	putTiledScratch()
-	check("CompiledTree.PredictBatch", ct.PredictBatch(x[:n], nil), func(i int) float64 { return ct.Predict(x[i]) })
-	putTiledScratch()
-	dst = make([]float64, n)
 	AccumulateBatch([]*CompiledTree{ct}, x[:n], dst)
-	check("AccumulateBatch", dst, func(i int) float64 { return ct.Predict(x[i]) })
+	check("AccumulateBatch", dst)
 }

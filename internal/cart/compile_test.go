@@ -62,14 +62,9 @@ func requireBitIdentical(t *testing.T, tree *Tree, probes [][]float64) {
 	}
 	// Batch surfaces must match the per-sample path element for element.
 	preds := ct.PredictBatch(probes, nil)
-	probs := ct.ProbFailedBatch(probes, nil)
 	for i, p := range probes {
 		if preds[i] != tree.Predict(p) {
 			t.Fatalf("PredictBatch[%d] = %v, want %v", i, preds[i], tree.Predict(p))
-		}
-		pw := tree.ProbFailed(p)
-		if probs[i] != pw && !(math.IsNaN(pw) && math.IsNaN(probs[i])) {
-			t.Fatalf("ProbFailedBatch[%d] = %v, want %v", i, probs[i], pw)
 		}
 	}
 }
@@ -122,10 +117,6 @@ func TestPredictBatchReusesBuffer(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("PredictBatch with caller buffer allocated %.0f times per run", allocs)
-	}
-	allocs = testing.AllocsPerRun(20, func() { ct.ProbFailedBatch(x, dst) })
-	if allocs != 0 {
-		t.Fatalf("ProbFailedBatch with caller buffer allocated %.0f times per run", allocs)
 	}
 }
 
@@ -215,9 +206,9 @@ func FuzzCompiledTreeEquivalence(f *testing.F) {
 }
 
 // TestAccumulatePathsNoAlloc proves the //hddlint:noalloc contract for
-// the ensemble accumulation kernels: with caller-supplied buffers,
-// PredictBatchAdd and AccumulateBatch are allocation-free in steady
-// state (the pooled scratch grows once, outside the measured runs).
+// the ensemble accumulation kernel: with a caller-supplied buffer,
+// AccumulateBatch is allocation-free in steady state (the pooled scratch
+// grows once, outside the measured runs).
 func TestAccumulatePathsNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under the race detector")
@@ -230,11 +221,7 @@ func TestAccumulatePathsNoAlloc(t *testing.T) {
 	ct := tree.Compile()
 	trees := []*CompiledTree{ct, ct, ct}
 	dst := make([]float64, len(x))
-	allocs := testing.AllocsPerRun(20, func() { ct.PredictBatchAdd(x, dst) })
-	if allocs != 0 {
-		t.Fatalf("PredictBatchAdd allocated %.0f times per run", allocs)
-	}
-	allocs = testing.AllocsPerRun(20, func() { AccumulateBatch(trees, x, dst) })
+	allocs := testing.AllocsPerRun(20, func() { AccumulateBatch(trees, x, dst) })
 	if allocs != 0 {
 		t.Fatalf("AccumulateBatch allocated %.0f times per run", allocs)
 	}

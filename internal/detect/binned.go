@@ -1,33 +1,12 @@
 package detect
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"hddcart/internal/dataset"
-)
+import "hddcart/internal/dataset"
 
 // BinnedPredictor scores one quantized code row: positive values mean
 // healthy, negative values mean failing. cart.BinnedTree, forest.Binned
 // and boost.Binned satisfy it.
 type BinnedPredictor interface {
 	Predict(codes []uint8) float64
-}
-
-// BinnedBatchPredictor is the batch extension every binned model
-// implements; dst[i] must equal Predict(xs[i]) bit for bit, like
-// BatchPredictor on the float side.
-type BinnedBatchPredictor interface {
-	BinnedPredictor
-	PredictBatch(xs [][]uint8, dst []float64) []float64
-}
-
-// BinnedDetector scans a drive's chronological quantized rows and returns
-// the index of the first alarm, or -1 when the drive passes.
-type BinnedDetector interface {
-	Detect(xs [][]uint8) int
 }
 
 // BinnedSeries is a drive's quantized sample sequence: Series with the
@@ -43,8 +22,9 @@ type BinnedSeries struct {
 // (dataset.BinnedMatrix.Quantize): the rows land in one contiguous
 // allocation, Hours and Dropped carry over unchanged. ExtractSeries has
 // already excluded non-finite vectors, so quantization never manufactures
-// the reserved missing code from corrupt telemetry here — but detectors
-// still exclude NaN scores defensively, exactly as the float ones do.
+// the reserved missing code from corrupt telemetry here — but the window
+// sweeps still exclude NaN scores defensively, exactly as the float
+// detectors do.
 func QuantizeSeries(bm *dataset.BinnedMatrix, s Series) (BinnedSeries, error) {
 	codes, err := bm.Quantize(s.X)
 	if err != nil {
@@ -53,230 +33,10 @@ func QuantizeSeries(bm *dataset.BinnedMatrix, s Series) (BinnedSeries, error) {
 	return BinnedSeries{Codes: codes, Hours: s.Hours, Dropped: s.Dropped}, nil
 }
 
-// VotingBinned is the voting-based detector over a binned model — the
-// binned-input form of Voting, alarming at the same index wherever the
-// two models score alike (both run the shared votingSweep).
-type VotingBinned struct {
-	// Model scores quantized rows; a row votes "failed" below Threshold.
-	Model BinnedBatchPredictor
-	// Voters is N, the window size. Values < 1 behave as 1.
-	Voters int
-	// Threshold is the per-sample vote cut (0 for ±1 classifiers).
-	Threshold float64
-}
-
-var _ BinnedDetector = (*VotingBinned)(nil)
-
-// NewVotingBinned validates the configuration and returns the detector.
-func NewVotingBinned(model BinnedBatchPredictor, voters int, threshold float64) (*VotingBinned, error) {
-	v := &VotingBinned{Model: model, Voters: voters, Threshold: threshold}
-	if err := v.Validate(); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// Validate rejects a nil model, a non-positive window, or a threshold
-// outside [-1, 1].
-func (v *VotingBinned) Validate() error {
-	if v.Model == nil {
-		return errors.New("detect: binned voting needs a model")
-	}
-	if v.Voters < 1 {
-		return fmt.Errorf("detect: binned voting window N must be positive, got %d", v.Voters)
-	}
-	if !validThreshold(v.Threshold) {
-		return fmt.Errorf("detect: binned voting threshold %v outside [-1, 1]", v.Threshold)
-	}
-	return nil
-}
-
-// Detect implements BinnedDetector: the series is scored in pooled,
-// allocation-free chunks interleaved with the shared voting sweep, so an
-// early alarm stops scoring — Voting.Detect's batch path on code rows.
-func (v *VotingBinned) Detect(xs [][]uint8) int {
-	n := v.Voters
-	if n < 1 {
-		n = 1
-	}
-	bufp := scoreBuf.Get().(*[]float64)
-	scores := *bufp
-	if cap(scores) < len(xs) {
-		scores = make([]float64, len(xs))
-	}
-	scores = scores[:len(xs)]
-	sw := votingSweep{scores: scores, threshold: v.Threshold, n: n}
-	idx := -1
-	for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
-		hi := min(lo+detectChunk, len(xs))
-		v.Model.PredictBatch(xs[lo:hi], scores[lo:hi])
-		idx = sw.feed(lo, hi)
-	}
-	*bufp = scores
-	scoreBuf.Put(bufp)
-	return idx
-}
-
-// MeanThresholdBinned is the health-degree detector over a binned model —
-// the binned-input form of MeanThreshold, sharing its meanSweep.
-type MeanThresholdBinned struct {
-	// Model predicts health degrees in [−1, +1] from quantized rows.
-	Model BinnedBatchPredictor
-	// Voters is N, the averaging window. Values < 1 behave as 1.
-	Voters int
-	// Threshold is the alarm cut on the window mean.
-	Threshold float64
-}
-
-var _ BinnedDetector = (*MeanThresholdBinned)(nil)
-
-// NewMeanThresholdBinned validates the configuration and returns the
-// detector.
-func NewMeanThresholdBinned(model BinnedBatchPredictor, voters int, threshold float64) (*MeanThresholdBinned, error) {
-	m := &MeanThresholdBinned{Model: model, Voters: voters, Threshold: threshold}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Validate rejects a nil model, a non-positive window, or a threshold
-// outside [-1, 1].
-func (m *MeanThresholdBinned) Validate() error {
-	if m.Model == nil {
-		return errors.New("detect: binned mean-threshold needs a model")
-	}
-	if m.Voters < 1 {
-		return fmt.Errorf("detect: binned mean-threshold window N must be positive, got %d", m.Voters)
-	}
-	if !validThreshold(m.Threshold) {
-		return fmt.Errorf("detect: binned mean-threshold %v outside [-1, 1]", m.Threshold)
-	}
-	return nil
-}
-
-// Detect implements BinnedDetector, chunk-scored like the float batch
-// path and swept by the shared meanSweep.
-func (m *MeanThresholdBinned) Detect(xs [][]uint8) int {
-	n := m.Voters
-	if n < 1 {
-		n = 1
-	}
-	bufp := scoreBuf.Get().(*[]float64)
-	scores := *bufp
-	if cap(scores) < len(xs) {
-		scores = make([]float64, len(xs))
-	}
-	scores = scores[:len(xs)]
-	sw := meanSweep{scores: scores, threshold: m.Threshold, n: n}
-	idx := -1
-	for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
-		hi := min(lo+detectChunk, len(xs))
-		m.Model.PredictBatch(xs[lo:hi], scores[lo:hi])
-		idx = sw.feed(lo, hi)
-	}
-	*bufp = scores
-	scoreBuf.Put(bufp)
-	return idx
-}
-
-// MultiVotingBinned evaluates the voting detector for several window
-// sizes in a single pass over a drive's quantized samples — MultiVoting
-// on code rows, sharing its prefix-count alarm computation.
-type MultiVotingBinned struct {
-	// Model scores quantized rows; a row votes "failed" below Threshold.
-	Model BinnedBatchPredictor
-	// Voters lists the window sizes to evaluate (values < 1 act as 1).
-	Voters []int
-	// Threshold is the per-sample vote cut.
-	Threshold float64
-	// Workers caps the goroutines used to score the samples (≤ 1 scores
-	// serially). Any worker count yields identical alarms: every sample's
-	// score lands at its own index before the vote sweep runs.
-	Workers int
-}
-
-// NewMultiVotingBinned validates the configuration and returns the
-// detector.
-func NewMultiVotingBinned(model BinnedBatchPredictor, voters []int, threshold float64, workers int) (*MultiVotingBinned, error) {
-	m := &MultiVotingBinned{Model: model, Voters: voters, Threshold: threshold, Workers: workers}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Validate rejects a nil model, non-positive window sizes, thresholds
-// outside [-1, 1] and negative worker counts.
-func (m *MultiVotingBinned) Validate() error {
-	if m.Model == nil {
-		return errors.New("detect: binned multi-voting needs a model")
-	}
-	for _, n := range m.Voters {
-		if n < 1 {
-			return fmt.Errorf("detect: binned multi-voting window N must be positive, got %d", n)
-		}
-	}
-	if !validThreshold(m.Threshold) {
-		return fmt.Errorf("detect: binned multi-voting threshold %v outside [-1, 1]", m.Threshold)
-	}
-	if m.Workers < 0 {
-		return fmt.Errorf("detect: binned multi-voting workers must be non-negative, got %d", m.Workers)
-	}
-	return nil
-}
-
-// DetectAll returns, for each configured window size, the index of the
-// first alarm (-1 = none), in the same order as Voters — identical to
-// running VotingBinned per window size.
-func (m *MultiVotingBinned) DetectAll(xs [][]uint8) []int {
-	if len(m.Voters) == 0 {
-		return []int{}
-	}
-	scores := make([]float64, len(xs))
-	scoreIntoBinned(m.Model, xs, scores, m.Workers)
-	return multiVoteAlarms(scores, m.Voters, m.Threshold)
-}
-
-// ScanAll runs DetectAll and converts each alarm into an Outcome.
-func (m *MultiVotingBinned) ScanAll(s BinnedSeries, failHour int) []Outcome {
-	idxs := m.DetectAll(s.Codes)
-	out := make([]Outcome, len(idxs))
-	for i, idx := range idxs {
-		out[i] = AlarmOutcome(s.Hours, idx, failHour)
-	}
-	return out
-}
-
-// scoreIntoBinned fills dst[i] with model's score of xs[i], splitting the
-// block into contiguous chunks across up to workers goroutines — the
-// binned form of scoreInto (binned models always batch).
-func scoreIntoBinned(model BinnedBatchPredictor, xs [][]uint8, dst []float64, workers int) {
-	if workers <= 1 || len(xs) < 2*minScoreChunk {
-		model.PredictBatch(xs, dst)
-		return
-	}
-	chunks := (len(xs) + minScoreChunk - 1) / minScoreChunk
-	if chunks > workers {
-		chunks = workers
-	}
-	size := (len(xs) + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(xs); lo += size {
-		hi := min(lo+size, len(xs))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			model.PredictBatch(xs[lo:hi], dst[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // AlarmOutcome converts an alarm index (-1 = none) into an Outcome
 // against the drive's sample hours and failure instant — the shared
-// conversion every scan path (ScanBinned, internal/sweep) applies so a
-// given alarm index always yields the same Outcome.
+// conversion every scan path (Scan, internal/sweep) applies so a given
+// alarm index always yields the same Outcome.
 func AlarmOutcome(hours []int, idx, failHour int) Outcome {
 	if idx < 0 {
 		return Outcome{LeadHours: -1}
@@ -285,95 +45,5 @@ func AlarmOutcome(hours []int, idx, failHour int) Outcome {
 	if failHour >= 0 {
 		out.LeadHours = failHour - out.AlarmHour
 	}
-	return out
-}
-
-// ScanBinned runs a binned detector over a drive's quantized series.
-// failHour is the drive's failure instant, or -1 for good drives.
-func ScanBinned(d BinnedDetector, s BinnedSeries, failHour int) Outcome {
-	return AlarmOutcome(s.Hours, d.Detect(s.Codes), failHour)
-}
-
-// SweepDelegateMin is the fleet size at which ScanBatchBinned hands the
-// scan to a registered fleet sweeper (internal/sweep): below it, the
-// sharded engine's tiling and scheduling setup outweighs its locality
-// wins over the per-drive path.
-const SweepDelegateMin = 4096
-
-// fleetSweeper, when registered, may take over a whole ScanBatchBinned
-// call. It must return outcomes identical to the per-drive path or
-// (nil, false) to decline.
-var fleetSweeper func(d BinnedDetector, series []BinnedSeries, failHours []int, workers int) ([]Outcome, bool)
-
-// RegisterFleetSweeper installs the fleet-sweep delegation hook.
-// internal/sweep registers itself from an init function, so importing it
-// (directly or through the root package) is what turns delegation on;
-// the hook must not be swapped while scans are running.
-func RegisterFleetSweeper(fn func(d BinnedDetector, series []BinnedSeries, failHours []int, workers int) ([]Outcome, bool)) {
-	fleetSweeper = fn
-}
-
-// ScanBatchBinned runs a binned detector over many drives' series on up
-// to workers goroutines (≤ 1 scans serially), exactly as ScanBatch does
-// for float series: outcomes land at each drive's own index, so the
-// result is identical for every worker count. The detector must be
-// stateless across Detect calls, as VotingBinned and MeanThresholdBinned
-// are. At SweepDelegateMin drives and above, a registered fleet sweeper
-// (internal/sweep) takes the scan through its tiled sharded engine; the
-// sweeper's outcomes are identical to the per-drive path, so delegation
-// is invisible apart from speed.
-func ScanBatchBinned(d BinnedDetector, series []BinnedSeries, failHours []int, workers int) []Outcome {
-	if len(series) >= SweepDelegateMin && fleetSweeper != nil {
-		if out, ok := fleetSweeper(d, series, failHours, workers); ok {
-			return out
-		}
-	}
-	return ScanBatchBinnedDirect(d, series, failHours, workers)
-}
-
-// ScanBatchBinnedDirect is ScanBatchBinned without the fleet-sweep
-// delegation: always the per-drive chunked path. It exists so benchmarks
-// and equivalence tests can pin the sweep engine against the direct path
-// even when a sweeper is registered.
-func ScanBatchBinnedDirect(d BinnedDetector, series []BinnedSeries, failHours []int, workers int) []Outcome {
-	out := make([]Outcome, len(series))
-	failHour := func(i int) int {
-		if failHours == nil {
-			return -1
-		}
-		return failHours[i]
-	}
-	if workers <= 1 || len(series) < 2 {
-		for i := range series {
-			out[i] = ScanBinned(d, series[i], failHour(i))
-		}
-		return out
-	}
-	if workers > len(series) {
-		workers = len(series)
-	}
-	// Claim scanStride drives per atomic bump (see batch.go): one
-	// contended Add per stride instead of per drive, and a worker's
-	// adjacent out[i] writes cover whole cache lines instead of
-	// interleaving with other workers' drives.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := (int(next.Add(1)) - 1) * scanStride
-				if lo >= len(series) {
-					return
-				}
-				hi := min(lo+scanStride, len(series))
-				for i := lo; i < hi; i++ {
-					out[i] = ScanBinned(d, series[i], failHour(i))
-				}
-			}
-		}()
-	}
-	wg.Wait()
 	return out
 }

@@ -76,93 +76,39 @@ func quantizeAll(t *testing.T, bm *dataset.BinnedMatrix, series []Series) []Binn
 	return out
 }
 
-// TestBinnedDetectorsMatchFloat checks that every binned detector alarms
-// at exactly the float detector's index on quantized input — the
-// detect-level half of the cross-path equivalence contract.
+// binnedAlarm is the code-space reference scan: score every quantized
+// row with the binned model's per-row Predict, then run the shared window
+// sweep over the scores — the semantics the fleet sweep reproduces.
+func binnedAlarm(bt *cart.BinnedTree, codes [][]uint8, voters int, threshold float64, mean bool) int {
+	scores := make([]float64, len(codes))
+	for i, row := range codes {
+		scores[i] = bt.Predict(row)
+	}
+	if mean {
+		idx, _ := MeanAlarm(scores, voters, threshold)
+		return idx
+	}
+	idx, _ := VoteAlarm(scores, voters, threshold)
+	return idx
+}
+
+// TestBinnedDetectorsMatchFloat checks that binned scoring followed by
+// the shared window sweeps alarms at exactly the float detectors' index
+// on quantized input — the detect-level half of the cross-path
+// equivalence contract.
 func TestBinnedDetectorsMatchFloat(t *testing.T) {
 	ct, bt, bm, series := binnedDetectFixture(t, 51)
 	binned := quantizeAll(t, bm, series)
 	for _, voters := range []int{1, 3, 7, 16} {
 		fv := &Voting{Model: ct, Voters: voters}
-		bv := &VotingBinned{Model: bt, Voters: voters}
 		fm := &MeanThreshold{Model: ct, Voters: voters, Threshold: -0.1}
-		bmn := &MeanThresholdBinned{Model: bt, Voters: voters, Threshold: -0.1}
 		for i := range series {
-			if want, got := fv.Detect(series[i].X), bv.Detect(binned[i].Codes); want != got {
-				t.Fatalf("voters=%d drive %d: Voting %d vs VotingBinned %d", voters, i, want, got)
+			if want, got := fv.Detect(series[i].X), binnedAlarm(bt, binned[i].Codes, voters, 0, false); want != got {
+				t.Fatalf("voters=%d drive %d: Voting %d vs binned %d", voters, i, want, got)
 			}
-			if want, got := fm.Detect(series[i].X), bmn.Detect(binned[i].Codes); want != got {
+			if want, got := fm.Detect(series[i].X), binnedAlarm(bt, binned[i].Codes, voters, -0.1, true); want != got {
 				t.Fatalf("voters=%d drive %d: MeanThreshold %d vs binned %d", voters, i, want, got)
 			}
-		}
-	}
-}
-
-// TestMultiVotingBinnedMatchesFloat checks the multi-window sweep across
-// worker counts: alarms must be identical to the float MultiVoting and
-// independent of Workers.
-func TestMultiVotingBinnedMatchesFloat(t *testing.T) {
-	ct, bt, bm, series := binnedDetectFixture(t, 77)
-	binned := quantizeAll(t, bm, series)
-	voters := []int{1, 2, 5, 9, 32}
-	ref := &MultiVoting{Model: ct, Voters: voters, Workers: 1}
-	for _, workers := range []int{0, 1, 3} {
-		mv := &MultiVotingBinned{Model: bt, Voters: voters, Workers: workers}
-		for i := range series {
-			want := ref.DetectAll(series[i].X)
-			got := mv.DetectAll(binned[i].Codes)
-			for k := range want {
-				if want[k] != got[k] {
-					t.Fatalf("workers=%d drive %d window %d: float %d vs binned %d",
-						workers, i, voters[k], want[k], got[k])
-				}
-			}
-		}
-		if got := mv.DetectAll(nil); len(got) != len(voters) {
-			t.Fatalf("empty series: got %d alarms, want %d", len(got), len(voters))
-		}
-	}
-	empty := &MultiVotingBinned{Model: bt}
-	if got := empty.DetectAll(binned[0].Codes); len(got) != 0 {
-		t.Fatalf("no windows: got %v", got)
-	}
-	// ScanAll mirrors the float conversion of indexes to outcomes.
-	fo := ref.ScanAll(series[0], series[0].Hours[len(series[0].Hours)-1])
-	bo := (&MultiVotingBinned{Model: bt, Voters: voters, Workers: 1}).
-		ScanAll(binned[0], series[0].Hours[len(series[0].Hours)-1])
-	for k := range fo {
-		if fo[k] != bo[k] {
-			t.Fatalf("ScanAll window %d: float %+v vs binned %+v", voters[k], fo[k], bo[k])
-		}
-	}
-}
-
-// TestScanBatchBinnedMatchesFloat checks the fleet path: outcomes equal
-// the float ScanBatch outcome for every drive, at every worker count.
-func TestScanBatchBinnedMatchesFloat(t *testing.T) {
-	ct, bt, bm, series := binnedDetectFixture(t, 90)
-	binned := quantizeAll(t, bm, series)
-	failHours := make([]int, len(series))
-	for i := range failHours {
-		failHours[i] = -1
-		if i%3 == 0 {
-			failHours[i] = series[i].Hours[len(series[i].Hours)-1] + 24
-		}
-	}
-	want := ScanBatch(&Voting{Model: ct, Voters: 5}, series, failHours, 1)
-	for _, workers := range []int{0, 1, 4, 64} {
-		got := ScanBatchBinned(&VotingBinned{Model: bt, Voters: 5}, binned, failHours, workers)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("workers=%d drive %d: float %+v vs binned %+v", workers, i, want[i], got[i])
-			}
-		}
-	}
-	// nil failHours treats every drive as good.
-	out := ScanBatchBinned(&VotingBinned{Model: bt, Voters: 5}, binned, nil, 2)
-	for i, o := range out {
-		if o.Alarmed && o.LeadHours != -1 {
-			t.Fatalf("drive %d: good drive got lead hours %d", i, o.LeadHours)
 		}
 	}
 }
@@ -184,41 +130,5 @@ func TestQuantizeSeries(t *testing.T) {
 	}
 	if _, err := QuantizeSeries(bm, Series{X: [][]float64{{1}}}); err == nil {
 		t.Fatal("ragged row accepted")
-	}
-}
-
-// TestBinnedDetectorValidation mirrors the float constructors' rejection
-// cases.
-func TestBinnedDetectorValidation(t *testing.T) {
-	_, bt, _, _ := binnedDetectFixture(t, 11)
-	if _, err := NewVotingBinned(nil, 3, 0); err == nil {
-		t.Error("nil model accepted by NewVotingBinned")
-	}
-	if _, err := NewVotingBinned(bt, 0, 0); err == nil {
-		t.Error("zero voters accepted by NewVotingBinned")
-	}
-	if _, err := NewVotingBinned(bt, 3, 2); err == nil {
-		t.Error("out-of-range threshold accepted by NewVotingBinned")
-	}
-	if _, err := NewMeanThresholdBinned(nil, 3, 0); err == nil {
-		t.Error("nil model accepted by NewMeanThresholdBinned")
-	}
-	if _, err := NewMeanThresholdBinned(bt, 3, math.NaN()); err == nil {
-		t.Error("NaN threshold accepted by NewMeanThresholdBinned")
-	}
-	if _, err := NewMultiVotingBinned(bt, []int{3, 0}, 0, 1); err == nil {
-		t.Error("zero window accepted by NewMultiVotingBinned")
-	}
-	if _, err := NewMultiVotingBinned(bt, []int{3}, 0, -1); err == nil {
-		t.Error("negative workers accepted by NewMultiVotingBinned")
-	}
-	if v, err := NewVotingBinned(bt, 3, 0); err != nil || v == nil {
-		t.Errorf("valid binned voting rejected: %v", err)
-	}
-	if m, err := NewMeanThresholdBinned(bt, 3, -0.5); err != nil || m == nil {
-		t.Errorf("valid binned mean-threshold rejected: %v", err)
-	}
-	if m, err := NewMultiVotingBinned(bt, []int{1, 3}, 0, 2); err != nil || m == nil {
-		t.Errorf("valid binned multi-voting rejected: %v", err)
 	}
 }

@@ -29,14 +29,24 @@ import (
 	"hddcart/internal/smart"
 )
 
-// detectChunk is how many samples the batch detection paths score per model
-// call: big enough to amortize batch setup, small enough that a drive
-// alarming early doesn't pay for scoring its whole series.
+// detectChunk is how many samples the detectors score per model call: big
+// enough to amortize batch setup, small enough that a drive alarming early
+// doesn't pay for scoring its whole series.
 const detectChunk = 512
 
-// scoreBuf pools per-series score buffers so the batch detection paths
-// stay allocation-free across drives in steady state.
+// scoreBuf pools per-series score buffers so the detectors stay
+// allocation-free across drives in steady state.
 var scoreBuf = sync.Pool{New: func() any { return new([]float64) }}
+
+// getScores takes a pooled score buffer and returns it resliced to n;
+// hand bufp back to scoreBuf when done.
+func getScores(n int) (bufp *[]float64, scores []float64) {
+	bufp = scoreBuf.Get().(*[]float64)
+	if cap(*bufp) < n {
+		*bufp = make([]float64, n)
+	}
+	return bufp, (*bufp)[:n]
+}
 
 // Predictor scores one feature vector: positive values mean healthy,
 // negative values mean failing. Both cart.Tree and ann.Network satisfy it.
@@ -100,56 +110,21 @@ func (v *Voting) Validate() error {
 
 // Detect implements Detector: the first index i where more than N/2 of the
 // last N valid samples up to i vote failed (and at least N valid samples
-// exist), else -1. NaN scores are excluded from the window. When Model
-// also implements BatchPredictor the series is scored in pooled,
-// allocation-free chunks interleaved with the vote sweep (so an early
-// alarm stops scoring, like the streaming path); the per-sample
-// comparisons are unchanged, so both paths alarm at the same index.
+// exist), else -1. NaN scores are excluded from the window. The series is
+// scored in pooled chunks (through the model's batch path when it has
+// one) interleaved with the vote sweep, so an early alarm stops scoring.
 func (v *Voting) Detect(xs [][]float64) int {
-	n := v.Voters
-	if n < 1 {
-		n = 1
+	bp, batched := v.Model.(BatchPredictor)
+	bufp, scores := getScores(len(xs))
+	sw := votingSweep{scores: scores, threshold: v.Threshold, n: max(v.Voters, 1)}
+	idx := -1
+	for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
+		hi := min(lo+detectChunk, len(xs))
+		scoreChunk(v.Model, bp, batched, xs[lo:hi], scores[lo:hi])
+		idx = sw.feed(lo, hi)
 	}
-	if bp, ok := v.Model.(BatchPredictor); ok {
-		bufp := scoreBuf.Get().(*[]float64)
-		scores := *bufp
-		if cap(scores) < len(xs) {
-			scores = make([]float64, len(xs))
-		}
-		scores = scores[:len(xs)]
-		sw := votingSweep{scores: scores, threshold: v.Threshold, n: n}
-		idx := -1
-		for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
-			hi := min(lo+detectChunk, len(xs))
-			bp.PredictBatch(xs[lo:hi], scores[lo:hi])
-			idx = sw.feed(lo, hi)
-		}
-		*bufp = scores
-		scoreBuf.Put(bufp)
-		return idx
-	}
-	votes := 0
-	window := make([]bool, 0, n)
-	for i, x := range xs {
-		s := v.Model.Predict(x)
-		if s != s {
-			continue // invalid prediction: excluded, not counted
-		}
-		failed := s < v.Threshold
-		window = append(window, failed)
-		if failed {
-			votes++
-		}
-		if len(window) > n {
-			if window[len(window)-n-1] {
-				votes--
-			}
-		}
-		if len(window) >= n && 2*votes > n {
-			return i
-		}
-	}
-	return -1
+	scoreBuf.Put(bufp)
+	return idx
 }
 
 // MeanThreshold is the health-degree detector: it alarms when the mean of
@@ -192,50 +167,20 @@ func (m *MeanThreshold) Validate() error {
 }
 
 // Detect implements Detector. NaN scores are excluded from the rolling
-// window. When Model also implements BatchPredictor the series is scored
-// in pooled, allocation-free chunks interleaved with the window sweep; the
-// rolling sum adds and subtracts the same scores in the same order as the
-// streaming path, so the mean comparison is bit-identical.
+// window. The series is scored in pooled chunks interleaved with the
+// window sweep, as Voting.Detect does.
 func (m *MeanThreshold) Detect(xs [][]float64) int {
-	n := m.Voters
-	if n < 1 {
-		n = 1
+	bp, batched := m.Model.(BatchPredictor)
+	bufp, scores := getScores(len(xs))
+	sw := meanSweep{scores: scores, threshold: m.Threshold, n: max(m.Voters, 1)}
+	idx := -1
+	for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
+		hi := min(lo+detectChunk, len(xs))
+		scoreChunk(m.Model, bp, batched, xs[lo:hi], scores[lo:hi])
+		idx = sw.feed(lo, hi)
 	}
-	if bp, ok := m.Model.(BatchPredictor); ok {
-		bufp := scoreBuf.Get().(*[]float64)
-		scores := *bufp
-		if cap(scores) < len(xs) {
-			scores = make([]float64, len(xs))
-		}
-		scores = scores[:len(xs)]
-		sw := meanSweep{scores: scores, threshold: m.Threshold, n: n}
-		idx := -1
-		for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
-			hi := min(lo+detectChunk, len(xs))
-			bp.PredictBatch(xs[lo:hi], scores[lo:hi])
-			idx = sw.feed(lo, hi)
-		}
-		*bufp = scores
-		scoreBuf.Put(bufp)
-		return idx
-	}
-	sum := 0.0
-	scores := make([]float64, 0, len(xs))
-	for i, x := range xs {
-		s := m.Model.Predict(x)
-		if s != s {
-			continue // invalid prediction: excluded, not counted
-		}
-		scores = append(scores, s)
-		sum += s
-		if len(scores) > n {
-			sum -= scores[len(scores)-n-1]
-		}
-		if len(scores) >= n && sum/float64(n) < m.Threshold {
-			return i
-		}
-	}
-	return -1
+	scoreBuf.Put(bufp)
+	return idx
 }
 
 // Series is a drive's scored sample sequence: the feature vectors of the
@@ -311,15 +256,7 @@ type Outcome struct {
 // Scan runs a detector over a drive's series. failHour is the drive's
 // failure instant, or -1 for good drives.
 func Scan(d Detector, s Series, failHour int) Outcome {
-	idx := d.Detect(s.X)
-	if idx < 0 {
-		return Outcome{LeadHours: -1}
-	}
-	out := Outcome{Alarmed: true, AlarmHour: s.Hours[idx], LeadHours: -1}
-	if failHour >= 0 {
-		out.LeadHours = failHour - out.AlarmHour
-	}
-	return out
+	return AlarmOutcome(s.Hours, d.Detect(s.X), failHour)
 }
 
 // MultiVoting evaluates the voting detector for several window sizes in a
@@ -389,15 +326,7 @@ func (m *MultiVoting) ScanAll(s Series, failHour int) []Outcome {
 	idxs := m.DetectAll(s.X)
 	out := make([]Outcome, len(idxs))
 	for i, idx := range idxs {
-		if idx < 0 {
-			out[i] = Outcome{LeadHours: -1}
-			continue
-		}
-		o := Outcome{Alarmed: true, AlarmHour: s.Hours[idx], LeadHours: -1}
-		if failHour >= 0 {
-			o.LeadHours = failHour - o.AlarmHour
-		}
-		out[i] = o
+		out[i] = AlarmOutcome(s.Hours, idx, failHour)
 	}
 	return out
 }

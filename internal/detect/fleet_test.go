@@ -148,46 +148,15 @@ func TestQuantizeFleetNoAllocSteadyState(t *testing.T) {
 // the stride boundary: results must equal the serial scan for every
 // worker count, including fleets not divisible by the stride.
 func TestScanBatchStrideSeams(t *testing.T) {
-	_, bt, bm, series := binnedDetectFixture(t, 55)
-	binned := quantizeAll(t, bm, series)
-	det := &VotingBinned{Model: bt, Voters: 3}
-	for _, n := range []int{2, scanStride - 1, scanStride, scanStride + 1, 2*scanStride + 3, len(binned)} {
-		want := ScanBatchBinnedDirect(det, binned[:n], nil, 1)
+	ct, _, _, series := binnedDetectFixture(t, 55)
+	det := &Voting{Model: ct, Voters: 3}
+	for _, n := range []int{2, scanStride - 1, scanStride, scanStride + 1, 2*scanStride + 3, len(series)} {
+		want := ScanBatch(det, series[:n], nil, 1)
 		for _, workers := range []int{2, 3, 64} {
-			got := ScanBatchBinnedDirect(det, binned[:n], nil, workers)
+			got := ScanBatch(det, series[:n], nil, workers)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("n=%d workers=%d: outcomes diverged from serial scan", n, workers)
 			}
 		}
-	}
-}
-
-// TestRegisterFleetSweeper covers the delegation seam without a real
-// engine: above the threshold a registered sweeper takes the scan; a
-// declining sweeper falls back to the direct path.
-func TestRegisterFleetSweeper(t *testing.T) {
-	prev := fleetSweeper
-	defer RegisterFleetSweeper(prev)
-
-	series := make([]BinnedSeries, SweepDelegateMin)
-	marker := []Outcome{{AlarmHour: 424242}}
-	RegisterFleetSweeper(func(d BinnedDetector, s []BinnedSeries, fh []int, w int) ([]Outcome, bool) {
-		if len(s) != len(series) {
-			t.Fatalf("sweeper saw %d series", len(s))
-		}
-		return marker, true
-	})
-	got := ScanBatchBinned(nil, series, nil, 1)
-	if len(got) != 1 || got[0].AlarmHour != 424242 {
-		t.Fatal("registered sweeper did not take the scan")
-	}
-	// Below the threshold the sweeper must not be consulted.
-	RegisterFleetSweeper(func(BinnedDetector, []BinnedSeries, []int, int) ([]Outcome, bool) {
-		t.Fatal("sweeper consulted below SweepDelegateMin")
-		return nil, false
-	})
-	small := make([]BinnedSeries, 3)
-	if got := ScanBatchBinned(&VotingBinned{Model: nil, Voters: 1}, small, nil, 1); len(got) != 3 {
-		t.Fatalf("direct path returned %d outcomes", len(got))
 	}
 }

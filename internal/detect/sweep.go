@@ -1,14 +1,14 @@
 package detect
 
-// The chunked detectors — float and binned alike — interleave scoring
-// with a NaN-excluding window sweep so an early alarm stops scoring the
-// rest of a series. The sweep state lives here, shared by both input
-// types: valid scores are compacted in place into scores[:m] as the
-// sweep advances (m never catches up with the chunk being scored), so
-// the window arithmetic runs on valid samples only while the alarm index
-// stays in series coordinates. Keeping one implementation is what makes
-// the binned detectors' alarm indexes identical to the float ones by
-// construction rather than by parallel maintenance.
+// The detectors interleave scoring with a NaN-excluding window sweep so
+// an early alarm stops scoring the rest of a series. The sweep state
+// lives here, shared with the fleet sweep (internal/sweep, through
+// VoteAlarm and MeanAlarm): valid scores are compacted in place into
+// scores[:m] as the sweep advances (m never catches up with the chunk
+// being scored), so the window arithmetic runs on valid samples only
+// while the alarm index stays in series coordinates. Keeping one
+// implementation is what makes the fleet sweep's alarm indexes identical
+// to the detectors' by construction rather than by parallel maintenance.
 
 // votingSweep is the voting-window state: alarm at the first index where
 // more than n/2 of the last n valid scores fall below threshold.
@@ -162,11 +162,10 @@ func meanFeed(buf []float64, thr float64, n, cnt0 int, sum0 float64, lo, hi int)
 // VoteAlarm sweeps one fully scored series through the voting window
 // state machine and returns the alarm index in series coordinates (-1 =
 // no alarm) plus the number of NaN scores the sweep excluded before
-// stopping. It is exactly VotingBinned.Detect's sweep on a pre-scored
-// series — a single feed over the whole slice is bit-identical to the
-// detector's chunked feeds — exported so internal/sweep can score whole
-// work items through the tiled kernels and still alarm at the same
-// indexes. voters < 1 acts as 1, as the detectors do. scores is mutated:
+// stopping. It is exactly Voting.Detect's sweep on a pre-scored series —
+// a single feed over the whole slice is bit-identical to the detector's
+// chunked feeds — exported so internal/sweep can score whole work items
+// through the tiled kernels and still alarm at the same indexes. voters < 1 acts as 1, as the detectors do. scores is mutated:
 // valid samples are compacted toward the front as the sweep advances.
 func VoteAlarm(scores []float64, voters int, threshold float64) (idx, excluded int) {
 	if voters < 1 {
@@ -182,8 +181,8 @@ func VoteAlarm(scores []float64, voters int, threshold float64) (idx, excluded i
 
 // MeanAlarm is VoteAlarm for the health-degree (mean-threshold) sweep:
 // alarm at the first index where the mean of the last voters valid
-// scores drops below threshold, bit-identical to
-// MeanThresholdBinned.Detect on the same scores. scores is mutated as in
+// scores drops below threshold, bit-identical to MeanThreshold.Detect on
+// the same scores. scores is mutated as in
 // VoteAlarm.
 func MeanAlarm(scores []float64, voters int, threshold float64) (idx, excluded int) {
 	if voters < 1 {

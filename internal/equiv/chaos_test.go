@@ -98,13 +98,10 @@ func TestChaosCorpusBinnedEquivalence(t *testing.T) {
 	if err := CheckAll(c, verdictPaths()...); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckAll(c, PointerProb(), CompiledProb(), BinnedProb(), TiledProb()); err != nil {
-		t.Fatal(err)
-	}
 	// The chaos corpus also replays through every dispatch tier: fault
 	// injection produces the missing-code pile-ups and duplicated rows
 	// that stress the vector kernels' seam handling.
-	for _, p := range []Path{BinnedBatch(0), TiledRange(0), TiledWorkers(4)} {
+	for _, p := range []Path{TiledRange(0), TiledWorkers(4)} {
 		forced := make([]Path, 0, 3)
 		for _, k := range cpu.Kernels() {
 			forced = append(forced, ForceKernel(k, p))

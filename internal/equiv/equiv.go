@@ -31,6 +31,7 @@ import (
 	"hddcart/internal/cpu"
 	"hddcart/internal/dataset"
 	"hddcart/internal/detect"
+	"hddcart/internal/sweep"
 )
 
 // Spec parameterizes one generated equivalence case. The zero value is
@@ -285,33 +286,6 @@ func BinnedScalar() Path {
 	}}
 }
 
-// BinnedBatch scores the quantized rows through the binned batch engine
-// in blocks of the given size (0 = one call).
-func BinnedBatch(block int) Path {
-	return Path{Name: fmt.Sprintf("binned-batch/%d", block), Score: func(c *Case, dst []float64) {
-		forEachBlock(len(c.Codes), block, func(lo, hi int) {
-			c.Binned.PredictBatch(c.Codes[lo:hi], dst[lo:hi])
-		})
-	}}
-}
-
-// BinnedBatchScattered copies every quantized row into its own
-// allocation before scoring. The rows out of Quantize share one
-// contiguous backing array; this path pins the batch engine's
-// gathered-pointer kernels on rows that live in separate allocations,
-// as hand-built or sub-sampled slices do.
-func BinnedBatchScattered(block int) Path {
-	return Path{Name: fmt.Sprintf("binned-scattered/%d", block), Score: func(c *Case, dst []float64) {
-		scattered := make([][]uint8, len(c.Codes))
-		for i, codes := range c.Codes {
-			scattered[i] = append([]uint8(nil), codes...)
-		}
-		forEachBlock(len(scattered), block, func(lo, hi int) {
-			c.Binned.PredictBatch(scattered[lo:hi], dst[lo:hi])
-		})
-	}}
-}
-
 // TiledRange scores the feature-major tiled matrix through the sweep
 // kernels in row ranges of the given size (0 = one call). Range sizes
 // around dataset.TileRows exercise the tile-seam addressing.
@@ -343,47 +317,6 @@ func CompiledWorkers(workers int) Path {
 		forEachShard(len(c.X), workers, func(lo, hi int) {
 			c.Compiled.PredictBatch(c.X[lo:hi], dst[lo:hi])
 		})
-	}}
-}
-
-// BinnedWorkers is CompiledWorkers for the binned engine.
-func BinnedWorkers(workers int) Path {
-	return Path{Name: fmt.Sprintf("binned-workers/%d", workers), Score: func(c *Case, dst []float64) {
-		forEachShard(len(c.Codes), workers, func(lo, hi int) {
-			c.Binned.PredictBatch(c.Codes[lo:hi], dst[lo:hi])
-		})
-	}}
-}
-
-// PointerProb, CompiledProb and BinnedProb are the failed-probability
-// surfaces of the classification paths (NaN for regression trees on
-// every path alike).
-func PointerProb() Path {
-	return Path{Name: "pointer-prob", Score: func(c *Case, dst []float64) {
-		for i, row := range c.X {
-			dst[i] = c.Tree.ProbFailed(row)
-		}
-	}}
-}
-
-// CompiledProb is the compiled failed-probability batch surface.
-func CompiledProb() Path {
-	return Path{Name: "compiled-prob", Score: func(c *Case, dst []float64) {
-		c.Compiled.ProbFailedBatch(c.X, dst)
-	}}
-}
-
-// BinnedProb is the binned failed-probability batch surface.
-func BinnedProb() Path {
-	return Path{Name: "binned-prob", Score: func(c *Case, dst []float64) {
-		c.Binned.ProbFailedBatch(c.Codes, dst)
-	}}
-}
-
-// TiledProb is the tiled failed-probability surface.
-func TiledProb() Path {
-	return Path{Name: "tiled-prob", Score: func(c *Case, dst []float64) {
-		c.Binned.ProbFailedTiledRange(c.Tiled, 0, len(c.Codes), dst)
 	}}
 }
 
@@ -481,45 +414,57 @@ func (c *Case) PerturbWithinBin(seed int64) [][]float64 {
 	return out
 }
 
-// CheckDetect runs the float and binned detectors over the corpus as
-// drive series — Voting vs VotingBinned, MeanThreshold vs
-// MeanThresholdBinned, MultiVoting vs MultiVotingBinned at every worker
-// count, and ScanBatch vs ScanBatchBinned — requiring identical alarm
-// indexes and outcomes everywhere. The corpus is split into several
-// series so the fleet paths see more than one drive.
+// CheckDetect runs the float detectors and the fleet sweep over the
+// corpus as drive series — Voting and MeanThreshold through ScanBatch
+// against sweep.Run on the quantized series, and MultiVoting against the
+// sweep per window size — requiring identical outcomes at every worker
+// count. The corpus is the exact-bin domain: the bins were built from
+// these very rows, so float and binned scores agree on each of them.
+// It is split into several series so the sweep sees more than one drive
+// and more than one shard.
 func CheckDetect(c *Case, voters []int, workers []int) error {
 	series, binned := c.splitSeries(4)
-	for _, n := range voters {
-		fv := &detect.Voting{Model: c.Compiled, Voters: n}
-		bv := &detect.VotingBinned{Model: c.Binned, Voters: n}
-		fm := &detect.MeanThreshold{Model: c.Compiled, Voters: n, Threshold: -0.1}
-		bmn := &detect.MeanThresholdBinned{Model: c.Binned, Voters: n, Threshold: -0.1}
-		for d := range series {
-			if want, got := fv.Detect(series[d].X), bv.Detect(binned[d].Codes); want != got {
-				return fmt.Errorf("equiv: voting N=%d series %d: float alarm %d, binned %d", n, d, want, got)
-			}
-			if want, got := fm.Detect(series[d].X), bmn.Detect(binned[d].Codes); want != got {
-				return fmt.Errorf("equiv: mean N=%d series %d: float alarm %d, binned %d", n, d, want, got)
-			}
-		}
-		for _, w := range workers {
-			fOut := detect.ScanBatch(fv, series, nil, w)
-			bOut := detect.ScanBatchBinned(bv, binned, nil, w)
-			for d := range fOut {
-				if fOut[d] != bOut[d] {
-					return fmt.Errorf("equiv: scan-batch N=%d workers=%d series %d: float %+v, binned %+v",
-						n, w, d, fOut[d], bOut[d])
-				}
-			}
+	failHours := make([]int, len(series))
+	for d := range failHours {
+		failHours[d] = -1
+		if d%2 == 1 {
+			failHours[d] = 8*len(series[d].X) + 5
 		}
 	}
-	for _, w := range workers {
-		ref := (&detect.MultiVoting{Model: c.Compiled, Voters: voters, Workers: 1}).DetectAll(series[0].X)
-		got := (&detect.MultiVotingBinned{Model: c.Binned, Voters: voters, Workers: w}).DetectAll(binned[0].Codes)
-		for k := range ref {
-			if ref[k] != got[k] {
-				return fmt.Errorf("equiv: multi-voting workers=%d window %d: float alarm %d, binned %d",
-					w, voters[k], ref[k], got[k])
+	fleet, err := sweep.PrepareBinned(binned, 3)
+	if err != nil {
+		return fmt.Errorf("equiv: prepare sweep: %w", err)
+	}
+	const meanThreshold = -0.1
+	multi := make([][]detect.Outcome, len(series))
+	for d := range series {
+		mv := &detect.MultiVoting{Model: c.Compiled, Voters: voters, Workers: 1}
+		multi[d] = mv.ScanAll(series[d], failHours[d])
+	}
+	for k, n := range voters {
+		for _, w := range workers {
+			for _, mean := range []bool{false, true} {
+				var det detect.Detector = &detect.Voting{Model: c.Compiled, Voters: n}
+				cfg := sweep.Config{Voters: n, Workers: w}
+				if mean {
+					det = &detect.MeanThreshold{Model: c.Compiled, Voters: n, Threshold: meanThreshold}
+					cfg.Threshold, cfg.Mean = meanThreshold, true
+				}
+				want := detect.ScanBatch(det, series, failHours, w)
+				res, err := sweep.Run(c.Binned, fleet, failHours, cfg)
+				if err != nil {
+					return fmt.Errorf("equiv: sweep N=%d workers=%d mean=%v: %w", n, w, mean, err)
+				}
+				for d := range want {
+					if want[d] != res.Outcomes[d] {
+						return fmt.Errorf("equiv: N=%d workers=%d mean=%v series %d: float %+v, sweep %+v",
+							n, w, mean, d, want[d], res.Outcomes[d])
+					}
+					if !mean && multi[d][k] != res.Outcomes[d] {
+						return fmt.Errorf("equiv: multi-voting N=%d series %d: float %+v, sweep %+v",
+							n, d, multi[d][k], res.Outcomes[d])
+					}
+				}
 			}
 		}
 	}

@@ -42,14 +42,6 @@ func verdictPaths() []Path {
 		CompiledBatch(1025),
 		CompiledWorkers(4),
 		BinnedScalar(),
-		BinnedBatch(0),
-		BinnedBatch(1),
-		BinnedBatch(17),
-		BinnedBatch(1024),
-		BinnedBatch(1025),
-		BinnedBatchScattered(0),
-		BinnedBatchScattered(1024),
-		BinnedWorkers(4),
 		TiledRange(0),
 		TiledRange(1),
 		TiledRange(255),
@@ -60,11 +52,10 @@ func verdictPaths() []Path {
 }
 
 // TestEquivalenceMatrices is the tentpole assertion: over every
-// adversarial Spec, all twenty-three scoring paths are bit-identical on
-// the corpus — including the scattered-row paths whose rows live in
-// separate allocations and the feature-major tiled paths
-// the fleet-sweep engine runs on. CI additionally stress-runs this test
-// with -count=5 -race.
+// adversarial Spec, all fifteen scoring paths are bit-identical on the
+// corpus — including the feature-major tiled paths the fleet-sweep
+// engine runs on. CI additionally stress-runs this test with -count=5
+// -race.
 func TestEquivalenceMatrices(t *testing.T) {
 	for _, tc := range specMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -74,11 +65,6 @@ func TestEquivalenceMatrices(t *testing.T) {
 			}
 			if err := CheckAll(c, verdictPaths()...); err != nil {
 				t.Fatal(err)
-			}
-			if !tc.spec.Regression {
-				if err := CheckAll(c, PointerProb(), CompiledProb(), BinnedProb(), TiledProb()); err != nil {
-					t.Fatal(err)
-				}
 			}
 		})
 	}
@@ -127,7 +113,7 @@ func TestWithinBinMetamorphic(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := make([]float64, len(c.X))
-			BinnedBatch(0).Score(c, before)
+			BinnedScalar().Score(c, before)
 			for trial := int64(0); trial < 3; trial++ {
 				perturbed := c.PerturbWithinBin(1000 + trial)
 				codes, err := c.Bins.Quantize(perturbed)
@@ -142,12 +128,10 @@ func TestWithinBinMetamorphic(t *testing.T) {
 						}
 					}
 				}
-				after := make([]float64, len(codes))
-				c.Binned.PredictBatch(codes, after)
-				for i := range after {
-					if !sameBits(before[i], after[i]) {
+				for i, row := range codes {
+					if after := c.Binned.Predict(row); !sameBits(before[i], after) {
 						t.Fatalf("trial %d row %d: binned verdict changed under within-bin perturbation: %v → %v",
-							trial, i, before[i], after[i])
+							trial, i, before[i], after)
 					}
 				}
 			}
@@ -155,8 +139,8 @@ func TestWithinBinMetamorphic(t *testing.T) {
 	}
 }
 
-// TestCheckDetect runs the detect-level half of the harness: float vs
-// binned detectors across window sizes and worker counts.
+// TestCheckDetect runs the detect-level half of the harness: float
+// detectors vs the fleet sweep across window sizes and worker counts.
 func TestCheckDetect(t *testing.T) {
 	for _, tc := range specMatrix()[:3] {
 		t.Run(tc.name, func(t *testing.T) {

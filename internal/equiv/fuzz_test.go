@@ -40,25 +40,19 @@ func FuzzBinnedInferenceEquivalence(f *testing.F) {
 		}
 		if err := CheckAll(c,
 			Pointer(), CompiledScalar(), CompiledBatch(0), CompiledBatch(33),
-			BinnedScalar(), BinnedBatch(0), BinnedBatch(33),
-			TiledRange(0), TiledRange(33),
+			BinnedScalar(), TiledRange(0), TiledRange(33),
 		); err != nil {
 			t.Fatal(err)
 		}
 		// The dispatch-sensitive paths must also hold under every kernel
 		// tier this build supports — the fuzzer hunts for corpus shapes
 		// where a vector tier's seam handling diverges from scalar.
-		for _, p := range []Path{BinnedBatch(0), TiledRange(0), TiledRange(33)} {
+		for _, p := range []Path{TiledRange(0), TiledRange(33)} {
 			forced := make([]Path, 0, 3)
 			for _, k := range cpu.Kernels() {
 				forced = append(forced, ForceKernel(k, p))
 			}
 			if err := CheckAll(c, forced...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !spec.Regression {
-			if err := CheckAll(c, PointerProb(), CompiledProb(), BinnedProb(), TiledProb()); err != nil {
 				t.Fatal(err)
 			}
 		}

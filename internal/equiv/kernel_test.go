@@ -14,15 +14,11 @@ import (
 // words, 16-element blind-store windows) and the 256-row tile seam.
 func kernelPaths() []Path {
 	return []Path{
-		BinnedBatch(0),
-		BinnedBatch(17),
-		BinnedBatchScattered(1024),
 		TiledRange(0),
 		TiledRange(255),
 		TiledRange(256),
 		TiledRange(257),
 		TiledWorkers(4),
-		BinnedWorkers(4),
 	}
 }
 

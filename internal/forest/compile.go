@@ -2,7 +2,6 @@ package forest
 
 import (
 	"math"
-	"sync"
 
 	"hddcart/internal/cart"
 )
@@ -60,18 +59,6 @@ func (c *Compiled) ProbFailed(x []float64) float64 {
 	return float64(failed) / float64(len(c.Trees))
 }
 
-// scoreBlock caps how many samples the batch paths run through the whole
-// ensemble at a time: within a block the rows stay cache-resident, so only
-// the first tree pays the cost of streaming them in.
-const scoreBlock = 1024
-
-// treeScores pools the per-tree score buffer the batch paths accumulate
-// from, keeping steady-state ensemble scoring allocation-free.
-var treeScores = sync.Pool{New: func() any {
-	s := make([]float64, scoreBlock)
-	return &s
-}}
-
 // PredictBatch scores a block of feature vectors into dst and returns it
 // (nil or short dst allocates; a caller-provided len(xs) buffer keeps the
 // path allocation-free). dst[i] equals Predict(xs[i]) exactly: per sample
@@ -102,46 +89,5 @@ func (c *Compiled) PredictBatch(xs [][]float64, dst []float64) []float64 {
 	for i, v := range dst {
 		dst[i] = v / nt
 	}
-	return dst
-}
-
-// ProbFailedBatch fills dst with per-sample failed-vote fractions,
-// matching ProbFailed exactly.
-//
-//hddlint:noalloc
-func (c *Compiled) ProbFailedBatch(xs [][]float64, dst []float64) []float64 {
-	if cap(dst) < len(xs) {
-		//hddlint:ignore hotalloc cold path: a nil or short dst allocates once; callers pass a len(xs) buffer to stay allocation-free
-		dst = make([]float64, len(xs))
-	}
-	dst = dst[:len(xs)]
-	if len(c.Trees) == 0 {
-		for i := range dst {
-			dst[i] = math.NaN()
-		}
-		return dst
-	}
-	nt := float64(len(c.Trees))
-	tp := treeScores.Get().(*[]float64)
-	for lo := 0; lo < len(xs); lo += scoreBlock {
-		hi := min(lo+scoreBlock, len(xs))
-		block, acc := xs[lo:hi], dst[lo:hi]
-		tmp := (*tp)[:len(block)]
-		for i := range acc {
-			acc[i] = 0
-		}
-		for _, t := range c.Trees {
-			t.PredictBatch(block, tmp)
-			for i, v := range tmp {
-				if v < 0 {
-					acc[i]++
-				}
-			}
-		}
-		for i, v := range acc {
-			acc[i] = v / nt
-		}
-	}
-	treeScores.Put(tp)
 	return dst
 }

@@ -72,39 +72,11 @@ func (b *Binned) ProbFailed(codes []uint8) float64 {
 	return float64(failed) / float64(len(b.Trees))
 }
 
-// PredictBatch scores a block of quantized rows into dst and returns it
-// (nil or short dst allocates; a caller-provided len(xs) buffer keeps the
-// path allocation-free). dst[i] equals Predict(xs[i]) exactly.
-//
-//hddlint:noalloc
-func (b *Binned) PredictBatch(xs [][]uint8, dst []float64) []float64 {
-	if cap(dst) < len(xs) {
-		//hddlint:ignore hotalloc cold path: a nil or short dst allocates once; callers pass a len(xs) buffer to stay allocation-free
-		dst = make([]float64, len(xs))
-	}
-	dst = dst[:len(xs)]
-	if len(b.Trees) == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return dst
-	}
-	nt := float64(len(b.Trees))
-	for i := range dst {
-		dst[i] = 0
-	}
-	cart.AccumulateBatchBinned(b.Trees, xs, dst)
-	for i, v := range dst {
-		dst[i] = v / nt
-	}
-	return dst
-}
-
 // PredictTiledRange scores rows [lo, hi) of a feature-major tiled code
-// matrix into dst[:hi-lo], bit-identical to PredictBatch on the same
-// rows: member predictions accumulate in tree order per sample, then
-// divide by the tree count. dst must hold at least hi-lo entries. This
-// makes Binned an internal/sweep TiledPredictor.
+// matrix into dst[:hi-lo], bit-identical to Predict on each row: member
+// predictions accumulate in tree order per sample, then divide by the
+// tree count. dst must hold at least hi-lo entries. This makes Binned an
+// internal/sweep TiledPredictor.
 //
 //hddlint:noalloc
 func (b *Binned) PredictTiledRange(tm *dataset.TiledMatrix, lo, hi int, dst []float64) {
@@ -120,45 +92,4 @@ func (b *Binned) PredictTiledRange(tm *dataset.TiledMatrix, lo, hi int, dst []fl
 	for i, v := range dst {
 		dst[i] = v / nt
 	}
-}
-
-// ProbFailedBatch fills dst with per-sample failed-vote fractions,
-// matching ProbFailed exactly.
-//
-//hddlint:noalloc
-func (b *Binned) ProbFailedBatch(xs [][]uint8, dst []float64) []float64 {
-	if cap(dst) < len(xs) {
-		//hddlint:ignore hotalloc cold path: a nil or short dst allocates once; callers pass a len(xs) buffer to stay allocation-free
-		dst = make([]float64, len(xs))
-	}
-	dst = dst[:len(xs)]
-	if len(b.Trees) == 0 {
-		for i := range dst {
-			dst[i] = math.NaN()
-		}
-		return dst
-	}
-	nt := float64(len(b.Trees))
-	tp := treeScores.Get().(*[]float64)
-	for lo := 0; lo < len(xs); lo += scoreBlock {
-		hi := min(lo+scoreBlock, len(xs))
-		block, acc := xs[lo:hi], dst[lo:hi]
-		tmp := (*tp)[:len(block)]
-		for i := range acc {
-			acc[i] = 0
-		}
-		for _, t := range b.Trees {
-			t.PredictBatch(block, tmp)
-			for i, v := range tmp {
-				if v < 0 {
-					acc[i]++
-				}
-			}
-		}
-		for i, v := range acc {
-			acc[i] = v / nt
-		}
-	}
-	treeScores.Put(tp)
-	return dst
 }

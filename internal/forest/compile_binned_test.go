@@ -65,13 +65,18 @@ func TestBinnedForestBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		preds := b.PredictBatch(codes, nil)
+		tm, err := dataset.TileCodes(codes, bm.NumFeatures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds := make([]float64, len(codes))
+		b.PredictTiledRange(tm, 0, len(codes), preds)
 		for i, p := range probes {
 			if want, got := c.Predict(p), b.Predict(codes[i]); want != got {
 				t.Fatalf("%s: Predict diverged at %d: float %v, binned %v", kind, i, want, got)
 			}
 			if preds[i] != c.Predict(p) {
-				t.Fatalf("%s: PredictBatch diverged at %d", kind, i)
+				t.Fatalf("%s: PredictTiledRange diverged at %d", kind, i)
 			}
 			if c.PredictFailed(p) != b.PredictFailed(codes[i]) {
 				t.Fatalf("%s: PredictFailed diverged at %d", kind, i)
@@ -81,20 +86,12 @@ func TestBinnedForestBitIdentical(t *testing.T) {
 				t.Fatalf("%s: ProbFailed diverged at %d: %v vs %v", kind, i, pw, pg)
 			}
 		}
-		probs := b.ProbFailedBatch(codes, preds) // reuse the buffer
-		for i, p := range probes {
-			pw := c.ProbFailed(p)
-			if probs[i] != pw && !(math.IsNaN(pw) && math.IsNaN(probs[i])) {
-				t.Fatalf("%s: ProbFailedBatch diverged at %d", kind, i)
-			}
-		}
 	}
 }
 
+// TestBinnedForestBatchNoAlloc proves per-row code-space scoring — the
+// Monitor's Bins path — allocates nothing.
 func TestBinnedForestBatchNoAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds items under the race detector")
-	}
 	x, y, w := trainingData(77, 400, 5, true)
 	f, err := TrainClassifier(x, y, w, Config{Trees: 8, Seed: 3, Workers: 2})
 	if err != nil {
@@ -112,12 +109,13 @@ func TestBinnedForestBatchNoAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]float64, len(codes))
-	if allocs := testing.AllocsPerRun(10, func() { b.PredictBatch(codes, dst) }); allocs != 0 {
-		t.Fatalf("PredictBatch with caller buffer allocated %.0f times per run", allocs)
-	}
-	if allocs := testing.AllocsPerRun(10, func() { b.ProbFailedBatch(codes, dst) }); allocs != 0 {
-		t.Fatalf("ProbFailedBatch with caller buffer allocated %.0f times per run", allocs)
+	var sink float64
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, row := range codes {
+			sink += b.Predict(row) + b.ProbFailed(row)
+		}
+	}); allocs != 0 {
+		t.Fatalf("per-row Predict/ProbFailed allocated %.0f times per run (sink %v)", allocs, sink)
 	}
 }
 
@@ -135,9 +133,5 @@ func TestBinnedForestEmpty(t *testing.T) {
 	}
 	if got := b.ProbFailed([]uint8{0}); !math.IsNaN(got) {
 		t.Fatalf("empty binned forest ProbFailed = %v, want NaN", got)
-	}
-	out := b.PredictBatch([][]uint8{{0}, {0}}, nil)
-	if len(out) != 2 || out[0] != 0 || out[1] != 0 {
-		t.Fatalf("empty binned forest PredictBatch = %v", out)
 	}
 }

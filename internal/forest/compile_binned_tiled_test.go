@@ -6,9 +6,9 @@ import (
 	"hddcart/internal/dataset"
 )
 
-// TestBinnedForestTiledRange checks PredictTiledRange against
-// PredictBatch bit for bit over ranges crossing tile boundaries —
-// the TiledPredictor contract the sweep engine relies on.
+// TestBinnedForestTiledRange checks PredictTiledRange against per-row
+// Predict bit for bit over ranges crossing tile boundaries — the
+// TiledPredictor contract the sweep engine relies on.
 func TestBinnedForestTiledRange(t *testing.T) {
 	x, y, w := trainingData(401, 600, 6, true)
 	f, err := TrainClassifier(x, y, w, Config{Trees: 12, Seed: 2, Workers: 2})
@@ -32,7 +32,10 @@ func TestBinnedForestTiledRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := b.PredictBatch(codes, nil)
+	want := make([]float64, len(codes))
+	for i, row := range codes {
+		want[i] = b.Predict(row)
+	}
 	dst := make([]float64, len(codes))
 	for _, r := range [][2]int{{0, len(codes)}, {0, 0}, {3, 17},
 		{dataset.TileRows - 5, dataset.TileRows + 5}, {100, len(codes) - 1}} {
@@ -44,7 +47,7 @@ func TestBinnedForestTiledRange(t *testing.T) {
 			}
 		}
 	}
-	// Empty forest: zeros everywhere, like PredictBatch.
+	// Empty forest: zeros everywhere, like Predict.
 	empty, err := (&Forest{}).Compile().CompileBinned(bm)
 	if err != nil {
 		t.Fatal(err)

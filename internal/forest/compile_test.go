@@ -83,13 +83,6 @@ func TestCompiledForestBitIdentical(t *testing.T) {
 				t.Fatalf("%s: ProbFailed diverged at %d: %v vs %v", kind, i, pw, pg)
 			}
 		}
-		probs := c.ProbFailedBatch(probes, preds) // reuse the buffer
-		for i, p := range probes {
-			pw := f.ProbFailed(p)
-			if probs[i] != pw && !(math.IsNaN(pw) && math.IsNaN(probs[i])) {
-				t.Fatalf("%s: ProbFailedBatch diverged at %d", kind, i)
-			}
-		}
 	}
 }
 
@@ -106,9 +99,6 @@ func TestCompiledForestBatchNoAlloc(t *testing.T) {
 	dst := make([]float64, len(x))
 	if allocs := testing.AllocsPerRun(10, func() { c.PredictBatch(x, dst) }); allocs != 0 {
 		t.Fatalf("PredictBatch with caller buffer allocated %.0f times per run", allocs)
-	}
-	if allocs := testing.AllocsPerRun(10, func() { c.ProbFailedBatch(x, dst) }); allocs != 0 {
-		t.Fatalf("ProbFailedBatch with caller buffer allocated %.0f times per run", allocs)
 	}
 }
 

@@ -88,25 +88,16 @@ func buildBenchFleet(b *testing.B) *benchFleet {
 	return f
 }
 
-// BenchmarkFleetSweep measures the 1M-drive sweep. direct/workers=1 is the
-// per-drive binned scan (detect.ScanBatchBinnedDirect — the path the
-// sweep engine replaced for fleet-scale scans); tiled/workers=W is the
+// BenchmarkFleetSweep measures the 1M-drive sweep. tiled/workers=W is the
 // sharded engine over a prepared fleet, so the timed region is pure scan:
 // partition kernels plus alarm replay, quantization and tiling already
 // paid. prepare prices that one-time packing. Msamples/s is fleet-scan
-// throughput; outcomes are byte-identical across every variant.
+// throughput; outcomes are byte-identical across every worker count.
 func BenchmarkFleetSweep(b *testing.B) {
 	f := buildBenchFleet(b)
 	throughput := func(b *testing.B) {
 		b.ReportMetric(float64(f.samples)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msamples/s")
 	}
-	det := &detect.VotingBinned{Model: f.bt, Voters: 3}
-	b.Run("direct/workers=1", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			detect.ScanBatchBinnedDirect(det, f.series, f.failHours, 1)
-		}
-		throughput(b)
-	})
 	b.Run("prepare", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := PrepareBinned(f.series, 0); err != nil {

@@ -17,8 +17,8 @@
 //     shard count. The internal/equiv matrices and the determinism
 //     matrix test pin this.
 //
-// Unlike the per-drive scan (detect.ScanBatchBinned's direct path), a
-// sweep scores every sample of every drive — there is no early-exit on
+// Unlike the per-drive detectors (detect.Voting, detect.MeanThreshold),
+// a sweep scores every sample of every drive — there is no early exit on
 // alarm — and then replays the shared NaN-excluding window sweeps
 // (detect.VoteAlarm / detect.MeanAlarm) over each drive's score segment,
 // which yields exactly the same alarm indexes. Fleets are overwhelmingly
@@ -43,14 +43,14 @@ import (
 
 // TiledPredictor scores rows [lo, hi) of a feature-major tiled code
 // matrix into dst[:hi-lo]. cart.BinnedTree, forest.Binned and
-// boost.Binned implement it, each bit-identical to its PredictBatch on
-// the same rows — the contract that makes sweep outcomes equal the
-// per-drive scan's.
+// boost.Binned implement it, each bit-identical to its per-row Predict —
+// the contract that makes sweep outcomes equal a per-row scan's.
 type TiledPredictor interface {
 	PredictTiledRange(tm *dataset.TiledMatrix, lo, hi int, dst []float64)
 }
 
-// DefaultShards is the shard count used when Config.Shards is zero.
+// DefaultShards is the shard count Prepare and PrepareBinned use when
+// asked for zero shards.
 const DefaultShards = 16
 
 // itemTiles sets work-item granularity: an item spans whole drives
@@ -71,9 +71,6 @@ type Config struct {
 	// Mean selects the health-degree (mean-threshold) sweep instead of
 	// the voting sweep.
 	Mean bool
-	// Shards is P, the shard count (0 = DefaultShards). Outcomes are
-	// identical for every value; only the per-shard stats grouping moves.
-	Shards int
 	// Workers caps the scan goroutines (0 = GOMAXPROCS). Results are
 	// identical for every value.
 	Workers int
@@ -218,7 +215,7 @@ func shardOf(drive, p int) int {
 	return int(z % uint64(p))
 }
 
-// resolveShards validates and defaults a Config shard count.
+// resolveShards validates and defaults a requested shard count.
 func resolveShards(shards int) (int, error) {
 	if shards < 0 {
 		return 0, fmt.Errorf("sweep: shard count must be non-negative, got %d", shards)
@@ -508,26 +505,4 @@ func runItem(model TiledPredictor, s *shard, it *workItem, sc *scratch,
 	s.stats.alarms.Add(alarms)
 	s.stats.samples.Add(samples)
 	s.stats.nan.Add(nan)
-}
-
-// SweepFleet prepares and runs a sweep over float series in one call:
-// quantize once (Prepare), then scan. Use Prepare + Run directly to
-// amortize preparation across several sweeps of the same fleet.
-func SweepFleet(model TiledPredictor, bm *dataset.BinnedMatrix, series []detect.Series,
-	failHours []int, cfg Config) (*Result, error) {
-	fleet, err := Prepare(bm, series, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	return Run(model, fleet, failHours, cfg)
-}
-
-// SweepFleetBinned is SweepFleet over already-quantized series.
-func SweepFleetBinned(model TiledPredictor, series []detect.BinnedSeries,
-	failHours []int, cfg Config) (*Result, error) {
-	fleet, err := PrepareBinned(series, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	return Run(model, fleet, failHours, cfg)
 }

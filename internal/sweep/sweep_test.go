@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -75,46 +76,127 @@ func sweepFixture(t testing.TB, seed int64, drives, maxSamples int) (*cart.Binne
 	return bt, bm, series, binned, failHours
 }
 
-// TestSweepMatchesDirectScan is the engine's correctness anchor: for
-// both detector families and either preparation path, sweep outcomes
-// must equal the per-drive direct scan's, drive for drive.
-func TestSweepMatchesDirectScan(t *testing.T) {
-	bt, bm, series, binned, failHours := sweepFixture(t, 7, 60, 900)
-	for _, voters := range []int{1, 3, 7} {
-		vd := &detect.VotingBinned{Model: bt, Voters: voters}
-		want := detect.ScanBatchBinnedDirect(vd, binned, failHours, 1)
-		res, err := SweepFleetBinned(bt, binned, failHours, Config{Voters: voters, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
+// nanLeaves returns a copy of bt whose every third leaf scores NaN, so
+// sweeps over it exercise the window sweeps' NaN exclusion. The copy
+// shares bt's routing; only the leaf payloads differ, and they differ
+// identically for Predict and PredictTiledRange.
+func nanLeaves(bt *cart.BinnedTree) *cart.BinnedTree {
+	nt := *bt
+	nt.Value = append([]float64(nil), bt.Value...)
+	leaves := 0
+	for i, f := range nt.Feature {
+		if f < 0 {
+			if leaves%3 == 0 {
+				nt.Value[i] = math.NaN()
+			}
+			leaves++
 		}
-		if !reflect.DeepEqual(res.Outcomes, want) {
-			t.Fatalf("voters=%d: voting sweep diverged from direct scan", voters)
-		}
+	}
+	return &nt
+}
 
-		md := &detect.MeanThresholdBinned{Model: bt, Voters: voters, Threshold: -0.1}
-		wantM := detect.ScanBatchBinnedDirect(md, binned, failHours, 1)
-		resM, err := SweepFleetBinned(bt, binned, failHours,
-			Config{Voters: voters, Threshold: -0.1, Mean: true, Workers: 2})
+// reference is the sweep's independent reference: every code row scored
+// with the per-row BinnedTree.Predict, the shared window sweep
+// (detect.VoteAlarm or detect.MeanAlarm) run over each drive's scores,
+// and the alarm index converted by detect.AlarmOutcome — the semantics
+// the repository benchmark checks the sweep against. It also returns the
+// deterministic stats the sweep must report.
+func reference(bt *cart.BinnedTree, binned []detect.BinnedSeries, failHours []int, cfg Config) ([]detect.Outcome, Stats) {
+	out := make([]detect.Outcome, len(binned))
+	var st Stats
+	for d, s := range binned {
+		scores := make([]float64, len(s.Codes))
+		for i, row := range s.Codes {
+			scores[i] = bt.Predict(row)
+		}
+		var idx, excl int
+		if cfg.Mean {
+			idx, excl = detect.MeanAlarm(scores, cfg.Voters, cfg.Threshold)
+		} else {
+			idx, excl = detect.VoteAlarm(scores, cfg.Voters, cfg.Threshold)
+		}
+		fh := -1
+		if failHours != nil {
+			fh = failHours[d]
+		}
+		out[d] = detect.AlarmOutcome(s.Hours, idx, fh)
+		st.Drives++
+		st.Samples += int64(len(s.Codes))
+		st.NaNExcluded += int64(excl + s.Dropped)
+		if out[d].Alarmed {
+			st.Alarms++
+		}
+	}
+	return out, st
+}
+
+// sweepBinned packs an already-quantized fleet at the default shard
+// count and sweeps it once.
+func sweepBinned(t *testing.T, bt *cart.BinnedTree, binned []detect.BinnedSeries, failHours []int, cfg Config) *Result {
+	t.Helper()
+	fleet, err := PrepareBinned(binned, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(bt, fleet, failHours, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// requireReference fails unless res carries exactly the reference
+// outcomes and deterministic stats.
+func requireReference(t *testing.T, name string, res *Result, bt *cart.BinnedTree,
+	binned []detect.BinnedSeries, failHours []int, cfg Config) {
+	t.Helper()
+	want, st := reference(bt, binned, failHours, cfg)
+	if len(res.Outcomes) != len(want) {
+		t.Fatalf("%s: sweep returned %d outcomes, reference %d", name, len(res.Outcomes), len(want))
+	}
+	for d := range want {
+		if res.Outcomes[d] != want[d] {
+			t.Fatalf("%s: drive %d: sweep %+v, reference %+v", name, d, res.Outcomes[d], want[d])
+		}
+	}
+	if res.Total.Canon() != st {
+		t.Fatalf("%s: stats %+v, reference %+v", name, res.Total.Canon(), st)
+	}
+}
+
+// TestSweepMatchesDirectScan is the engine's correctness anchor: for
+// both window sweeps, either preparation path, models with and without
+// NaN scores, and fleets of 1, 7 and 4095 drives, sweep outcomes and
+// stats must equal the per-row reference, drive for drive.
+func TestSweepMatchesDirectScan(t *testing.T) {
+	for _, drives := range []int{1, 7, 4095} {
+		bt, bm, series, binned, failHours := sweepFixture(t, int64(7+drives), drives, 60)
+		fromFloat, err := Prepare(bm, series, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(resM.Outcomes, wantM) {
-			t.Fatalf("voters=%d: mean sweep diverged from direct scan", voters)
+		fromCodes, err := PrepareBinned(binned, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The float path (Prepare quantizes inside the engine) must land on
-	// the same codes, hence the same outcomes.
-	fleet, err := Prepare(bm, series, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(bt, fleet, failHours, Config{Voters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := detect.ScanBatchBinnedDirect(&detect.VotingBinned{Model: bt, Voters: 3}, binned, failHours, 1)
-	if !reflect.DeepEqual(res.Outcomes, want) {
-		t.Fatal("float-prepared sweep diverged from direct scan")
+		for _, model := range []*cart.BinnedTree{bt, nanLeaves(bt)} {
+			for _, voters := range []int{1, 3, 11} {
+				for _, cfg := range []Config{
+					{Voters: voters, Workers: 2},
+					{Voters: voters, Threshold: -0.1, Mean: true, Workers: 2},
+				} {
+					for prep, fleet := range []*Fleet{fromFloat, fromCodes} {
+						res, err := Run(model, fleet, failHours, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("drives=%d voters=%d mean=%v prepared-from-codes=%v nan=%v",
+							drives, voters, cfg.Mean, prep == 1, model != bt)
+						requireReference(t, name, res, model, binned, failHours, cfg)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -165,14 +247,15 @@ func TestSweepDeterminismMatrix(t *testing.T) {
 }
 
 // TestSweepStats checks the merged counters against ground truth the
-// test can compute independently. The fixture model never scores NaN, so
-// NaNExcluded must equal the sum of upstream dropped-record counts.
+// test can compute independently: Drives, Samples and the upstream
+// dropped-record counts from the fleet itself, Alarms from the outcomes,
+// and NaNExcluded as dropped records plus the NaN scores the reference
+// sweep skipped.
 func TestSweepStats(t *testing.T) {
 	bt, _, _, binned, failHours := sweepFixture(t, 13, 50, 600)
-	res, err := SweepFleetBinned(bt, binned, failHours, Config{Voters: 3, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := nanLeaves(bt)
+	cfg := Config{Voters: 3, Workers: 2}
+	res := sweepBinned(t, model, binned, failHours, cfg)
 	var samples, dropped, alarms int64
 	for i := range binned {
 		samples += int64(len(binned[i].Codes))
@@ -183,14 +266,16 @@ func TestSweepStats(t *testing.T) {
 			alarms++
 		}
 	}
+	_, st := reference(model, binned, failHours, cfg)
 	if res.Total.Drives != int64(len(binned)) {
 		t.Fatalf("Drives = %d, want %d", res.Total.Drives, len(binned))
 	}
 	if res.Total.Samples != samples {
 		t.Fatalf("Samples = %d, want %d", res.Total.Samples, samples)
 	}
-	if res.Total.NaNExcluded != dropped {
-		t.Fatalf("NaNExcluded = %d, want %d", res.Total.NaNExcluded, dropped)
+	if res.Total.NaNExcluded != st.NaNExcluded || st.NaNExcluded <= dropped {
+		t.Fatalf("NaNExcluded = %d, reference %d (dropped %d; NaN scores must add to it)",
+			res.Total.NaNExcluded, st.NaNExcluded, dropped)
 	}
 	if res.Total.Alarms != alarms {
 		t.Fatalf("Alarms = %d, want %d (from outcomes)", res.Total.Alarms, alarms)
@@ -198,8 +283,17 @@ func TestSweepStats(t *testing.T) {
 	if alarms == 0 {
 		t.Fatal("fixture produced no alarms; stats check is vacuous")
 	}
+	// The fixture model never scores NaN, so there NaNExcluded is exactly
+	// the dropped-record count.
+	if plain := sweepBinned(t, bt, binned, failHours, cfg); plain.Total.NaNExcluded != dropped {
+		t.Fatalf("NaN-free NaNExcluded = %d, want %d", plain.Total.NaNExcluded, dropped)
+	}
 	// One worker on one shard never leaves home.
-	one, err := SweepFleetBinned(bt, binned, failHours, Config{Voters: 3, Shards: 1, Workers: 1})
+	fleet, err := PrepareBinned(binned, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Run(bt, fleet, failHours, Config{Voters: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,75 +302,17 @@ func TestSweepStats(t *testing.T) {
 	}
 }
 
-// TestScanDelegate covers the detect-facing adapter directly: it must
-// accept both binned detector families, reproduce the direct scan, and
-// decline models without a tiled path.
-func TestScanDelegate(t *testing.T) {
-	bt, _, _, binned, failHours := sweepFixture(t, 17, 40, 300)
-	vd := &detect.VotingBinned{Model: bt, Voters: 3}
-	out, ok := scanDelegate(vd, binned, failHours, 2)
-	if !ok {
-		t.Fatal("delegate declined a VotingBinned over a tiled-capable model")
-	}
-	if want := detect.ScanBatchBinnedDirect(vd, binned, failHours, 1); !reflect.DeepEqual(out, want) {
-		t.Fatal("delegated voting scan diverged from direct scan")
-	}
-	md := &detect.MeanThresholdBinned{Model: bt, Voters: 5, Threshold: -0.1}
-	out, ok = scanDelegate(md, binned, failHours, 2)
-	if !ok {
-		t.Fatal("delegate declined a MeanThresholdBinned over a tiled-capable model")
-	}
-	if want := detect.ScanBatchBinnedDirect(md, binned, failHours, 1); !reflect.DeepEqual(out, want) {
-		t.Fatal("delegated mean scan diverged from direct scan")
-	}
-	if _, ok := scanDelegate(noTileDetector{}, binned, failHours, 1); ok {
-		t.Fatal("delegate accepted an unknown detector type")
-	}
-}
-
-// noTileDetector is a BinnedDetector the delegate has no tiled path for.
-type noTileDetector struct{}
-
-func (noTileDetector) Detect([][]uint8) int { return -1 }
-
-// TestSweepDelegationEndToEnd drives a fleet past SweepDelegateMin
-// through detect.ScanBatchBinned, so the init-registered sweeper takes
-// the scan, and checks it equals the per-drive direct path.
-func TestSweepDelegationEndToEnd(t *testing.T) {
-	bt, _, _, binned, _ := sweepFixture(t, 19, 30, 40)
-	big := make([]detect.BinnedSeries, detect.SweepDelegateMin+5)
-	failHours := make([]int, len(big))
-	for i := range big {
-		big[i] = binned[i%len(binned)]
-		failHours[i] = -1
-		if i%7 == 0 && len(big[i].Hours) > 0 {
-			failHours[i] = big[i].Hours[len(big[i].Hours)-1]
-		}
-	}
-	vd := &detect.VotingBinned{Model: bt, Voters: 3}
-	want := detect.ScanBatchBinnedDirect(vd, big, failHours, 1)
-	got := detect.ScanBatchBinned(vd, big, failHours, 2)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("delegated ScanBatchBinned diverged from the direct path")
-	}
-}
-
-// TestSweepEdgeCases: empty fleets, all-empty drives, and a single
-// drive must all produce well-formed results.
+// TestSweepEdgeCases: empty fleets, all-empty drives, a single drive, and
+// empty drives mixed into a NaN-scoring fleet must all produce
+// well-formed results equal to the reference.
 func TestSweepEdgeCases(t *testing.T) {
 	bt, _, _, binned, failHours := sweepFixture(t, 23, 8, 120)
-	res, err := SweepFleetBinned(bt, nil, nil, Config{Voters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweepBinned(t, bt, nil, nil, Config{Voters: 3})
 	if len(res.Outcomes) != 0 || res.Total != (Stats{}) {
 		t.Fatalf("empty fleet: %d outcomes, total %+v", len(res.Outcomes), res.Total)
 	}
 	empty := make([]detect.BinnedSeries, 5)
-	res, err = SweepFleetBinned(bt, empty, nil, Config{Voters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = sweepBinned(t, bt, empty, nil, Config{Voters: 3})
 	if len(res.Outcomes) != 5 || res.Total.Drives != 5 || res.Total.Samples != 0 {
 		t.Fatalf("all-empty drives: %d outcomes, total %+v", len(res.Outcomes), res.Total)
 	}
@@ -285,13 +321,17 @@ func TestSweepEdgeCases(t *testing.T) {
 			t.Fatalf("empty drive %d alarmed", i)
 		}
 	}
-	one, err := SweepFleetBinned(bt, binned[:1], failHours[:1], Config{Voters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := detect.ScanBatchBinnedDirect(&detect.VotingBinned{Model: bt, Voters: 3}, binned[:1], failHours[:1], 1)
-	if !reflect.DeepEqual(one.Outcomes, want) {
-		t.Fatal("single-drive sweep diverged from direct scan")
+	single := Config{Voters: 3}
+	one := sweepBinned(t, bt, binned[:1], failHours[:1], single)
+	requireReference(t, "single drive", one, bt, binned[:1], failHours[:1], single)
+
+	mixed := append([]detect.BinnedSeries{{}}, binned...)
+	mixed = append(mixed, detect.BinnedSeries{Dropped: 2})
+	mixedFail := append(append([]int{-1}, failHours...), -1)
+	model := nanLeaves(bt)
+	for _, cfg := range []Config{{Voters: 11}, {Voters: 11, Threshold: -0.1, Mean: true}} {
+		res := sweepBinned(t, model, mixed, mixedFail, cfg)
+		requireReference(t, fmt.Sprintf("mixed mean=%v", cfg.Mean), res, model, mixed, mixedFail, cfg)
 	}
 }
 
