@@ -139,6 +139,53 @@ func TestAccumulateTiledRange(t *testing.T) {
 	}
 }
 
+// TestAccumulateBatchBinned checks code-space ensemble accumulation
+// against the float AccumulateBatch over the same corpus: trees trained
+// on one bin budget score the corpus bit-identically in both spaces, so
+// the tree-order sums must agree at sizes around the float engine's
+// block boundaries.
+func TestAccumulateBatchBinned(t *testing.T) {
+	x, y, w := synthClassification(5, 1500, 4)
+	bm, err := dataset.BinMatrix(x, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes, err := bm.Quantize(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var float []*CompiledTree
+	var trees []*BinnedTree
+	for _, lossFA := range []float64{2, 10, 40} {
+		tree, err := TrainClassifier(x, y, w, Params{LossFA: lossFA, MaxBins: 16, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := tree.Compile()
+		bt, err := ct.CompileBinned(bm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		float = append(float, ct)
+		trees = append(trees, bt)
+	}
+	tm, err := dataset.TileCodes(codes, bm.NumFeatures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{minPartitionBatch - 1, partitionBlock + 37, len(codes)} {
+		want := make([]float64, n)
+		AccumulateBatch(float, x[:n], want)
+		got := make([]float64, n)
+		AccumulateTiledRange(trees, tm, 0, n, got)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: row %d: binned %v, float %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestTiledRangePanics pins the safety contract: out-of-bounds ranges
 // and too-narrow matrices panic instead of reading wild memory.
 func TestTiledRangePanics(t *testing.T) {

@@ -113,6 +113,82 @@ func TestBinnedDetectorsMatchFloat(t *testing.T) {
 	}
 }
 
+// TestMultiVotingBinnedMatchesFloat checks the multi-window sweep across
+// worker counts against the code-space reference: on quantized input,
+// every window's alarm must equal binned per-row scoring followed by the
+// shared vote sweep, independent of Workers.
+func TestMultiVotingBinnedMatchesFloat(t *testing.T) {
+	ct, bt, bm, series := binnedDetectFixture(t, 77)
+	binned := quantizeAll(t, bm, series)
+	voters := []int{1, 2, 5, 9, 32}
+	for _, workers := range []int{0, 1, 3} {
+		mv := &MultiVoting{Model: ct, Voters: voters, Workers: workers}
+		for i := range series {
+			got := mv.DetectAll(series[i].X)
+			if len(got) != len(voters) {
+				t.Fatalf("workers=%d drive %d: got %d alarms, want %d", workers, i, len(got), len(voters))
+			}
+			for k, n := range voters {
+				if want := binnedAlarm(bt, binned[i].Codes, n, 0, false); got[k] != want {
+					t.Fatalf("workers=%d drive %d window %d: float %d vs binned %d",
+						workers, i, n, got[k], want)
+				}
+			}
+		}
+		if got := mv.DetectAll(nil); len(got) != len(voters) {
+			t.Fatalf("empty series: got %d alarms, want %d", len(got), len(voters))
+		}
+	}
+	empty := &MultiVoting{Model: ct}
+	if got := empty.DetectAll(series[0].X); len(got) != 0 {
+		t.Fatalf("no windows: got %v", got)
+	}
+	// ScanAll mirrors the code-space conversion of indexes to outcomes.
+	failHour := series[0].Hours[len(series[0].Hours)-1]
+	fo := (&MultiVoting{Model: ct, Voters: voters, Workers: 1}).ScanAll(series[0], failHour)
+	for k, n := range voters {
+		bo := AlarmOutcome(binned[0].Hours, binnedAlarm(bt, binned[0].Codes, n, 0, false), failHour)
+		if fo[k] != bo {
+			t.Fatalf("ScanAll window %d: float %+v vs binned %+v", n, fo[k], bo)
+		}
+	}
+}
+
+// TestScanBatchBinnedMatchesFloat checks the fleet path: float ScanBatch
+// outcomes equal the code-space reference outcome (binned per-row
+// scoring, the vote sweep, AlarmOutcome) for every drive, at every
+// worker count.
+func TestScanBatchBinnedMatchesFloat(t *testing.T) {
+	ct, bt, bm, series := binnedDetectFixture(t, 90)
+	binned := quantizeAll(t, bm, series)
+	failHours := make([]int, len(series))
+	for i := range failHours {
+		failHours[i] = -1
+		if i%3 == 0 {
+			failHours[i] = series[i].Hours[len(series[i].Hours)-1] + 24
+		}
+	}
+	want := make([]Outcome, len(binned))
+	for i, bs := range binned {
+		want[i] = AlarmOutcome(bs.Hours, binnedAlarm(bt, bs.Codes, 5, 0, false), failHours[i])
+	}
+	for _, workers := range []int{0, 1, 4, 64} {
+		got := ScanBatch(&Voting{Model: ct, Voters: 5}, series, failHours, workers)
+		for i := range want {
+			if want[i] != got[i] {
+				t.Fatalf("workers=%d drive %d: binned %+v vs float %+v", workers, i, want[i], got[i])
+			}
+		}
+	}
+	// nil failHours treats every drive as good.
+	out := ScanBatch(&Voting{Model: ct, Voters: 5}, series, nil, 2)
+	for i, o := range out {
+		if o.Alarmed && o.LeadHours != -1 {
+			t.Fatalf("drive %d: good drive got lead hours %d", i, o.LeadHours)
+		}
+	}
+}
+
 // TestQuantizeSeries pins the metadata carry-over and the ragged-row
 // error path.
 func TestQuantizeSeries(t *testing.T) {

@@ -200,6 +200,48 @@ func TestSweepMatchesDirectScan(t *testing.T) {
 	}
 }
 
+// codePredictor scores a float row by quantizing it and walking the
+// binned tree: a float detect.Predictor over the sweep's own model.
+type codePredictor struct {
+	bm *dataset.BinnedMatrix
+	bt *cart.BinnedTree
+}
+
+func (p codePredictor) Predict(x []float64) float64 {
+	codes := make([]uint8, len(x))
+	p.bm.QuantizeRow(x, codes)
+	return p.bt.Predict(codes)
+}
+
+// TestSweepDelegationEndToEnd drives a fleet of 4101 drives end to end,
+// as hddpred evaluate -sweep does (float series through Prepare, then
+// Run), and checks the outcomes against the per-drive float detector
+// path, detect.ScanBatch with Voting.
+func TestSweepDelegationEndToEnd(t *testing.T) {
+	bt, bm, series, _, failHours := sweepFixture(t, 19, 30, 40)
+	big := make([]detect.Series, 4101)
+	bigFail := make([]int, len(big))
+	for i := range big {
+		big[i] = series[i%len(series)]
+		bigFail[i] = failHours[i%len(series)]
+		if i%7 == 0 && len(big[i].Hours) > 0 {
+			bigFail[i] = big[i].Hours[len(big[i].Hours)-1]
+		}
+	}
+	fleet, err := Prepare(bm, big, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(bt, fleet, bigFail, Config{Voters: 3, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := detect.ScanBatch(&detect.Voting{Model: codePredictor{bm, bt}, Voters: 3}, big, bigFail, 2)
+	if !reflect.DeepEqual(res.Outcomes, want) {
+		t.Fatal("fleet sweep diverged from the per-drive float scan")
+	}
+}
+
 // TestSweepDeterminismMatrix pins the collection contract: outcomes and
 // merged stats (Steals aside) are byte-identical for every worker count
 // and, outcomes-wise, every shard count; per-shard stats are identical
