@@ -70,8 +70,9 @@ type (
 	// Predictor scores one feature vector (trees and networks qualify).
 	Predictor = detect.Predictor
 	// BatchPredictor is a Predictor that also scores whole blocks of
-	// feature vectors into a caller-provided buffer (compiled models and
-	// networks qualify); detectors use the batch path automatically.
+	// feature vectors into a caller-provided buffer (the BP ANN
+	// qualifies); detectors use the batch path automatically and score
+	// any other Predictor one row at a time.
 	BatchPredictor = detect.BatchPredictor
 	// VotingDetector is the paper's voting-based detection algorithm.
 	VotingDetector = detect.Voting
@@ -286,9 +287,9 @@ func ScanBatch(d Detector, series []Series, failHours []int, workers int) []Outc
 
 // CompileModel returns the compiled, inference-optimized form of a trained
 // model: trees, forests and boosting committees are flattened into their
-// cache-friendly array representations (with allocation-free batch
-// scoring), and any other predictor — including the BP ANN, which already
-// batches — is returned unchanged. The compiled model's predictions are
+// cache-friendly array representations, which score one row at a time
+// without allocating, and any other predictor — including the BP ANN —
+// is returned unchanged. The compiled model's predictions are
 // bit-identical to the original's, so it is a drop-in replacement anywhere
 // a Predictor is scored.
 func CompileModel(p Predictor) Predictor {
@@ -305,8 +306,8 @@ func CompileModel(p Predictor) Predictor {
 }
 
 // BinnedModel is a model compiled onto a binned matrix's code space: it
-// scores one quantized row (the Monitor's Bins path) and row ranges of a
-// TiledMatrix (RunSweep).
+// scores row ranges of a TiledMatrix (RunSweep) and one quantized row,
+// the per-row reference the sweep is checked against.
 type BinnedModel interface {
 	BinnedPredictor
 	TiledPredictor
@@ -314,11 +315,12 @@ type BinnedModel interface {
 
 // CompileModelBinned remaps a tree, forest or boosting model onto a
 // binned matrix's uint8 code space for binned-code inference (one byte
-// per feature, byte-compare kernels). Both pointer and compiled forms are
-// accepted; any other predictor — including the BP ANN, whose dense
-// layers have no binned form — is rejected. Scores are bit-identical to
-// the float compiled path for inputs whose values the bins represent
-// (see BinnedTree's equivalence contract).
+// per feature, byte-compare kernels): RunSweep scores fleets through it,
+// and its per-row Predict is the reference scoring. Both pointer and
+// compiled forms are accepted; any other predictor — including the BP
+// ANN, whose dense layers have no binned form — is rejected. Scores are
+// bit-identical to the float compiled path for inputs whose values the
+// bins represent (see BinnedTree's equivalence contract).
 func CompileModelBinned(p Predictor, bm *BinnedMatrix) (BinnedModel, error) {
 	switch m := p.(type) {
 	case *cart.Tree:

@@ -344,10 +344,10 @@ func BenchmarkTreePredict(b *testing.B) {
 
 // --- Compiled-inference benchmarks ---------------------------------------
 //
-// These back the compiled engine's performance claim: the flat-array
-// representation must beat the pointer tree on single-thread inference and
-// the batch path must be allocation-free. cmd/benchjson turns their output
-// into BENCH_inference.json.
+// These record the single-thread cost of each per-row scoring way
+// (pointer, compiled, binned) and the fleet-scan throughput of the
+// detectors built on them. cmd/benchjson turns their output into
+// BENCH_inference.json.
 
 // benchInferenceTree trains the standard CT and returns it with the
 // benchmark feature matrix.
@@ -368,12 +368,11 @@ func reportPerSample(b *testing.B, samples int) {
 }
 
 // BenchmarkPredictCompiledTree scores the full benchmark matrix per
-// iteration through the pointer tree, the compiled tree and the compiled
-// batch path.
+// iteration, one row at a time, through the pointer tree, the compiled
+// tree and the binned tree.
 func BenchmarkPredictCompiledTree(b *testing.B) {
 	tree, x := benchInferenceTree(b)
 	c := tree.Compile()
-	dst := make([]float64, len(x))
 	b.Run("pointer", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, row := range x {
@@ -387,13 +386,6 @@ func BenchmarkPredictCompiledTree(b *testing.B) {
 			for _, row := range x {
 				c.Predict(row)
 			}
-		}
-		reportPerSample(b, len(x))
-	})
-	b.Run("compiledBatch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c.PredictBatch(x, dst)
 		}
 		reportPerSample(b, len(x))
 	})
@@ -428,11 +420,12 @@ func benchBinnedTree(b *testing.B, c *cart.CompiledTree, x [][]float64) (*cart.B
 	return bt, codes
 }
 
-// BenchmarkPredictCompiledForest compares pointer and compiled forests at
-// a production-sized ensemble (48 trees): the pointer walk's cost per tree
-// grows once the ensemble's nodes outgrow cache, while the partitioned
-// batch engine touches each node once per block and stays flat — this is
-// where the compiled representation earns its keep.
+// BenchmarkPredictCompiledForest scores the benchmark matrix through a
+// production-sized ensemble (48 trees, the forest extension of §VII),
+// one row at a time, with the pointer forest and the compiled forest.
+// The compiled forest sums its trees' compiled walks in tree order, so
+// its cost per sample is about 48 compiled single-tree walks; fleets of
+// quantized rows go through the tiled sweep instead (internal/sweep).
 func BenchmarkPredictCompiledForest(b *testing.B) {
 	a := newAblationEnv(b, smart.CriticalFeatures(), 0.2)
 	x, y, w := a.ds.XMatrix()
@@ -441,7 +434,6 @@ func BenchmarkPredictCompiledForest(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := f.Compile()
-	dst := make([]float64, len(x))
 	b.Run("pointer", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, row := range x {
@@ -450,10 +442,11 @@ func BenchmarkPredictCompiledForest(b *testing.B) {
 		}
 		reportPerSample(b, len(x))
 	})
-	b.Run("compiledBatch", func(b *testing.B) {
-		b.ReportAllocs()
+	b.Run("compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.PredictBatch(x, dst)
+			for _, row := range x {
+				c.Predict(row)
+			}
 		}
 		reportPerSample(b, len(x))
 	})

@@ -334,8 +334,8 @@ func detectorFor(mf *modelFile, model detect.Predictor, voters int, threshold fl
 
 // compiledModel returns the inference-optimized form of a loaded model:
 // trees are flattened into their compiled representation (bit-identical
-// predictions, so evaluation results are unchanged); the ANN already
-// batches and is returned as-is.
+// predictions, so evaluation results are unchanged), scored one row at a
+// time; the ANN, which scores blocks itself, is returned as-is.
 func compiledModel(model detect.Predictor, mf *modelFile) detect.Predictor {
 	if mf.Type == "ct" || mf.Type == "rt" {
 		return mf.Tree.Compile()

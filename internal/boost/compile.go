@@ -3,8 +3,8 @@ package boost
 import "hddcart/internal/cart"
 
 // Compiled is the inference-optimized form of an Ensemble: every weak
-// learner flattened into its cart.CompiledTree representation, plus
-// allocation-free batch scoring. Outputs are bit-identical to
+// learner flattened into its cart.CompiledTree representation, scored
+// one row at a time. Outputs are bit-identical to
 // Ensemble.Predict: per sample the alpha-weighted scores and the alpha
 // total accumulate in learner order, exactly as the pointer path does.
 // Compiled is immutable and safe for concurrent use.
@@ -43,20 +43,3 @@ func (c *Compiled) Predict(x []float64) float64 {
 
 // PredictFailed reports whether the ensemble classifies x as failed.
 func (c *Compiled) PredictFailed(x []float64) bool { return c.Predict(x) < 0 }
-
-// PredictBatch scores a block of feature vectors into dst and returns it
-// (nil or short dst allocates; a caller-provided len(xs) buffer keeps the
-// path allocation-free). dst[i] equals Predict(xs[i]) exactly.
-//
-//hddlint:noalloc
-func (c *Compiled) PredictBatch(xs [][]float64, dst []float64) []float64 {
-	if cap(dst) < len(xs) {
-		//hddlint:ignore hotalloc cold path: a nil or short dst allocates once; callers pass a len(xs) buffer to stay allocation-free
-		dst = make([]float64, len(xs))
-	}
-	dst = dst[:len(xs)]
-	for i, x := range xs {
-		dst[i] = c.Predict(x)
-	}
-	return dst
-}

@@ -223,7 +223,7 @@ func TestBinnedSingleLeaf(t *testing.T) {
 }
 
 // TestBinnedBatchBoundaries sweeps batch sizes that straddle the
-// per-row walk cutoff, the tile height and the float engine's block size,
+// per-row walk cutoff, the tile height and a 1024-row block,
 // proving the tiled partition engine is bit-identical to the per-row walk
 // at every seam.
 func TestBinnedBatchBoundaries(t *testing.T) {
@@ -233,7 +233,7 @@ func TestBinnedBatchBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, minPartitionBatch - 1, minPartitionBatch, minPartitionBatch + 1,
-		tileRows - 1, tileRows + 1, partitionBlock - 1, partitionBlock, partitionBlock + 1, len(codes)} {
+		tileRows - 1, tileRows + 1, 1024 - 1, 1024, 1024 + 1, len(codes)} {
 		batch := codes[:n]
 		tm, err := dataset.TileCodes(batch, bm.NumFeatures)
 		if err != nil {

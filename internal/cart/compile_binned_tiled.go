@@ -1,24 +1,65 @@
 package cart
 
 import (
+	"sync"
 	"unsafe"
 
 	"hddcart/internal/cpu"
 	"hddcart/internal/dataset"
 )
 
-// The binned batch engine: code-space scoring over the tiled layout the
-// fleet sweep packs. A dataset.TiledMatrix stores each tile of TileRows
-// rows feature-major, so the code column a partition kernel reads at a
-// node is one straight byte run of at most TileRows bytes — four cache
-// lines — instead of a stride-NumFeatures march across a block of rows.
-// Scoring a row range walks it tile chunk by tile chunk (chunks never
-// cross a tile boundary), running the segment-stack traversal of the
-// float engine (CompiledTree.runSegments) inside each chunk. Verdicts
-// are bit-identical to Predict on each row; the internal/equiv matrices
-// pit the two against each other.
+// The tiled engine: code-space scoring over the tiled layout the fleet
+// sweep packs, and the repo's only partitioned traversal. A
+// dataset.TiledMatrix stores each tile of TileRows rows feature-major,
+// so the code column a partition kernel reads at a node is one straight
+// byte run of at most TileRows bytes — four cache lines — instead of a
+// stride-NumFeatures march across a block of rows. Scoring a row range
+// walks it tile chunk by tile chunk (chunks never cross a tile
+// boundary). Inside each chunk the traversal is tree-major: at every
+// split the chunk's sample indices are partitioned, left-goers packed
+// from the front of a ping-ponged index buffer and right-goers from the
+// back, and the two halves are pushed onto a segment stack. Each sample
+// still sees exactly the comparisons of its own root-to-leaf path, just
+// grouped by node, and each dst slot is written once per tree, so
+// verdicts are bit-identical to Predict on each row; the internal/equiv
+// matrices pit the two against each other.
 
 const tileRows = dataset.TileRows
+
+// minPartitionBatch is the chunk size below which the partitioned
+// traversal's per-node bookkeeping outweighs its per-sample savings and
+// the chunk is walked row by row instead.
+const minPartitionBatch = 32
+
+// minSegPartition is the segment size below which the partitioned
+// traversal stops splitting and walks each sample down the remaining
+// subtree instead. The walk's per-level child select is a data-dependent
+// branch, so it pays a misprediction about every other level; the
+// partition path is branch-free (fused-cursor scalar tail below the
+// vector width) and keeps winning down to two-sample segments — only a
+// single sample, where partitioning cannot split anything, walks.
+// Lowering this from 16 was worth ~10% of single-thread fleet-sweep
+// throughput on every kernel tier. Output-invariant: each sample writes
+// its own dst row exactly once either way.
+const minSegPartition = 2
+
+// batchScratch holds the reusable buffers of a partitioned traversal:
+// the two ping-ponged index buffers, each one tile high, and the segment
+// stack. Pooled so steady-state scoring never allocates.
+type batchScratch struct {
+	cur, next []int32
+	stack     []segment
+}
+
+// segment is one pending unit of partitioned traversal: the samples in
+// buf[lo:hi] (cur or next, by flipped) have all reached node.
+type segment struct {
+	node    int32
+	lo, hi  int32
+	flipped bool
+}
+
+var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // Pre-boxed panic values for the guard checks below. panic's argument
 // is an interface, so panic("literal") boxes the string at the call
@@ -93,9 +134,10 @@ func (bt *BinnedTree) scoreTiledRange(tm *dataset.TiledMatrix, lo, hi int, dst [
 }
 
 // AccumulateTiledRange accumulates every tree's prediction for rows
-// [lo, hi) onto dst[:hi-lo], in tree order per row — the tiled analogue
-// of AccumulateBatch for ensemble scorers. All trees share one
-// pooled scratch per call.
+// [lo, hi) onto dst[:hi-lo], in tree order per row, so each row's sum
+// matches a per-row loop adding the trees' Predict in ensemble order bit
+// for bit. dst must already hold hi-lo partial sums. Ensemble scorers
+// run on it; all trees share one pooled scratch per call.
 //
 //hddlint:noalloc
 //hddlint:binned
@@ -149,10 +191,14 @@ func AccumulateTiledRange(trees []*BinnedTree, tm *dataset.TiledMatrix, lo, hi i
 	batchScratchPool.Put(sc)
 }
 
-// runSegmentsTiled is runSegments over one tile chunk: same segment
-// stack and ping-pong index buffers, with each node's feature column
-// located at basep + feature·tileRows and indexed directly by the
-// chunk-local sample index.
+// runSegmentsTiled drains the partitioned traversal of one tile chunk
+// below an already-split root: cur[:rootLeft] holds the left-goers and
+// cur[rootLeft:n] the right-goers. Each node's feature column sits at
+// basep + feature·tileRows and is indexed directly by the chunk-local
+// sample index. Every sample's leaf payload is delivered (or, with add,
+// accumulated) into dst. A node whose children are both leaves fuses
+// its split with the payload delivery, and a segment under
+// minSegPartition walks the rest of the subtree sample by sample.
 //
 //hddlint:noalloc
 //hddlint:binned
@@ -278,9 +324,8 @@ func walkSegBinnedTiled(nodes []binnedNode, seg []int32, basep unsafe.Pointer,
 	}
 }
 
-// walkRangeTiled scores a whole small chunk (implicit order 0..n-1)
-// sample-major from the root — the tiled analogue of the small-batch
-// per-row walk in CompiledTree.scoreBatch.
+// walkRangeTiled scores a whole chunk under minPartitionBatch rows
+// (implicit order 0..n-1) sample-major from the root.
 //
 //hddlint:noalloc
 //hddlint:binned

@@ -140,10 +140,10 @@ func TestAccumulateTiledRange(t *testing.T) {
 }
 
 // TestAccumulateBatchBinned checks code-space ensemble accumulation
-// against the float AccumulateBatch over the same corpus: trees trained
-// on one bin budget score the corpus bit-identically in both spaces, so
-// the tree-order sums must agree at sizes around the float engine's
-// block boundaries.
+// against per-tree compiled Predict sums over the same corpus, added in
+// tree order: trees trained on one bin budget score the corpus
+// bit-identically in both spaces, so the sums must agree at sizes below
+// the partition cutoff, past a 1024-row block and over the whole corpus.
 func TestAccumulateBatchBinned(t *testing.T) {
 	x, y, w := synthClassification(5, 1500, 4)
 	bm, err := dataset.BinMatrix(x, 16)
@@ -173,9 +173,13 @@ func TestAccumulateBatchBinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{minPartitionBatch - 1, partitionBlock + 37, len(codes)} {
+	for _, n := range []int{minPartitionBatch - 1, 1024 + 37, len(codes)} {
 		want := make([]float64, n)
-		AccumulateBatch(float, x[:n], want)
+		for i := range want {
+			for _, ct := range float {
+				want[i] += ct.Predict(x[i])
+			}
+		}
 		got := make([]float64, n)
 		AccumulateTiledRange(trees, tm, 0, n, got)
 		for i := range got {
@@ -236,31 +240,4 @@ func TestTiledRangeNoAlloc(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("AccumulateTiledRange allocated %.0f times per run", allocs)
 	}
-}
-
-// TestGatheredBatchAfterTiledScratch scores gathered-row float batches
-// on a pooled scratch shaped as the tiled engine leaves it — cur and next
-// grown to a tile, rows never allocated — so one process can mix sweeps
-// with per-drive batch scoring.
-func TestGatheredBatchAfterTiledScratch(t *testing.T) {
-	tree, _, x, _ := binnedFixture(t, 21, 200, 5, 24)
-	ct := tree.Compile()
-	const n = 100 // a partitioned batch that fits in one tile
-	putTiledScratch := func() {
-		batchScratchPool.Put(&batchScratch{cur: make([]int32, tileRows), next: make([]int32, tileRows)})
-	}
-	check := func(name string, got []float64) {
-		t.Helper()
-		for i := range got {
-			if w := ct.Predict(x[i]); got[i] != w {
-				t.Fatalf("%s[%d] = %v, want %v", name, i, got[i], w)
-			}
-		}
-	}
-	putTiledScratch()
-	check("CompiledTree.PredictBatch", ct.PredictBatch(x[:n], nil))
-	putTiledScratch()
-	dst := make([]float64, n)
-	AccumulateBatch([]*CompiledTree{ct}, x[:n], dst)
-	check("AccumulateBatch", dst)
 }

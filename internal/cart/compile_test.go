@@ -60,11 +60,17 @@ func requireBitIdentical(t *testing.T, tree *Tree, probes [][]float64) {
 			t.Fatalf("ProbFailed diverged at %v: %v vs %v", p, pw, pg)
 		}
 	}
-	// Batch surfaces must match the per-sample path element for element.
-	preds := ct.PredictBatch(probes, nil)
+	// NaN probes: a missing value must route right at every split in
+	// both engines (x < threshold is false for NaN).
 	for i, p := range probes {
-		if preds[i] != tree.Predict(p) {
-			t.Fatalf("PredictBatch[%d] = %v, want %v", i, preds[i], tree.Predict(p))
+		q := append([]float64(nil), p...)
+		q[i%len(q)] = math.NaN()
+		if want, got := tree.Predict(q), ct.Predict(q); want != got {
+			t.Fatalf("Predict diverged at NaN probe %v: pointer %v, compiled %v", q, want, got)
+		}
+		pw, pg := tree.ProbFailed(q), ct.ProbFailed(q)
+		if pw != pg && !(math.IsNaN(pw) && math.IsNaN(pg)) {
+			t.Fatalf("ProbFailed diverged at NaN probe %v: %v vs %v", q, pw, pg)
 		}
 	}
 }
@@ -94,30 +100,6 @@ func TestCompiledSingleLeaf(t *testing.T) {
 		NumFeatures: 2,
 	}
 	requireBitIdentical(t, tree, [][]float64{{0, 0}, {1e9, -1e9}})
-}
-
-// TestPredictBatchReusesBuffer proves the steady-state batch path is
-// allocation-free when the caller supplies the output buffer.
-func TestPredictBatchReusesBuffer(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds items under the race detector")
-	}
-	x, y, w := synthClassification(7, 400, 5)
-	tree, err := TrainClassifier(x, y, w, Params{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct := tree.Compile()
-	dst := make([]float64, len(x))
-	allocs := testing.AllocsPerRun(20, func() {
-		out := ct.PredictBatch(x, dst)
-		if &out[0] != &dst[0] {
-			t.Fatal("PredictBatch did not reuse the provided buffer")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("PredictBatch with caller buffer allocated %.0f times per run", allocs)
-	}
 }
 
 func TestCompiledValidate(t *testing.T) {
@@ -187,15 +169,10 @@ func FuzzCompiledTreeEquivalence(f *testing.F) {
 			}
 			probes[i] = p
 		}
-		dst := make([]float64, len(probes))
-		ct.PredictBatch(probes, dst)
-		for i, p := range probes {
+		for _, p := range probes {
 			want := tree.Predict(p)
 			if got := ct.Predict(p); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Fatalf("Predict diverged: %v vs %v at %v", got, want, p)
-			}
-			if dst[i] != want && !(math.IsNaN(dst[i]) && math.IsNaN(want)) {
-				t.Fatalf("PredictBatch diverged: %v vs %v at %v", dst[i], want, p)
 			}
 			pw := tree.ProbFailed(p)
 			if pg := ct.ProbFailed(p); pg != pw && !(math.IsNaN(pg) && math.IsNaN(pw)) {
@@ -205,14 +182,10 @@ func FuzzCompiledTreeEquivalence(f *testing.F) {
 	})
 }
 
-// TestAccumulatePathsNoAlloc proves the //hddlint:noalloc contract for
-// the ensemble accumulation kernel: with a caller-supplied buffer,
-// AccumulateBatch is allocation-free in steady state (the pooled scratch
-// grows once, outside the measured runs).
+// TestAccumulatePathsNoAlloc proves that float ensemble accumulation —
+// every tree's compiled Predict summed onto a row's total in tree
+// order, the loop forest and boost committees run — is allocation-free.
 func TestAccumulatePathsNoAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds items under the race detector")
-	}
 	x, y, w := synthClassification(9, 400, 5)
 	tree, err := TrainClassifier(x, y, w, Params{Workers: 1})
 	if err != nil {
@@ -221,8 +194,14 @@ func TestAccumulatePathsNoAlloc(t *testing.T) {
 	ct := tree.Compile()
 	trees := []*CompiledTree{ct, ct, ct}
 	dst := make([]float64, len(x))
-	allocs := testing.AllocsPerRun(20, func() { AccumulateBatch(trees, x, dst) })
+	allocs := testing.AllocsPerRun(20, func() {
+		for i, row := range x {
+			for _, tr := range trees {
+				dst[i] += tr.Predict(row)
+			}
+		}
+	})
 	if allocs != 0 {
-		t.Fatalf("AccumulateBatch allocated %.0f times per run", allocs)
+		t.Fatalf("per-row ensemble accumulation allocated %.0f times per run", allocs)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// BatchPredictor is the optional extension of Predictor implemented by the
-// compiled models (cart.CompiledTree, forest.Compiled, boost.Compiled) and
+// BatchPredictor is the optional extension of Predictor implemented by
 // ann.Network: it scores a whole block of feature vectors into dst,
-// reusing it when large enough, and returns the scored slice. dst[i] must
+// reusing it when large enough, and returns the scored slice. Tree
+// models score one row at a time. dst[i] must
 // equal Predict(xs[i]) bit for bit — detectors rely on that to keep batch
 // and streaming scans interchangeable.
 type BatchPredictor interface {

@@ -3,7 +3,7 @@
 // boundaries, ±Inf, NaN, denormals, single-bin features), trains a model
 // over them, compiles every inference form — pointer tree, flat-array
 // compiled tree, binned-code tree — and asserts that any two paths score
-// bit-identically, whatever batch block size or worker count each uses.
+// bit-identically, whatever tiled range size or worker count each uses.
 //
 // The contract it enforces is the one the inference engines document:
 //
@@ -13,7 +13,7 @@
 //     bin budget (straddled thresholds are never evaluated by rows that
 //     reach them), and on every bin-representative input when the
 //     remapping is Exact;
-//   - batch vs scalar, any block size, any worker count: bit-identical
+//   - tiled vs per-row, any range size, any worker count: bit-identical
 //     by construction — each sample's score lands at its own index.
 //
 // The harness generalizes the PR 2 compiled-equivalence suite: instead
@@ -265,17 +265,6 @@ func CompiledScalar() Path {
 	}}
 }
 
-// CompiledBatch scores through the compiled batch engine in blocks of
-// the given size (0 = one call for the whole case). Block sizes around
-// the engine's internal partition thresholds exercise every kernel.
-func CompiledBatch(block int) Path {
-	return Path{Name: fmt.Sprintf("compiled-batch/%d", block), Score: func(c *Case, dst []float64) {
-		forEachBlock(len(c.X), block, func(lo, hi int) {
-			c.Compiled.PredictBatch(c.X[lo:hi], dst[lo:hi])
-		})
-	}}
-}
-
 // BinnedScalar scores the quantized rows through the binned per-sample
 // walk.
 func BinnedScalar() Path {
@@ -305,17 +294,6 @@ func TiledWorkers(workers int) Path {
 	return Path{Name: fmt.Sprintf("tiled-workers/%d", workers), Score: func(c *Case, dst []float64) {
 		forEachShard(len(c.Codes), workers, func(lo, hi int) {
 			c.Binned.PredictTiledRange(c.Tiled, lo, hi, dst[lo:hi])
-		})
-	}}
-}
-
-// CompiledWorkers scores through the compiled batch engine with the rows
-// sharded across the given number of goroutines — every score lands at
-// its own index, so the result must be identical to any serial path.
-func CompiledWorkers(workers int) Path {
-	return Path{Name: fmt.Sprintf("compiled-workers/%d", workers), Score: func(c *Case, dst []float64) {
-		forEachShard(len(c.X), workers, func(lo, hi int) {
-			c.Compiled.PredictBatch(c.X[lo:hi], dst[lo:hi])
 		})
 	}}
 }

@@ -28,19 +28,13 @@ func specMatrix() []struct {
 	}
 }
 
-// verdictPaths is the full scoring-path battery: every engine, block
-// sizes bracketing the internal partition thresholds, and sharded
-// workers.
+// verdictPaths is the full scoring-path battery: every engine, tiled
+// range sizes bracketing the partition cutoff and the tile seam, and
+// sharded workers.
 func verdictPaths() []Path {
 	return []Path{
 		Pointer(),
 		CompiledScalar(),
-		CompiledBatch(0),
-		CompiledBatch(1),
-		CompiledBatch(17),
-		CompiledBatch(1024),
-		CompiledBatch(1025),
-		CompiledWorkers(4),
 		BinnedScalar(),
 		TiledRange(0),
 		TiledRange(1),
@@ -52,7 +46,7 @@ func verdictPaths() []Path {
 }
 
 // TestEquivalenceMatrices is the tentpole assertion: over every
-// adversarial Spec, all fifteen scoring paths are bit-identical on the
+// adversarial Spec, all nine scoring paths are bit-identical on the
 // corpus — including the feature-major tiled paths the fleet-sweep
 // engine runs on. CI additionally stress-runs this test with -count=5
 // -race.

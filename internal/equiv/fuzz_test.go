@@ -39,7 +39,7 @@ func FuzzBinnedInferenceEquivalence(f *testing.F) {
 			t.Fatalf("generate %+v: %v", spec, err)
 		}
 		if err := CheckAll(c,
-			Pointer(), CompiledScalar(), CompiledBatch(0), CompiledBatch(33),
+			Pointer(), CompiledScalar(),
 			BinnedScalar(), TiledRange(0), TiledRange(33),
 		); err != nil {
 			t.Fatal(err)

@@ -36,7 +36,8 @@ func trainingData(seed int64, n, nf int, classify bool) (x [][]float64, y, w []f
 	return x, y, w
 }
 
-// compiledProbe builds deterministic inputs around the training data.
+// compiledProbe builds deterministic inputs around the training data,
+// plus a copy of each training row with one feature set to NaN.
 func compiledProbe(x [][]float64, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	probes := append([][]float64(nil), x...)
@@ -45,6 +46,11 @@ func compiledProbe(x [][]float64, seed int64) [][]float64 {
 		for j := range p {
 			p[j] = rng.NormFloat64() * 5
 		}
+		probes = append(probes, p)
+	}
+	for i, row := range x {
+		p := append([]float64(nil), row...)
+		p[i%len(p)] = math.NaN()
 		probes = append(probes, p)
 	}
 	return probes
@@ -66,14 +72,9 @@ func TestCompiledForestBitIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		c := f.Compile()
-		probes := compiledProbe(x, 99)
-		preds := c.PredictBatch(probes, nil)
-		for i, p := range probes {
+		for i, p := range compiledProbe(x, 99) {
 			if want, got := f.Predict(p), c.Predict(p); want != got {
 				t.Fatalf("%s: Predict diverged at %d: %v vs %v", kind, i, want, got)
-			}
-			if preds[i] != f.Predict(p) {
-				t.Fatalf("%s: PredictBatch diverged at %d", kind, i)
 			}
 			if f.PredictFailed(p) != c.PredictFailed(p) {
 				t.Fatalf("%s: PredictFailed diverged at %d", kind, i)
@@ -86,10 +87,9 @@ func TestCompiledForestBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCompiledForestBatchNoAlloc pins per-row scoring of a whole
+// matrix through the compiled forest at zero allocations.
 func TestCompiledForestBatchNoAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds items under the race detector")
-	}
 	x, y, w := trainingData(77, 400, 5, true)
 	f, err := TrainClassifier(x, y, w, Config{Trees: 8, Seed: 3, Workers: 2})
 	if err != nil {
@@ -97,8 +97,12 @@ func TestCompiledForestBatchNoAlloc(t *testing.T) {
 	}
 	c := f.Compile()
 	dst := make([]float64, len(x))
-	if allocs := testing.AllocsPerRun(10, func() { c.PredictBatch(x, dst) }); allocs != 0 {
-		t.Fatalf("PredictBatch with caller buffer allocated %.0f times per run", allocs)
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i, row := range x {
+			dst[i] = c.Predict(row)
+		}
+	}); allocs != 0 {
+		t.Fatalf("per-row Predict allocated %.0f times per run", allocs)
 	}
 }
 
@@ -109,9 +113,5 @@ func TestCompiledForestEmpty(t *testing.T) {
 	}
 	if got := c.ProbFailed([]float64{1}); !math.IsNaN(got) {
 		t.Fatalf("empty compiled forest ProbFailed = %v, want NaN", got)
-	}
-	out := c.PredictBatch([][]float64{{1}, {2}}, nil)
-	if len(out) != 2 || out[0] != 0 || out[1] != 0 {
-		t.Fatalf("empty compiled forest PredictBatch = %v", out)
 	}
 }

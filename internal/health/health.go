@@ -97,6 +97,18 @@ func (q *Queue) Update(drive int, health float64) bool {
 	return false
 }
 
+// Remove drops a drive's outstanding warning (e.g. once the drive is
+// replaced); it reports whether the drive was found.
+func (q *Queue) Remove(drive int) bool {
+	for i := range q.h {
+		if q.h[i].Drive == drive {
+			heap.Remove(&q.h, i)
+			return true
+		}
+	}
+	return false
+}
+
 // Items returns a copy of every outstanding warning, sorted by drive ID
 // (not by urgency — use Pop for triage order). It exists for state
 // serialization: a snapshot needs the queue's contents in an order that

@@ -100,6 +100,28 @@ func TestQueueUpdate(t *testing.T) {
 	}
 }
 
+func TestQueueRemove(t *testing.T) {
+	var q Queue
+	for i := 0; i < 6; i++ {
+		q.Push(Warning{Drive: i, Health: -float64(i) / 10, Hour: i})
+	}
+	if !q.Remove(5) {
+		t.Fatal("Remove did not find drive 5")
+	}
+	if q.Remove(5) {
+		t.Error("second Remove of drive 5 should report false")
+	}
+	if q.Len() != 5 {
+		t.Fatalf("Len = %d after Remove, want 5", q.Len())
+	}
+	// The rest still pops in urgency order, without the removed drive.
+	for want := 4; want >= 0; want-- {
+		if w, _ := q.Pop(); w.Drive != want {
+			t.Fatalf("popped drive %d, want %d", w.Drive, want)
+		}
+	}
+}
+
 func TestQueueHeapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q Queue

@@ -6,9 +6,9 @@ import (
 )
 
 // HotAlloc enforces the //hddlint:noalloc contract: a function carrying
-// the directive is a steady-state allocation-free kernel (the compiled
-// PredictBatch/AccumulateBatch paths, the partition kernels, the detect
-// chunk scorers), and its body must not contain the constructs that
+// the directive is a steady-state allocation-free kernel (the tiled
+// PredictTiledRange/AccumulateTiledRange paths, the partition kernels,
+// the detect chunk scorers), and its body must not contain the constructs that
 // allocate on every call — make/new, growing append, closures,
 // interface boxing of non-pointer-shaped values, string concatenation,
 // or fmt calls. Deliberate cold-path allocations (lazy scratch growth

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hddcart/internal/dataset"
 	"hddcart/internal/detect"
 	"hddcart/internal/health"
 	"hddcart/internal/smart"
@@ -49,18 +48,6 @@ type MonitorConfig struct {
 	// other side, so letting them vote would alarm (or clear) on stale
 	// evidence. 0 disables stale detection.
 	StaleAfterHours int
-
-	// Bins opts the monitor into binned-code scoring: each extracted
-	// feature vector is quantized onto this matrix's uint8 code space
-	// (one byte per feature) and scored through the model's binned
-	// compilation (CompileModelBinned), so a large fleet's scoring
-	// working set shrinks 8×. Requires a tree, forest or boosting model;
-	// the matrix width must equal the feature count. Scores are
-	// bit-identical to the float path for feature values the bins
-	// represent (every value of the corpus the matrix was built from);
-	// other values snap to their covering bin first — the same semantics
-	// histogram-binned training applies. Nil keeps float scoring.
-	Bins *dataset.BinnedMatrix
 }
 
 // Validate rejects configurations that would silently degenerate.
@@ -82,10 +69,6 @@ func (cfg *MonitorConfig) Validate() error {
 	}
 	if cfg.StaleAfterHours < 0 {
 		return fmt.Errorf("hddcart: monitor stale timeout %d h must be non-negative", cfg.StaleAfterHours)
-	}
-	if cfg.Bins != nil && cfg.Bins.NumFeatures != len(cfg.Features) {
-		return fmt.Errorf("hddcart: monitor bin matrix has %d columns for %d features",
-			cfg.Bins.NumFeatures, len(cfg.Features))
 	}
 	return nil
 }
@@ -110,11 +93,9 @@ func (cfg *MonitorConfig) Validate() error {
 // Monitor is not safe for concurrent use; wrap it with a mutex if needed.
 type Monitor struct {
 	cfg     MonitorConfig
-	model   Predictor              // compiled form of cfg.Model (bit-identical scores)
-	binned  detect.BinnedPredictor // binned compilation when cfg.Bins is set
-	budget  int                    // resolved BadSampleBudget (0 = disabled)
-	x       []float64              // feature scratch, reused across Observe calls
-	codes   []uint8                // quantized-row scratch (binned scoring only)
+	model   Predictor // compiled form of cfg.Model (bit-identical scores)
+	budget  int       // resolved BadSampleBudget (0 = disabled)
+	x       []float64 // feature scratch, reused across Observe calls
 	drives  map[string]*monitoredDrive
 	queue   health.Queue
 	warned  map[string]bool
@@ -214,14 +195,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		warned:  make(map[string]bool),
 		serials: make(map[int]string),
 	}
-	if cfg.Bins != nil {
-		bp, err := CompileModelBinned(cfg.Model, cfg.Bins)
-		if err != nil {
-			return nil, err
-		}
-		m.binned = bp
-		m.codes = make([]uint8, len(cfg.Features))
-	}
 	return m, nil
 }
 
@@ -298,13 +271,7 @@ func (m *Monitor) Observe(driveID string, rec Record) (MonitorWarning, bool) {
 	if !m.cfg.Features.Extract(d.history, len(d.history)-1, m.x) {
 		return MonitorWarning{}, false // not enough history for change rates yet
 	}
-	var score float64
-	if m.binned != nil {
-		m.cfg.Bins.QuantizeRow(m.x, m.codes)
-		score = m.binned.Predict(m.codes)
-	} else {
-		score = m.model.Predict(m.x)
-	}
+	score := m.model.Predict(m.x)
 	if score != score {
 		// An invalid prediction must be excluded from the window, not
 		// counted as a healthy vote.
@@ -359,10 +326,13 @@ func (m *Monitor) Quarantined(driveID string) bool {
 
 // Resolve clears a drive's warning and quarantine state (after
 // replacement/migration or a telemetry fix) so future observations can
-// warn again.
+// warn again. The drive's queued warning, if still unpopped, goes too.
 func (m *Monitor) Resolve(driveID string) {
 	if d := m.drives[driveID]; d != nil && d.quarantined {
 		m.stats.Quarantined--
+	}
+	if m.warned[driveID] {
+		m.queue.Remove(stableID(driveID))
 	}
 	delete(m.warned, driveID)
 	delete(m.drives, driveID)

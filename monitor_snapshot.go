@@ -2,6 +2,7 @@ package hddcart
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -32,7 +33,10 @@ type monitorSnapshot struct {
 	HistoryHours    int     `json:"history_hours"`
 	StaleAfterHours int     `json:"stale_after_hours,omitempty"`
 	BadSampleBudget int     `json:"bad_sample_budget"`
-	Binned          bool    `json:"binned,omitempty"`
+	// Binned marks a snapshot written by a monitor that scored in code
+	// space. Monitors score float rows only, so it is never written, and
+	// a snapshot carrying it is refused.
+	Binned bool `json:"binned,omitempty"`
 
 	// Mutable state. Drives and Warned are sorted by serial and Queue by
 	// (serial, hour) so encoding is a pure function of monitor state:
@@ -71,7 +75,6 @@ func (m *Monitor) EncodeSnapshot(w io.Writer) error {
 		HistoryHours:    m.cfg.HistoryHours,
 		StaleAfterHours: m.cfg.StaleAfterHours,
 		BadSampleBudget: m.budget,
-		Binned:          m.binned != nil,
 		Drives:          make([]driveSnapshot, 0, len(m.drives)),
 		Stats:           m.stats,
 	}
@@ -185,8 +188,8 @@ func (m *Monitor) checkFingerprint(snap *monitorSnapshot) error {
 		return fmt.Errorf("hddcart: snapshot stale timeout %d h, monitor has %d h", snap.StaleAfterHours, m.cfg.StaleAfterHours)
 	case snap.BadSampleBudget != m.budget:
 		return fmt.Errorf("hddcart: snapshot error budget %d, monitor has %d", snap.BadSampleBudget, m.budget)
-	case snap.Binned != (m.binned != nil):
-		return fmt.Errorf("hddcart: snapshot binned %v, monitor binned %v", snap.Binned, m.binned != nil)
+	case snap.Binned:
+		return errors.New("hddcart: snapshot binned true, monitor scores float rows")
 	}
 	return nil
 }

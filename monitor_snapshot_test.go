@@ -136,6 +136,29 @@ func TestMonitorSnapshotFingerprint(t *testing.T) {
 	}
 }
 
+// TestMonitorBinnedValidation checks that a snapshot fingerprinted by a
+// binned-scoring monitor is refused: monitors score float rows, so its
+// windows hold scores from a different scoring path.
+func TestMonitorBinnedValidation(t *testing.T) {
+	m := newTestMonitor(t, 3, false)
+	feedRamp(m, "drive-a", 8, 2)
+	snap := encodeString(t, m)
+	if strings.Contains(snap, `"binned"`) {
+		t.Fatalf("float monitor wrote a binned fingerprint: %s", snap)
+	}
+	binned := strings.Replace(snap, `"bad_sample_budget":`, `"binned":true,"bad_sample_budget":`, 1)
+	target := newTestMonitor(t, 3, false)
+	if err := target.RestoreSnapshot(strings.NewReader(binned)); err == nil {
+		t.Fatal("restore accepted a binned fingerprint")
+	}
+	if target.Stats().Observed != 0 {
+		t.Error("refused restore left state behind")
+	}
+	if err := target.RestoreSnapshot(strings.NewReader(snap)); err != nil {
+		t.Errorf("valid restore after the refusal failed: %v", err)
+	}
+}
+
 // TestMonitorSnapshotRejects checks corrupt inputs and misuse fail
 // loudly without panicking or half-loading.
 func TestMonitorSnapshotRejects(t *testing.T) {

@@ -1,6 +1,7 @@
 package hddcart
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -175,6 +176,41 @@ func TestMonitorResolve(t *testing.T) {
 	// After replacement the (new) drive can warn again.
 	if _, ok := m.Observe("d", recAt(100, -1)); !ok {
 		t.Error("resolved drive cannot warn again")
+	}
+}
+
+// TestMonitorResolveDropsQueuedWarning checks that Resolve takes the
+// drive's unpopped warning out of the queue: after resolve and a fresh
+// warning exactly one is outstanding, and a snapshot taken right after
+// Resolve holds no queue entry for the drive.
+func TestMonitorResolveDropsQueuedWarning(t *testing.T) {
+	m := newTestMonitor(t, 1, false)
+	m.Observe("a", recAt(0, -1))
+	m.Observe("b", recAt(0, -0.25))
+	m.Resolve("a")
+	var snap monitorSnapshot
+	if err := json.Unmarshal([]byte(encodeString(t, m)), &snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range snap.Queue {
+		if w.Serial == "a" {
+			t.Fatalf("snapshot after Resolve still queues %+v", w)
+		}
+	}
+	if m.Outstanding() != 1 {
+		t.Fatalf("Outstanding = %d after Resolve, want 1 (drive b)", m.Outstanding())
+	}
+	if _, ok := m.Observe("a", recAt(1, -0.5)); !ok {
+		t.Fatal("resolved drive did not warn again")
+	}
+	if m.Outstanding() != 2 {
+		t.Fatalf("Outstanding = %d after re-warn, want 2", m.Outstanding())
+	}
+	want := []MonitorWarning{{Serial: "a", Health: -0.5, Hour: 1}, {Serial: "b", Health: -0.25, Hour: 0}}
+	for _, w := range want {
+		if got, ok := m.NextWarning(); !ok || got != w {
+			t.Fatalf("NextWarning = %+v, %v; want %+v", got, ok, w)
+		}
 	}
 }
 
