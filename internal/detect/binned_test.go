@@ -113,31 +113,28 @@ func TestBinnedDetectorsMatchFloat(t *testing.T) {
 	}
 }
 
-// TestMultiVotingBinnedMatchesFloat checks the multi-window sweep across
-// worker counts against the code-space reference: on quantized input,
-// every window's alarm must equal binned per-row scoring followed by the
-// shared vote sweep, independent of Workers.
+// TestMultiVotingBinnedMatchesFloat checks the multi-window sweep
+// against the code-space reference: on quantized input, every window's
+// alarm must equal binned per-row scoring followed by the shared vote
+// sweep.
 func TestMultiVotingBinnedMatchesFloat(t *testing.T) {
 	ct, bt, bm, series := binnedDetectFixture(t, 77)
 	binned := quantizeAll(t, bm, series)
 	voters := []int{1, 2, 5, 9, 32}
-	for _, workers := range []int{0, 1, 3} {
-		mv := &MultiVoting{Model: ct, Voters: voters, Workers: workers}
-		for i := range series {
-			got := mv.DetectAll(series[i].X)
-			if len(got) != len(voters) {
-				t.Fatalf("workers=%d drive %d: got %d alarms, want %d", workers, i, len(got), len(voters))
-			}
-			for k, n := range voters {
-				if want := binnedAlarm(bt, binned[i].Codes, n, 0, false); got[k] != want {
-					t.Fatalf("workers=%d drive %d window %d: float %d vs binned %d",
-						workers, i, n, got[k], want)
-				}
+	mv := &MultiVoting{Model: ct, Voters: voters}
+	for i := range series {
+		got := mv.DetectAll(series[i].X)
+		if len(got) != len(voters) {
+			t.Fatalf("drive %d: got %d alarms, want %d", i, len(got), len(voters))
+		}
+		for k, n := range voters {
+			if want := binnedAlarm(bt, binned[i].Codes, n, 0, false); got[k] != want {
+				t.Fatalf("drive %d window %d: float %d vs binned %d", i, n, got[k], want)
 			}
 		}
-		if got := mv.DetectAll(nil); len(got) != len(voters) {
-			t.Fatalf("empty series: got %d alarms, want %d", len(got), len(voters))
-		}
+	}
+	if got := mv.DetectAll(nil); len(got) != len(voters) {
+		t.Fatalf("empty series: got %d alarms, want %d", len(got), len(voters))
 	}
 	empty := &MultiVoting{Model: ct}
 	if got := empty.DetectAll(series[0].X); len(got) != 0 {
@@ -145,7 +142,7 @@ func TestMultiVotingBinnedMatchesFloat(t *testing.T) {
 	}
 	// ScanAll mirrors the code-space conversion of indexes to outcomes.
 	failHour := series[0].Hours[len(series[0].Hours)-1]
-	fo := (&MultiVoting{Model: ct, Voters: voters, Workers: 1}).ScanAll(series[0], failHour)
+	fo := mv.ScanAll(series[0], failHour)
 	for k, n := range voters {
 		bo := AlarmOutcome(binned[0].Hours, binnedAlarm(bt, binned[0].Codes, n, 0, false), failHour)
 		if fo[k] != bo {

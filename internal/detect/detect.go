@@ -270,23 +270,19 @@ type MultiVoting struct {
 	Voters []int
 	// Threshold is the per-sample vote cut.
 	Threshold float64
-	// Workers caps the goroutines used to score the samples (≤ 1 scores
-	// serially). Any worker count yields identical alarms: every sample's
-	// score lands at its own index before the vote sweep runs.
-	Workers int
 }
 
 // NewMultiVoting validates the configuration and returns the detector.
-func NewMultiVoting(model Predictor, voters []int, threshold float64, workers int) (*MultiVoting, error) {
-	m := &MultiVoting{Model: model, Voters: voters, Threshold: threshold, Workers: workers}
+func NewMultiVoting(model Predictor, voters []int, threshold float64) (*MultiVoting, error) {
+	m := &MultiVoting{Model: model, Voters: voters, Threshold: threshold}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// Validate rejects a nil model, non-positive window sizes, thresholds
-// outside [-1, 1] and negative worker counts.
+// Validate rejects a nil model, non-positive window sizes and thresholds
+// outside [-1, 1].
 func (m *MultiVoting) Validate() error {
 	if m.Model == nil {
 		return errors.New("detect: multi-voting needs a model")
@@ -299,16 +295,12 @@ func (m *MultiVoting) Validate() error {
 	if !validThreshold(m.Threshold) {
 		return fmt.Errorf("detect: multi-voting threshold %v outside [-1, 1]", m.Threshold)
 	}
-	if m.Workers < 0 {
-		return fmt.Errorf("detect: multi-voting workers must be non-negative, got %d", m.Workers)
-	}
 	return nil
 }
 
 // DetectAll returns, for each configured window size, the index of the
 // first alarm (-1 = none), in the same order as Voters. Samples are
-// scored through the model's batch path when available, fanned across up
-// to Workers goroutines. NaN scores are excluded from every window, with
+// scored through the model's batch path when available. NaN scores are excluded from every window, with
 // alarm indexes reported in series coordinates — identical to running
 // Voting per window size.
 func (m *MultiVoting) DetectAll(xs [][]float64) []int {
@@ -316,7 +308,8 @@ func (m *MultiVoting) DetectAll(xs [][]float64) []int {
 		return []int{}
 	}
 	scores := make([]float64, len(xs))
-	scoreInto(m.Model, xs, scores, m.Workers)
+	bp, batched := m.Model.(BatchPredictor)
+	scoreChunk(m.Model, bp, batched, xs, scores)
 	return multiVoteAlarms(scores, m.Voters, m.Threshold)
 }
 

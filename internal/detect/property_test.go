@@ -351,7 +351,7 @@ func TestDetectorValidation(t *testing.T) {
 	if _, err := NewMeanThreshold(scoreModel{}, 3, -0.3); err != nil {
 		t.Errorf("valid mean-threshold config rejected: %v", err)
 	}
-	if _, err := NewMultiVoting(scoreModel{}, []int{1, 3}, 0, 4); err != nil {
+	if _, err := NewMultiVoting(scoreModel{}, []int{1, 3}, 0); err != nil {
 		t.Errorf("valid multi-voting config rejected: %v", err)
 	}
 	bad := []struct {
@@ -365,8 +365,7 @@ func TestDetectorValidation(t *testing.T) {
 		{"voting threshold NaN", func() error { _, err := NewVoting(scoreModel{}, 1, math.NaN()); return err }()},
 		{"mean N=0", func() error { _, err := NewMeanThreshold(scoreModel{}, 0, 0); return err }()},
 		{"mean threshold -2", func() error { _, err := NewMeanThreshold(scoreModel{}, 1, -2); return err }()},
-		{"multi N=0 entry", func() error { _, err := NewMultiVoting(scoreModel{}, []int{3, 0}, 0, 1); return err }()},
-		{"multi negative workers", func() error { _, err := NewMultiVoting(scoreModel{}, []int{3}, 0, -1); return err }()},
+		{"multi N=0 entry", func() error { _, err := NewMultiVoting(scoreModel{}, []int{3, 0}, 0); return err }()},
 	}
 	for _, c := range bad {
 		if c.err == nil {

@@ -416,7 +416,7 @@ func CheckDetect(c *Case, voters []int, workers []int) error {
 	const meanThreshold = -0.1
 	multi := make([][]detect.Outcome, len(series))
 	for d := range series {
-		mv := &detect.MultiVoting{Model: c.Compiled, Voters: voters, Workers: 1}
+		mv := &detect.MultiVoting{Model: c.Compiled, Voters: voters}
 		multi[d] = mv.ScanAll(series[d], failHours[d])
 	}
 	for k, n := range voters {

@@ -1,8 +1,9 @@
 // Package health implements the paper's health-degree machinery (§III-B,
 // §V-C): personalized deterioration windows derived from a first-pass CT
-// model, a priority queue that orders outstanding warnings by predicted
-// health (worst first), and a triage simulation quantifying why ordering
-// warnings by health degree reduces processing cost.
+// model, a priority queue that orders warnings by predicted health (worst
+// first), and a triage simulation over that queue quantifying why
+// ordering warnings by health degree reduces processing cost. The online
+// Monitor keeps its own queue of drives, ordered the same way.
 package health
 
 import (
@@ -55,8 +56,10 @@ type Warning struct {
 }
 
 // Queue is a priority queue of warnings ordered by health degree, worst
-// (lowest) first; ties break on older warnings. The zero value is ready to
-// use. Queue is not safe for concurrent use.
+// (lowest) first; ties break on older warnings. It holds a fixed set of
+// warnings to work through, as Triage does: warnings are pushed and
+// popped, never re-scored or withdrawn in place. The zero value is ready
+// to use. Queue is not safe for concurrent use.
 type Queue struct {
 	h warningHeap
 }
@@ -81,44 +84,6 @@ func (q *Queue) Peek() (Warning, bool) {
 		return Warning{}, false
 	}
 	return q.h[0], true
-}
-
-// Update re-prioritizes a drive's outstanding warning to the new health
-// degree (e.g. after a fresh sample); it reports whether the drive was
-// found.
-func (q *Queue) Update(drive int, health float64) bool {
-	for i := range q.h {
-		if q.h[i].Drive == drive {
-			q.h[i].Health = health
-			heap.Fix(&q.h, i)
-			return true
-		}
-	}
-	return false
-}
-
-// Remove drops a drive's outstanding warning (e.g. once the drive is
-// replaced); it reports whether the drive was found.
-func (q *Queue) Remove(drive int) bool {
-	for i := range q.h {
-		if q.h[i].Drive == drive {
-			heap.Remove(&q.h, i)
-			return true
-		}
-	}
-	return false
-}
-
-// Items returns a copy of every outstanding warning, sorted by drive ID
-// (not by urgency — use Pop for triage order). It exists for state
-// serialization: a snapshot needs the queue's contents in an order that
-// is a pure function of the warnings, independent of the heap's
-// insertion history.
-func (q *Queue) Items() []Warning {
-	items := make([]Warning, len(q.h))
-	copy(items, q.h)
-	sort.Slice(items, func(i, j int) bool { return items[i].Drive < items[j].Drive })
-	return items
 }
 
 // warningHeap implements heap.Interface.

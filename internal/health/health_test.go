@@ -85,43 +85,6 @@ func TestQueueTieBreaksOnAge(t *testing.T) {
 	}
 }
 
-func TestQueueUpdate(t *testing.T) {
-	var q Queue
-	q.Push(Warning{Drive: 1, Health: -0.1})
-	q.Push(Warning{Drive: 2, Health: -0.2})
-	if !q.Update(1, -0.9) {
-		t.Fatal("Update did not find drive 1")
-	}
-	if w, _ := q.Peek(); w.Drive != 1 {
-		t.Error("updated drive should be most urgent")
-	}
-	if q.Update(99, 0) {
-		t.Error("Update of unknown drive should report false")
-	}
-}
-
-func TestQueueRemove(t *testing.T) {
-	var q Queue
-	for i := 0; i < 6; i++ {
-		q.Push(Warning{Drive: i, Health: -float64(i) / 10, Hour: i})
-	}
-	if !q.Remove(5) {
-		t.Fatal("Remove did not find drive 5")
-	}
-	if q.Remove(5) {
-		t.Error("second Remove of drive 5 should report false")
-	}
-	if q.Len() != 5 {
-		t.Fatalf("Len = %d after Remove, want 5", q.Len())
-	}
-	// The rest still pops in urgency order, without the removed drive.
-	for want := 4; want >= 0; want-- {
-		if w, _ := q.Pop(); w.Drive != want {
-			t.Fatalf("popped drive %d, want %d", w.Drive, want)
-		}
-	}
-}
-
 func TestQueueHeapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q Queue

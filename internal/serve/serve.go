@@ -20,6 +20,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -403,7 +404,12 @@ func (s *Server) Warnings() []hddcart.MonitorWarning {
 // then serial. Warnings are unique per (serial, outstanding-window), so
 // the order is total.
 func SortWarnings(ws []hddcart.MonitorWarning) {
-	sortWarningsByHourSerial(ws)
+	sort.Slice(ws, func(i, j int) bool {
+		if ws[i].Hour != ws[j].Hour {
+			return ws[i].Hour < ws[j].Hour
+		}
+		return ws[i].Serial < ws[j].Serial
+	})
 }
 
 // ShardMetrics is one shard's observable state.

@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -228,14 +227,4 @@ func (s *Server) rebuildCold() error {
 		sh.warnings = nil
 	}
 	return nil
-}
-
-// sortWarningsByHourSerial is SortWarnings' comparison.
-func sortWarningsByHourSerial(ws []hddcart.MonitorWarning) {
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].Hour != ws[j].Hour {
-			return ws[i].Hour < ws[j].Hour
-		}
-		return ws[i].Serial < ws[j].Serial
-	})
 }

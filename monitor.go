@@ -1,11 +1,11 @@
 package hddcart
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 
 	"hddcart/internal/detect"
-	"hddcart/internal/health"
 	"hddcart/internal/smart"
 )
 
@@ -92,15 +92,13 @@ func (cfg *MonitorConfig) Validate() error {
 //
 // Monitor is not safe for concurrent use; wrap it with a mutex if needed.
 type Monitor struct {
-	cfg     MonitorConfig
-	model   Predictor // compiled form of cfg.Model (bit-identical scores)
-	budget  int       // resolved BadSampleBudget (0 = disabled)
-	x       []float64 // feature scratch, reused across Observe calls
-	drives  map[string]*monitoredDrive
-	queue   health.Queue
-	warned  map[string]bool
-	serials map[int]string // queue ID → serial
-	stats   MonitorStats
+	cfg    MonitorConfig
+	model  Predictor // compiled form of cfg.Model (bit-identical scores)
+	budget int       // resolved BadSampleBudget (0 = disabled)
+	x      []float64 // feature scratch, reused across Observe calls
+	drives map[string]*monitoredDrive
+	queue  warningHeap
+	stats  MonitorStats
 }
 
 // MonitorWarning is an outstanding warning with its drive serial.
@@ -159,12 +157,15 @@ func (s *MonitorStats) Add(o MonitorStats) {
 	s.Quarantined += o.Quarantined
 }
 
-// monitoredDrive is the per-drive sliding state.
+// monitoredDrive is the per-drive sliding state and warning state.
 type monitoredDrive struct {
 	history     []smart.Record // bounded chronological history
 	window      detect.Window  // last N scores + failed-vote count
 	badRun      int            // consecutive corrupt arrivals
 	quarantined bool
+	warned      bool           // warned since the last Resolve
+	warning     MonitorWarning // the warning, re-scored while queued
+	slot        int            // index in Monitor.queue; -1 when not queued
 }
 
 // NewMonitor validates the configuration and returns an empty monitor.
@@ -187,13 +188,11 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		budget = 0 // disabled
 	}
 	m := &Monitor{
-		cfg:     cfg,
-		model:   CompileModel(cfg.Model),
-		budget:  budget,
-		x:       make([]float64, len(cfg.Features)),
-		drives:  make(map[string]*monitoredDrive),
-		warned:  make(map[string]bool),
-		serials: make(map[int]string),
+		cfg:    cfg,
+		model:  CompileModel(cfg.Model),
+		budget: budget,
+		x:      make([]float64, len(cfg.Features)),
+		drives: make(map[string]*monitoredDrive),
 	}
 	return m, nil
 }
@@ -207,7 +206,7 @@ func (m *Monitor) Observe(driveID string, rec Record) (MonitorWarning, bool) {
 	m.stats.Observed++
 	d := m.drives[driveID]
 	if d == nil {
-		d = &monitoredDrive{}
+		d = &monitoredDrive{slot: -1}
 		m.drives[driveID] = d
 	}
 	if d.quarantined {
@@ -291,28 +290,29 @@ func (m *Monitor) Observe(driveID string, rec Record) (MonitorWarning, bool) {
 	if !d.window.Tripped(m.cfg.Voters, m.cfg.Threshold, m.cfg.UseMean) {
 		return MonitorWarning{}, false
 	}
-	id := stableID(driveID)
-	if m.warned[driveID] {
-		m.queue.Update(id, mean)
+	if d.warned {
+		if d.slot >= 0 {
+			d.warning.Health = mean
+			heap.Fix(&m.queue, d.slot)
+		}
 		return MonitorWarning{}, false
 	}
-	m.warned[driveID] = true
-	m.serials[id] = driveID
-	m.queue.Push(Warning{Drive: id, Health: mean, Hour: rec.Hour})
-	return MonitorWarning{Serial: driveID, Health: mean, Hour: rec.Hour}, true
+	d.warned = true
+	d.warning = MonitorWarning{Serial: driveID, Health: mean, Hour: rec.Hour}
+	heap.Push(&m.queue, d)
+	return d.warning, true
 }
 
 // NextWarning pops the most urgent outstanding warning (lowest health).
 func (m *Monitor) NextWarning() (MonitorWarning, bool) {
-	w, ok := m.queue.Pop()
-	if !ok {
+	if len(m.queue) == 0 {
 		return MonitorWarning{}, false
 	}
-	return MonitorWarning{Serial: m.serials[w.Drive], Health: w.Health, Hour: w.Hour}, true
+	return heap.Pop(&m.queue).(*monitoredDrive).warning, true
 }
 
 // Outstanding returns the number of unprocessed warnings.
-func (m *Monitor) Outstanding() int { return m.queue.Len() }
+func (m *Monitor) Outstanding() int { return len(m.queue) }
 
 // Stats returns the ingest accounting so far.
 func (m *Monitor) Stats() MonitorStats { return m.stats }
@@ -328,23 +328,54 @@ func (m *Monitor) Quarantined(driveID string) bool {
 // replacement/migration or a telemetry fix) so future observations can
 // warn again. The drive's queued warning, if still unpopped, goes too.
 func (m *Monitor) Resolve(driveID string) {
-	if d := m.drives[driveID]; d != nil && d.quarantined {
+	d := m.drives[driveID]
+	if d == nil {
+		return
+	}
+	if d.quarantined {
 		m.stats.Quarantined--
 	}
-	if m.warned[driveID] {
-		m.queue.Remove(stableID(driveID))
+	if d.slot >= 0 {
+		heap.Remove(&m.queue, d.slot)
 	}
-	delete(m.warned, driveID)
 	delete(m.drives, driveID)
 }
 
-// stableID hashes a drive serial into the integer ID space the warning
-// queue uses.
-func stableID(serial string) int {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(serial); i++ {
-		h ^= uint64(serial[i])
-		h *= 1099511628211
+// warningHeap is the Monitor's triage queue (paper §III-B): the drives
+// with an unpopped warning, most urgent first. Swap keeps every drive's
+// slot current, so a re-scored or resolved drive is fixed or removed in
+// O(log n) without a search.
+type warningHeap []*monitoredDrive
+
+func (h warningHeap) Len() int           { return len(h) }
+func (h warningHeap) Less(i, j int) bool { return moreUrgent(h[i].warning, h[j].warning) }
+func (h warningHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].slot = i
+	h[j].slot = j
+}
+func (h *warningHeap) Push(x any) {
+	d := x.(*monitoredDrive)
+	d.slot = len(*h)
+	*h = append(*h, d)
+}
+func (h *warningHeap) Pop() any {
+	old := *h
+	n := len(old)
+	d := old[n-1]
+	old[n-1] = nil
+	d.slot = -1
+	*h = old[:n-1]
+	return d
+}
+
+// moreUrgent orders warnings as health.Queue does: lower health first,
+// older warnings first on ties.
+//
+//hddlint:floatcmp a tie in stored health degrees falls through to the raise hour; any other order would depend on heap history
+func moreUrgent(a, b MonitorWarning) bool {
+	if a.Health != b.Health {
+		return a.Health < b.Health
 	}
-	return int(h & 0x7fffffff)
+	return a.Hour < b.Hour
 }

@@ -1,6 +1,7 @@
 package hddcart
 
 import (
+	"container/heap"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -38,9 +39,10 @@ type monitorSnapshot struct {
 	// a snapshot carrying it is refused.
 	Binned bool `json:"binned,omitempty"`
 
-	// Mutable state. Drives and Warned are sorted by serial and Queue by
-	// (serial, hour) so encoding is a pure function of monitor state:
-	// two monitors with equal state produce byte-identical snapshots.
+	// Mutable state, each list sorted by serial so encoding is a pure
+	// function of monitor state: two monitors with equal state produce
+	// byte-identical snapshots. Warned and Queue name drives in Drives;
+	// a drive is queued at most once, and only if warned.
 	Drives []driveSnapshot  `json:"drives"`
 	Warned []string         `json:"warned,omitempty"`
 	Queue  []MonitorWarning `json:"queue,omitempty"`
@@ -78,9 +80,14 @@ func (m *Monitor) EncodeSnapshot(w io.Writer) error {
 		Drives:          make([]driveSnapshot, 0, len(m.drives)),
 		Stats:           m.stats,
 	}
-	drives := snap.Drives
-	for serial, d := range m.drives {
-		drives = append(drives, driveSnapshot{
+	serials := make([]string, 0, len(m.drives))
+	for serial := range m.drives {
+		serials = append(serials, serial)
+	}
+	sort.Strings(serials)
+	for _, serial := range serials {
+		d := m.drives[serial]
+		snap.Drives = append(snap.Drives, driveSnapshot{
 			Serial:      serial,
 			History:     d.history,
 			Scores:      d.window.Scores,
@@ -88,26 +95,13 @@ func (m *Monitor) EncodeSnapshot(w io.Writer) error {
 			BadRun:      d.badRun,
 			Quarantined: d.quarantined,
 		})
-	}
-	sort.Slice(drives, func(i, j int) bool { return drives[i].Serial < drives[j].Serial })
-	snap.Drives = drives
-	var warned []string
-	for serial := range m.warned {
-		warned = append(warned, serial)
-	}
-	sort.Strings(warned)
-	snap.Warned = warned
-	for _, qw := range m.queue.Items() {
-		snap.Queue = append(snap.Queue, MonitorWarning{
-			Serial: m.serials[qw.Drive], Health: qw.Health, Hour: qw.Hour,
-		})
-	}
-	sort.Slice(snap.Queue, func(i, j int) bool {
-		if snap.Queue[i].Serial != snap.Queue[j].Serial {
-			return snap.Queue[i].Serial < snap.Queue[j].Serial
+		if d.warned {
+			snap.Warned = append(snap.Warned, serial)
 		}
-		return snap.Queue[i].Hour < snap.Queue[j].Hour
-	})
+		if d.slot >= 0 {
+			snap.Queue = append(snap.Queue, d.warning)
+		}
+	}
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(&snap); err != nil {
 		return fmt.Errorf("hddcart: encode monitor snapshot: %w", err)
@@ -123,8 +117,10 @@ func (m *Monitor) EncodeSnapshot(w io.Writer) error {
 //
 // The target must be unused (nothing observed) and configured with the
 // same detection rule as the snapshot's fingerprint; any version,
-// fingerprint or decode mismatch is an error and leaves the monitor
-// empty, so callers can fall back to a counted cold start.
+// fingerprint or decode mismatch, and any warned or queued serial that
+// does not match the drive list (an unknown drive, a queued drive that
+// was never warned, a drive queued twice), is an error and leaves the
+// monitor empty, so callers can fall back to a counted cold start.
 func (m *Monitor) RestoreSnapshot(r io.Reader) error {
 	if m.stats.Observed != 0 || len(m.drives) != 0 {
 		return fmt.Errorf("hddcart: restore onto a used monitor (%d observed)", m.stats.Observed)
@@ -155,16 +151,34 @@ func (m *Monitor) RestoreSnapshot(r io.Reader) error {
 			window:      detect.Window{Scores: ds.Scores, Votes: ds.Votes},
 			badRun:      ds.BadRun,
 			quarantined: ds.Quarantined,
+			slot:        -1,
 		}
 	}
 	for _, serial := range snap.Warned {
-		m.warned[serial] = true
-		m.serials[stableID(serial)] = serial
+		d := m.drives[serial]
+		if d == nil {
+			m.reset()
+			return fmt.Errorf("hddcart: monitor snapshot warns unknown drive %q", serial)
+		}
+		d.warned = true
 	}
-	for _, qw := range snap.Queue {
-		id := stableID(qw.Serial)
-		m.serials[id] = qw.Serial
-		m.queue.Push(Warning{Drive: id, Health: qw.Health, Hour: qw.Hour})
+	for _, w := range snap.Queue {
+		d := m.drives[w.Serial]
+		var err error
+		switch {
+		case d == nil:
+			err = fmt.Errorf("hddcart: monitor snapshot queues unknown drive %q", w.Serial)
+		case !d.warned:
+			err = fmt.Errorf("hddcart: monitor snapshot queues unwarned drive %q", w.Serial)
+		case d.slot >= 0:
+			err = fmt.Errorf("hddcart: monitor snapshot queues drive %q twice", w.Serial)
+		}
+		if err != nil {
+			m.reset()
+			return err
+		}
+		d.warning = w
+		heap.Push(&m.queue, d)
 	}
 	m.stats = snap.Stats
 	return nil
@@ -204,8 +218,6 @@ func sameThreshold(a, b float64) bool { return a == b }
 // the monitor cold rather than half-loaded.
 func (m *Monitor) reset() {
 	m.drives = make(map[string]*monitoredDrive)
-	m.warned = make(map[string]bool)
-	m.serials = make(map[int]string)
-	m.queue = WarningQueue{}
+	m.queue = nil
 	m.stats = MonitorStats{}
 }

@@ -2,6 +2,10 @@ package hddcart
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -101,6 +105,49 @@ func TestMonitorSnapshotResume(t *testing.T) {
 	}
 }
 
+// TestMonitorSnapshotDigest pins a fleet-sized run to fixed digests: 300
+// drives over 60 hours with pops and resolves along the way, then a
+// snapshot, a restore and a full drain. The snapshot bytes and the pop
+// order must not move when the monitor's internals change.
+func TestMonitorSnapshotDigest(t *testing.T) {
+	m := newTestMonitor(t, 3, false)
+	rng := rand.New(rand.NewSource(3))
+	var pops []MonitorWarning
+	for h := 0; h < 60; h++ {
+		for d := 0; d < 300; d++ {
+			m.Observe(fmt.Sprintf("S%04d", d), recAt(h, rng.Float64()*2-1-float64(d%7)*0.05))
+		}
+		if h%7 == 0 {
+			if w, ok := m.NextWarning(); ok {
+				pops = append(pops, w)
+			}
+		}
+		if h%11 == 0 {
+			m.Resolve(fmt.Sprintf("S%04d", h))
+		}
+	}
+	snap := encodeString(t, m)
+	if got, want := fmt.Sprintf("%d %x", len(snap), sha256.Sum256([]byte(snap))),
+		"181745 ead50a44ad36727d8875f717608e132204526f7bffb7db97ae82154ef048f1bb"; got != want {
+		t.Errorf("snapshot length and sha256 = %s, want %s", got, want)
+	}
+	restored := newTestMonitor(t, 3, false)
+	if err := restored.RestoreSnapshot(strings.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		w, ok := restored.NextWarning()
+		if !ok {
+			break
+		}
+		pops = append(pops, w)
+	}
+	if got, want := fmt.Sprintf("%d %x", len(pops), sha256.Sum256([]byte(fmt.Sprint(pops)))),
+		"301 fca070f67c0ab06af056e7cb094c123040ece349fbe803ba6639b14a29057244"; got != want {
+		t.Errorf("pop count and sha256 = %s, want %s", got, want)
+	}
+}
+
 // TestMonitorSnapshotFingerprint checks that a snapshot only restores
 // under the configuration that produced it.
 func TestMonitorSnapshotFingerprint(t *testing.T) {
@@ -182,6 +229,39 @@ func TestMonitorSnapshotRejects(t *testing.T) {
 	bad := strings.Replace(snap, `"version":1`, `"version":99`, 1)
 	if err := fresh.RestoreSnapshot(strings.NewReader(bad)); err == nil {
 		t.Error("unknown version accepted")
+	}
+	// Warned and queued serials must match the drive list: drive-a is
+	// warned and queued, drive-b is known but never warned.
+	m.Observe("drive-b", recAt(0, 0.8))
+	var base monitorSnapshot
+	if err := json.Unmarshal([]byte(encodeString(t, m)), &base); err != nil {
+		t.Fatal(err)
+	}
+	qa := base.Queue[0]
+	inconsistent := []struct {
+		name   string
+		warned []string
+		queue  []MonitorWarning
+	}{
+		{"warned unknown drive", []string{"drive-a", "nobody"}, base.Queue},
+		{"queued unknown drive", base.Warned, []MonitorWarning{qa, {Serial: "nobody", Health: -1, Hour: 3}}},
+		{"queued unwarned drive", base.Warned, []MonitorWarning{qa, {Serial: "drive-b", Health: -1, Hour: 0}}},
+		{"queued twice", base.Warned, []MonitorWarning{qa, qa}},
+	}
+	for _, tc := range inconsistent {
+		snap := base
+		snap.Warned, snap.Queue = tc.warned, tc.queue
+		raw, err := json.Marshal(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := newTestMonitor(t, 3, false)
+		if err := target.RestoreSnapshot(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: restore accepted", tc.name)
+		}
+		if target.Outstanding() != 0 || target.Stats().Observed != 0 {
+			t.Errorf("%s: refused restore left state behind", tc.name)
+		}
 	}
 	// After every rejection the monitor must still be cold and usable.
 	if fresh.Stats().Observed != 0 {

@@ -399,3 +399,43 @@ func TestMonitorExcludesInvalidPredictions(t *testing.T) {
 		t.Error("third valid failed vote did not alarm")
 	}
 }
+
+// TestMonitorSerialCollision checks that every drive keeps its own
+// warning. B0081191 and B0655080 collided under the 31-bit serial hash
+// that once keyed the warning queue: one drive's pops, re-scores and
+// Resolve landed on the other's entry.
+func TestMonitorSerialCollision(t *testing.T) {
+	const a, b = "B0081191", "B0655080"
+
+	m := newTestMonitor(t, 1, false)
+	m.Observe(a, recAt(0, -0.5))
+	m.Observe(b, recAt(0, -0.25))
+	m.Observe(b, recAt(1, -0.75)) // re-scores b's warning only
+	want := []MonitorWarning{{Serial: b, Health: -0.75, Hour: 0}, {Serial: a, Health: -0.5, Hour: 0}}
+	for _, w := range want {
+		if got, ok := m.NextWarning(); !ok || got != w {
+			t.Fatalf("NextWarning = %+v, %v; want %+v", got, ok, w)
+		}
+	}
+	if got, ok := m.NextWarning(); ok {
+		t.Fatalf("extra warning %+v", got)
+	}
+
+	for _, resolved := range []string{a, b} {
+		kept := a
+		if resolved == a {
+			kept = b
+		}
+		m := newTestMonitor(t, 1, false)
+		m.Observe(a, recAt(0, -0.5))
+		m.Observe(b, recAt(0, -0.25))
+		m.Resolve(resolved)
+		got, ok := m.NextWarning()
+		if !ok || got.Serial != kept {
+			t.Fatalf("after Resolve(%s): NextWarning = %+v, %v; want %s", resolved, got, ok, kept)
+		}
+		if m.Outstanding() != 0 {
+			t.Fatalf("after Resolve(%s): %d outstanding, want 0", resolved, m.Outstanding())
+		}
+	}
+}
