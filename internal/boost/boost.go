@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"hddcart/internal/cart"
+	"hddcart/internal/par"
 )
 
 // Config holds the boosting hyper-parameters.
@@ -31,7 +31,7 @@ type Config struct {
 	// Workers bounds the per-round parallelism: each round's tree grows
 	// on a cart worker pool of this size and the round's training-set
 	// scoring fans out across it. Rounds themselves are inherently
-	// sequential (each reweights from the last). 0 = runtime.NumCPU().
+	// sequential (each reweights from the last). 0 = runtime.GOMAXPROCS(0).
 	// The ensemble is bit-identical for any worker count: per-sample
 	// predictions parallelize but the weighted-error and reweighting
 	// sums always accumulate in sample order.
@@ -46,7 +46,7 @@ func (c Config) withDefaults() Config {
 		c.MaxDepth = 3
 	}
 	if c.Workers == 0 {
-		c.Workers = runtime.NumCPU()
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -162,33 +162,21 @@ func Train(x [][]float64, y, w []float64, cfg Config) (*Ensemble, error) {
 }
 
 // parallelChunks runs fn over contiguous [lo, hi) ranges covering [0, n)
-// on up to workers goroutines. fn must confine writes to its own range;
-// results are then independent of the chunking and worker count. Small
-// inputs run inline — goroutine overhead would dominate.
+// on up to workers goroutines, one par.For index per range. fn must
+// confine writes to its own range; results are then independent of the
+// chunking and worker count. Small inputs run inline — goroutine overhead
+// would dominate.
 func parallelChunks(n, workers int, fn func(lo, hi int)) {
 	const minChunk = 1024
 	if workers <= 1 || n < 2*minChunk {
 		fn(0, n)
 		return
 	}
-	chunks := (n + minChunk - 1) / minChunk
-	if chunks > workers {
-		chunks = workers
-	}
+	chunks := min(workers, (n+minChunk-1)/minChunk)
 	size := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.For((n+size-1)/size, workers, func(c int) {
+		fn(c*size, min((c+1)*size, n))
+	})
 }
 
 // Predict returns the weighted vote balance in [−1, +1] (negative =

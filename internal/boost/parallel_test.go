@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -70,5 +71,15 @@ func TestParallelDeterminismBoost(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorkersDefaultIsGOMAXPROCS pins Workers 0 to the scheduler's
+// processor count, which honours GOMAXPROCS and container CPU limits,
+// rather than the machine's CPU count.
+func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := (Config{}).withDefaults().Workers; got != 1 {
+		t.Errorf("Workers 0 resolved to %d under GOMAXPROCS 1, want 1", got)
 	}
 }

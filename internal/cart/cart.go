@@ -84,7 +84,7 @@ type Params struct {
 	MaxBins int
 	// Workers bounds training parallelism: split searches fan out across
 	// features and independent subtrees grow concurrently on a pool of
-	// this many goroutines. 0 defaults to runtime.NumCPU(); 1 runs the
+	// this many goroutines. 0 defaults to runtime.GOMAXPROCS(0); 1 runs the
 	// serial path. Training is deterministic: for any worker count the
 	// grown tree (splits, thresholds, leaf values, prune sequence) is
 	// bit-identical to the Workers=1 result, because per-feature split
@@ -113,7 +113,7 @@ func (p Params) withDefaults() Params {
 		p.LossMiss = 1
 	}
 	if p.Workers == 0 {
-		p.Workers = runtime.NumCPU()
+		p.Workers = runtime.GOMAXPROCS(0)
 	}
 	return p
 }

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
+
+	"hddcart/internal/par"
 )
 
 // Clone returns a deep copy of the tree.
@@ -138,28 +139,13 @@ func CrossValidateCP(x [][]float64, y, w []float64, p Params, kind Kind,
 
 	// Concurrent folds split the worker budget so total goroutines stay
 	// bounded by p.Workers regardless of fold count.
-	outer := p.Workers
-	if outer > folds {
-		outer = folds
-	}
-	inner := p.Workers / outer
-	if inner < 1 {
-		inner = 1
-	}
+	outer := min(p.Workers, folds)
+	inner := max(p.Workers/outer, 1)
 
 	results := make([]foldResult, folds)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, outer)
-	for f := 0; f < folds; f++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(f int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[f] = runFold(x, y, w, fold, f, p, kind, cps, inner)
-		}(f)
-	}
-	wg.Wait()
+	par.For(folds, outer, func(f int) {
+		results[f] = runFold(x, y, w, fold, f, p, kind, cps, inner)
+	})
 
 	losses := make([]float64, len(cps))
 	weights := make([]float64, len(cps))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hddcart/internal/dataset"
@@ -305,5 +306,15 @@ func TestWorkersValidation(t *testing.T) {
 	}
 	if _, _, err := CrossValidateCP(x, y, nil, Params{Workers: -2}, Classification, 2, []float64{0.01}, 1); err == nil {
 		t.Error("negative Workers accepted by CrossValidateCP")
+	}
+}
+
+// TestWorkersDefaultIsGOMAXPROCS pins Workers 0 to the scheduler's
+// processor count, which honours GOMAXPROCS and container CPU limits,
+// rather than the machine's CPU count.
+func TestWorkersDefaultIsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := (Params{}).withDefaults().Workers; got != 1 {
+		t.Errorf("Workers 0 resolved to %d under GOMAXPROCS 1, want 1", got)
 	}
 }

@@ -1,9 +1,6 @@
 package detect
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "hddcart/internal/par"
 
 // BatchPredictor is the optional extension of Predictor implemented by
 // ann.Network: it scores a whole block of feature vectors into dst,
@@ -31,12 +28,12 @@ func scoreChunk(model Predictor, bp BatchPredictor, batched bool, xs [][]float64
 	}
 }
 
-// scanStride is how many consecutive drives a fleet-scan worker claims
-// per atomic bump. Outcome is 24 bytes, so 8 drives ≥ three full cache
-// lines of out: the claim counter is hit once per stride instead of once
-// per drive, and two workers never interleave writes within one line
-// (the only possibly-shared lines are the stride's edges). Results stay
-// index-addressed and therefore identical for every worker count.
+// scanStride is how many consecutive drives one par.For index covers.
+// Outcome is 24 bytes, so 8 drives ≥ three full cache lines of out: the
+// claim counter is hit once per stride instead of once per drive, and two
+// workers never interleave writes within one line (the only possibly-shared
+// lines are the stride's edges). Results stay index-addressed and therefore
+// identical for every worker count.
 const scanStride = 8
 
 // ScanBatch runs a detector over many drives' series on up to workers
@@ -48,39 +45,15 @@ const scanStride = 8
 // are.
 func ScanBatch(d Detector, series []Series, failHours []int, workers int) []Outcome {
 	out := make([]Outcome, len(series))
-	failHour := func(i int) int {
-		if failHours == nil {
-			return -1
-		}
-		return failHours[i]
-	}
-	if workers <= 1 || len(series) < 2 {
-		for i := range series {
-			out[i] = Scan(d, series[i], failHour(i))
-		}
-		return out
-	}
-	if workers > len(series) {
-		workers = len(series)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := (int(next.Add(1)) - 1) * scanStride
-				if lo >= len(series) {
-					return
-				}
-				hi := min(lo+scanStride, len(series))
-				for i := lo; i < hi; i++ {
-					out[i] = Scan(d, series[i], failHour(i))
-				}
+	strides := (len(series) + scanStride - 1) / scanStride
+	par.For(strides, workers, func(c int) {
+		for i := c * scanStride; i < min((c+1)*scanStride, len(series)); i++ {
+			failHour := -1
+			if failHours != nil {
+				failHour = failHours[i]
 			}
-		}()
-	}
-	wg.Wait()
+			out[i] = Scan(d, series[i], failHour)
+		}
+	})
 	return out
 }

@@ -25,12 +25,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"hddcart/internal/cart"
 	"hddcart/internal/cpu"
 	"hddcart/internal/dataset"
 	"hddcart/internal/detect"
+	"hddcart/internal/par"
 	"hddcart/internal/sweep"
 )
 
@@ -332,26 +332,16 @@ func forEachBlock(n, block int, fn func(lo, hi int)) {
 }
 
 // forEachShard splits [0,n) into up to workers contiguous shards and
-// runs them concurrently.
+// runs them concurrently, one par.For index per shard.
 func forEachShard(n, workers int, fn func(lo, hi int)) {
 	if workers <= 1 || n < 2 {
 		fn(0, n)
 		return
 	}
-	if workers > n {
-		workers = n
-	}
 	size := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += size {
-		hi := min(lo+size, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.For((n+size-1)/size, workers, func(s int) {
+		fn(s*size, min((s+1)*size, n))
+	})
 }
 
 // PerturbWithinBin returns a copy of the corpus with every finite value

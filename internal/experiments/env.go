@@ -9,13 +9,13 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hddcart/internal/ann"
 	"hddcart/internal/cart"
 	"hddcart/internal/dataset"
 	"hddcart/internal/detect"
 	"hddcart/internal/eval"
+	"hddcart/internal/par"
 	"hddcart/internal/plot"
 	"hddcart/internal/simulate"
 	"hddcart/internal/smart"
@@ -189,31 +189,47 @@ func (r *Report) String() string {
 // and delivers them, in drive order, to fn on the calling goroutine (so fn
 // may feed order-sensitive consumers like dataset.Builder).
 func (e *Env) forEachTrace(drives []simulate.Drive, fn func(d simulate.Drive, trace []smart.Record)) {
-	workers := e.cfg.Workers
 	const batch = 64
 	traces := make([][]smart.Record, batch)
 	for start := 0; start < len(drives); start += batch {
-		end := start + batch
-		if end > len(drives) {
-			end = len(drives)
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i := start; i < end; i++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				traces[i-start] = e.fleet.Trace(drives[i].Index)
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-		for i := start; i < end; i++ {
-			fn(drives[i], traces[i-start])
-			traces[i-start] = nil
+		n := min(batch, len(drives)-start)
+		par.For(n, e.cfg.Workers, func(i int) {
+			traces[i] = e.fleet.Trace(drives[start+i].Index)
+		})
+		for i := 0; i < n; i++ {
+			fn(drives[start+i], traces[i])
+			traces[i] = nil
 		}
 	}
+}
+
+// testDrives keeps the drives the paper's protocol tests: every good drive
+// and the failed drives outside the training split (per splitSeed).
+func testDrives(drives []simulate.Drive, splitSeed int64) []simulate.Drive {
+	out := make([]simulate.Drive, 0, len(drives))
+	for _, d := range drives {
+		if !d.Failed || !dataset.IsTrainFailedDrive(splitSeed, d.Index, 0.7) {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// testSeries cuts a tested drive's series out of its trace and returns the
+// failure hour to scan it against: a failed drive's whole recorded trace
+// against its FailHour, a good drive's samples after the trainFrac cut of
+// [periodStart, periodEnd) against -1. ok is false when a good drive has
+// no samples after the cut.
+func testSeries(features smart.FeatureSet, d simulate.Drive, trace []smart.Record,
+	periodStart, periodEnd int, trainFrac float64) (s detect.Series, failHour int, ok bool) {
+	if d.Failed {
+		return detect.ExtractSeries(features, trace, 0, len(trace)), d.FailHour, true
+	}
+	from, to, ok := dataset.TestStart(trace, periodStart, periodEnd, trainFrac)
+	if !ok {
+		return detect.Series{}, -1, false
+	}
+	return detect.ExtractSeries(features, trace, from, to), -1, true
 }
 
 // scanDrives runs a detector over the given drives in parallel: good
@@ -235,55 +251,23 @@ func (e *Env) scanDrives(
 	splitSeed int64,
 	counter *eval.Counter,
 ) {
-	scan := make([]simulate.Drive, 0, len(drives))
-	for _, d := range drives {
-		if d.Failed && dataset.IsTrainFailedDrive(splitSeed, d.Index, 0.7) {
-			continue // training-split failed drive
-		}
-		scan = append(scan, d)
-	}
+	scan := testDrives(drives, splitSeed)
 	type result struct {
 		scanned bool
-		failed  bool
 		out     detect.Outcome
 	}
 	results := make([]result, len(scan))
-	workers := e.cfg.Workers
-	if workers > len(scan) {
-		workers = len(scan)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(scan) {
-					return
-				}
-				d := scan[i]
-				trace := e.fleet.Trace(d.Index)
-				if d.Failed {
-					s := detect.ExtractSeries(features, trace, 0, len(trace))
-					results[i] = result{scanned: true, failed: true, out: detect.Scan(det, s, d.FailHour)}
-					continue
-				}
-				from, to, ok := dataset.TestStart(trace, periodStart, periodEnd, trainFrac)
-				if !ok {
-					continue
-				}
-				s := detect.ExtractSeries(features, trace, from, to)
-				results[i] = result{scanned: true, out: detect.Scan(det, s, -1)}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, r := range results {
+	par.For(len(scan), e.cfg.Workers, func(i int) {
+		d := scan[i]
+		s, failHour, ok := testSeries(features, d, e.fleet.Trace(d.Index), periodStart, periodEnd, trainFrac)
+		if ok {
+			results[i] = result{scanned: true, out: detect.Scan(det, s, failHour)}
+		}
+	})
+	for i, r := range results {
 		switch {
 		case !r.scanned:
-		case r.failed:
+		case scan[i].Failed:
 			counter.AddFailed(r.out)
 		default:
 			counter.AddGood(r.out.Alarmed)

@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"hddcart/internal/par"
 	"hddcart/internal/simulate"
 	"hddcart/internal/smart"
 )
@@ -20,31 +19,18 @@ func (e *Env) Table1() (*Report, error) {
 		family string
 		failed bool
 	}
+	drives := e.fleet.Drives()
+	lengths := make([]int, len(drives))
+	par.For(len(drives), e.cfg.Workers, func(i int) {
+		lengths[i] = len(e.fleet.Trace(drives[i].Index))
+	})
 	counts := make(map[key]int)
-	samples := make(map[key]*int64)
-	for _, fam := range []string{"W", "Q"} {
-		for _, failed := range []bool{false, true} {
-			samples[key{fam, failed}] = new(int64)
-		}
+	samples := make(map[key]int)
+	for i, d := range drives {
+		k := key{d.Family, d.Failed}
+		counts[k]++
+		samples[k] += lengths[i]
 	}
-	var wg sync.WaitGroup
-	work := make(chan simulate.Drive)
-	for w := 0; w < e.cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for d := range work {
-				n := int64(len(e.fleet.Trace(d.Index)))
-				atomic.AddInt64(samples[key{d.Family, d.Failed}], n)
-			}
-		}()
-	}
-	for _, d := range e.fleet.Drives() {
-		counts[key{d.Family, d.Failed}]++
-		work <- d
-	}
-	close(work)
-	wg.Wait()
 
 	for _, fam := range []string{"W", "Q"} {
 		for _, failed := range []bool{false, true} {
@@ -53,7 +39,7 @@ func (e *Env) Table1() (*Report, error) {
 			if failed {
 				class, period = "Failed", fmt.Sprintf("%d days", simulate.FailedDays)
 			}
-			r.addf("%-8s %-7s %9d %10s %14d", fam, class, counts[k], period, *samples[k])
+			r.addf("%-8s %-7s %9d %10s %14d", fam, class, counts[k], period, samples[k])
 		}
 	}
 	r.addf("scale: good ×%.3g, failed ×%.3g of the paper's 25,792-drive dataset",

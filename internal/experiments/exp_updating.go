@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"hddcart/internal/dataset"
 	"hddcart/internal/detect"
 	"hddcart/internal/eval"
+	"hddcart/internal/par"
 	"hddcart/internal/plot"
 	"hddcart/internal/simulate"
 	"hddcart/internal/smart"
@@ -197,49 +196,31 @@ func (e *Env) runUpdating(family string) (*updatingResults, error) {
 			alarmed bool
 		}
 		verdicts := make([][]verdict, len(good))
-		workers := e.cfg.Workers
-		if workers > len(good) {
-			workers = len(good)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					di := int(next.Add(1)) - 1
-					if di >= len(good) {
-						return
-					}
-					trace := e.fleet.Trace(good[di].Index)
-					var vs []verdict
-					for w := 2; w <= lastWeek; w++ {
-						start := (w - 1) * simulate.HoursPerWeek
-						end := w * simulate.HoursPerWeek
-						from, to, ok := dataset.TestStart(trace, start, end, 0.7)
-						if !ok {
+		par.For(len(good), e.cfg.Workers, func(di int) {
+			d := good[di]
+			trace := e.fleet.Trace(d.Index)
+			var vs []verdict
+			for w := 2; w <= lastWeek; w++ {
+				start, end := weekRange{w, w}.hourSpan()
+				series, _, ok := testSeries(features, d, trace, start, end, 0.7)
+				if !ok {
+					continue
+				}
+				for _, kind := range kindNames {
+					byRange := kinds[kind]
+					for _, p := range plans {
+						s, en, _, err := p.TrainWeeks(w)
+						if err != nil {
 							continue
 						}
-						series := detect.ExtractSeries(features, trace, from, to)
-						for _, kind := range kindNames {
-							byRange := kinds[kind]
-							for _, p := range plans {
-								s, en, _, err := p.TrainWeeks(w)
-								if err != nil {
-									continue
-								}
-								det := &detect.Voting{Model: byRange[weekRange{s, en}], Voters: 11}
-								out := detect.Scan(det, series, -1)
-								vs = append(vs, verdict{kind, p, w, out.Alarmed})
-							}
-						}
+						det := &detect.Voting{Model: byRange[weekRange{s, en}], Voters: 11}
+						out := detect.Scan(det, series, -1)
+						vs = append(vs, verdict{kind, p, w, out.Alarmed})
 					}
-					verdicts[di] = vs
 				}
-			}()
-		}
-		wg.Wait()
+			}
+			verdicts[di] = vs
+		})
 		for _, vs := range verdicts {
 			for _, v := range vs {
 				counters[v.kind][v.plan][v.week].AddGood(v.alarmed)
@@ -285,35 +266,17 @@ func (e *Env) runUpdating(family string) (*updatingResults, error) {
 // worker count.
 func (e *Env) scanFailedOnly(family string, features smart.FeatureSet, det detect.Detector, c *eval.Counter) {
 	var failed []simulate.Drive
-	for _, d := range e.fleet.DrivesOf(family) {
-		if d.Failed && !dataset.IsTrainFailedDrive(e.cfg.Seed, d.Index, 0.7) {
+	for _, d := range testDrives(e.fleet.DrivesOf(family), e.cfg.Seed) {
+		if d.Failed {
 			failed = append(failed, d)
 		}
 	}
 	outs := make([]detect.Outcome, len(failed))
-	workers := e.cfg.Workers
-	if workers > len(failed) {
-		workers = len(failed)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				di := int(next.Add(1)) - 1
-				if di >= len(failed) {
-					return
-				}
-				d := failed[di]
-				trace := e.fleet.Trace(d.Index)
-				s := detect.ExtractSeries(features, trace, 0, len(trace))
-				outs[di] = detect.Scan(det, s, d.FailHour)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(failed), e.cfg.Workers, func(i int) {
+		d := failed[i]
+		s, failHour, _ := testSeries(features, d, e.fleet.Trace(d.Index), 0, simulate.HoursPerWeek, 0.7)
+		outs[i] = detect.Scan(det, s, failHour)
+	})
 	for _, out := range outs {
 		c.AddFailed(out)
 	}

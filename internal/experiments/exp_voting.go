@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"hddcart/internal/ann"
 	"hddcart/internal/cart"
-	"hddcart/internal/dataset"
 	"hddcart/internal/detect"
 	"hddcart/internal/eval"
+	"hddcart/internal/par"
 	"hddcart/internal/simulate"
 	"hddcart/internal/smart"
 )
@@ -65,46 +63,15 @@ func (e *Env) votingCurve(family string, model detect.Predictor, voters []int) e
 	}
 	multi := &detect.MultiVoting{Model: model, Voters: voters}
 
-	scan := make([]simulate.Drive, 0)
-	for _, d := range e.fleet.DrivesOf(family) {
-		if d.Failed && dataset.IsTrainFailedDrive(e.cfg.Seed, d.Index, 0.7) {
-			continue
-		}
-		scan = append(scan, d)
-	}
+	scan := testDrives(e.fleet.DrivesOf(family), e.cfg.Seed)
 	outs := make([][]detect.Outcome, len(scan))
-	workers := e.cfg.Workers
-	if workers > len(scan) {
-		workers = len(scan)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(scan) {
-					return
-				}
-				d := scan[i]
-				trace := e.fleet.Trace(d.Index)
-				if d.Failed {
-					s := detect.ExtractSeries(features, trace, 0, len(trace))
-					outs[i] = multi.ScanAll(s, d.FailHour)
-					continue
-				}
-				from, to, ok := dataset.TestStart(trace, 0, simulate.HoursPerWeek, 0.7)
-				if !ok {
-					continue
-				}
-				s := detect.ExtractSeries(features, trace, from, to)
-				outs[i] = multi.ScanAll(s, -1)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(scan), e.cfg.Workers, func(i int) {
+		d := scan[i]
+		s, failHour, ok := testSeries(features, d, e.fleet.Trace(d.Index), 0, simulate.HoursPerWeek, 0.7)
+		if ok {
+			outs[i] = multi.ScanAll(s, failHour)
+		}
+	})
 	for di, dOuts := range outs {
 		if dOuts == nil {
 			continue

@@ -13,9 +13,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 
 	"hddcart/internal/cart"
+	"hddcart/internal/par"
 )
 
 // Config holds the forest hyper-parameters.
@@ -129,64 +129,54 @@ func train(x [][]float64, y, w []float64, cfg Config, kind cart.Kind) (*Forest, 
 	inBags := make([][]bool, cfg.Trees)
 	oobPreds := make([][]float64, cfg.Trees)
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
 	errs := make([]error, cfg.Trees)
-	for t := 0; t < cfg.Trees; t++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(t int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// Each tree owns an RNG seeded from its index, so
-			// resampling is reproducible and never shared across
-			// goroutines.
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
-			inBag := make([]bool, n)
-			bx := make([][]float64, 0, sampleSize)
-			by := make([]float64, 0, sampleSize)
-			var bw []float64
+	par.For(cfg.Trees, cfg.Workers, func(t int) {
+		// Each tree owns an RNG seeded from its index, so resampling is
+		// reproducible and never shared across goroutines.
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*1_000_003))
+		inBag := make([]bool, n)
+		bx := make([][]float64, 0, sampleSize)
+		by := make([]float64, 0, sampleSize)
+		var bw []float64
+		if w != nil {
+			bw = make([]float64, 0, sampleSize)
+		}
+		for i := 0; i < sampleSize; i++ {
+			j := rng.Intn(n)
+			inBag[j] = true
+			bx = append(bx, x[j])
+			by = append(by, y[j])
 			if w != nil {
-				bw = make([]float64, 0, sampleSize)
+				bw = append(bw, w[j])
 			}
-			for i := 0; i < sampleSize; i++ {
-				j := rng.Intn(n)
-				inBag[j] = true
-				bx = append(bx, x[j])
-				by = append(by, y[j])
-				if w != nil {
-					bw = append(bw, w[j])
-				}
-			}
-			params := cfg.Params
-			params.MTry = cfg.MTry
-			params.Seed = cfg.Seed + int64(t)*7_368_787
-			var tree *cart.Tree
-			var err error
-			if kind == cart.Classification {
-				tree, err = cart.TrainClassifier(bx, by, bw, params)
-			} else {
-				tree, err = cart.TrainRegressor(bx, by, bw, params)
-			}
-			if err != nil {
-				errs[t] = err
-				return
-			}
-			f.Trees[t] = tree
+		}
+		params := cfg.Params
+		params.MTry = cfg.MTry
+		params.Seed = cfg.Seed + int64(t)*7_368_787
+		var tree *cart.Tree
+		var err error
+		if kind == cart.Classification {
+			tree, err = cart.TrainClassifier(bx, by, bw, params)
+		} else {
+			tree, err = cart.TrainRegressor(bx, by, bw, params)
+		}
+		if err != nil {
+			errs[t] = err
+			return
+		}
+		f.Trees[t] = tree
 
-			// Score this tree's out-of-bag samples here (in parallel);
-			// the float accumulation happens later, in tree order.
-			preds := make([]float64, n)
-			for i := 0; i < n; i++ {
-				if !inBag[i] {
-					preds[i] = tree.Predict(x[i])
-				}
+		// Score this tree's out-of-bag samples here (in parallel);
+		// the float accumulation happens later, in tree order.
+		preds := make([]float64, n)
+		for i := 0; i < n; i++ {
+			if !inBag[i] {
+				preds[i] = tree.Predict(x[i])
 			}
-			inBags[t] = inBag
-			oobPreds[t] = preds
-		}(t)
-	}
-	wg.Wait()
+		}
+		inBags[t] = inBag
+		oobPreds[t] = preds
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

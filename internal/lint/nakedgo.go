@@ -6,13 +6,17 @@ import (
 	"strings"
 )
 
-// NakedGo enforces the bounded-worker-pool discipline from
-// detect.ScanBatch: every `go` statement must live in a function that
-// also waits for its goroutines through a sync.WaitGroup (or an
-// errgroup.Group, should one appear). A goroutine spawned without a
-// Wait in the same function outlives its spawner, which is how result
-// buffers get written after they were read and how "deterministic"
-// merges end up racing their consumers.
+// NakedGo enforces the bounded-worker-pool discipline of par.For: every
+// `go` statement must live in a function that also waits for its
+// goroutines through a sync.WaitGroup (or an errgroup.Group, should one
+// appear). A goroutine spawned without a Wait in the same function
+// outlives its spawner, which is how result buffers get written after
+// they were read and how "deterministic" merges end up racing their
+// consumers. par.For replaced the hand-rolled fork/join pools of
+// detect.ScanBatch, cart.CrossValidateCP, forest training,
+// boost.parallelChunks, equiv.forEachShard and six experiments loops;
+// the goroutines left elsewhere (the cart grower, the sweep scheduler,
+// the trace pipeline, the serve shards) are not fork/join loops.
 var NakedGo = &Analyzer{
 	Name: "nakedgo",
 	Doc:  "flags go statements whose spawning function never Waits on a WaitGroup/errgroup",
