@@ -43,9 +43,9 @@ type (
 	Tree = cart.Tree
 	// TreeParams are the CART hyper-parameters.
 	TreeParams = cart.Params
-	// CompiledTree is a tree flattened into cache-friendly arrays for
-	// fast, allocation-free inference (Tree.Compile). Predictions are
-	// bit-identical to the pointer tree's.
+	// CompiledTree is a tree flattened into breadth-first arrays
+	// (Tree.Compile), the layout CompileBinned remaps onto a binned
+	// matrix. Its Predict is bit-identical to the pointer tree's.
 	CompiledTree = cart.CompiledTree
 	// Network is the BP ANN baseline model.
 	Network = ann.Network
@@ -69,11 +69,6 @@ type (
 	Detector = detect.Detector
 	// Predictor scores one feature vector (trees and networks qualify).
 	Predictor = detect.Predictor
-	// BatchPredictor is a Predictor that also scores whole blocks of
-	// feature vectors into a caller-provided buffer (the BP ANN
-	// qualifies); detectors use the batch path automatically and score
-	// any other Predictor one row at a time.
-	BatchPredictor = detect.BatchPredictor
 	// VotingDetector is the paper's voting-based detection algorithm.
 	VotingDetector = detect.Voting
 	// MeanThresholdDetector is the health-degree detection algorithm.
@@ -142,14 +137,14 @@ type (
 	// ForestConfig are the forest hyper-parameters.
 	ForestConfig = forest.Config
 	// CompiledForest is a forest with every tree compiled
-	// (Forest.Compile); predictions are bit-identical to the original.
+	// (Forest.Compile), ready for CompileBinned.
 	CompiledForest = forest.Compiled
 	// BoostEnsemble is an AdaBoost committee of shallow trees.
 	BoostEnsemble = boost.Ensemble
 	// BoostConfig are the AdaBoost hyper-parameters.
 	BoostConfig = boost.Config
 	// CompiledBoost is a committee with every weak learner compiled
-	// (BoostEnsemble.Compile); predictions are bit-identical.
+	// (BoostEnsemble.Compile), ready for CompileBinned.
 	CompiledBoost = boost.Compiled
 
 	// StorageSimConfig parameterizes the discrete-event storage-system
@@ -285,26 +280,6 @@ func ScanBatch(d Detector, series []Series, failHours []int, workers int) []Outc
 	return detect.ScanBatch(d, series, failHours, workers)
 }
 
-// CompileModel returns the compiled, inference-optimized form of a trained
-// model: trees, forests and boosting committees are flattened into their
-// cache-friendly array representations, which score one row at a time
-// without allocating, and any other predictor — including the BP ANN —
-// is returned unchanged. The compiled model's predictions are
-// bit-identical to the original's, so it is a drop-in replacement anywhere
-// a Predictor is scored.
-func CompileModel(p Predictor) Predictor {
-	switch m := p.(type) {
-	case *cart.Tree:
-		return m.Compile()
-	case *forest.Forest:
-		return m.Compile()
-	case *boost.Ensemble:
-		return m.Compile()
-	default:
-		return p
-	}
-}
-
 // BinnedModel is a model compiled onto a binned matrix's code space: it
 // scores row ranges of a TiledMatrix (RunSweep) and one quantized row,
 // the per-row reference the sweep is checked against.
@@ -316,25 +291,19 @@ type BinnedModel interface {
 // CompileModelBinned remaps a tree, forest or boosting model onto a
 // binned matrix's uint8 code space for binned-code inference (one byte
 // per feature, byte-compare kernels): RunSweep scores fleets through it,
-// and its per-row Predict is the reference scoring. Both pointer and
-// compiled forms are accepted; any other predictor — including the BP
-// ANN, whose dense layers have no binned form — is rejected. Scores are
-// bit-identical to the float compiled path for inputs whose values the
-// bins represent (see BinnedTree's equivalence contract).
+// and its per-row Predict is the reference scoring. Any other predictor
+// — including the BP ANN, whose dense layers have no binned form — is
+// rejected. Scores are bit-identical to the float model's for inputs
+// whose values the bins represent (see BinnedTree's equivalence
+// contract).
 func CompileModelBinned(p Predictor, bm *BinnedMatrix) (BinnedModel, error) {
 	switch m := p.(type) {
 	case *cart.Tree:
 		return m.Compile().CompileBinned(bm)
-	case *cart.CompiledTree:
-		return m.CompileBinned(bm)
 	case *forest.Forest:
 		return m.Compile().CompileBinned(bm)
-	case *forest.Compiled:
-		return m.CompileBinned(bm)
 	case *boost.Ensemble:
 		return m.Compile().CompileBinned(bm)
-	case *boost.Compiled:
-		return m.CompileBinned(bm)
 	default:
 		return nil, fmt.Errorf("hddcart: %T has no binned-code form", p)
 	}

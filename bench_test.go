@@ -422,10 +422,9 @@ func benchBinnedTree(b *testing.B, c *cart.CompiledTree, x [][]float64) (*cart.B
 
 // BenchmarkPredictCompiledForest scores the benchmark matrix through a
 // production-sized ensemble (48 trees, the forest extension of §VII),
-// one row at a time, with the pointer forest and the compiled forest.
-// The compiled forest sums its trees' compiled walks in tree order, so
-// its cost per sample is about 48 compiled single-tree walks; fleets of
-// quantized rows go through the tiled sweep instead (internal/sweep).
+// one row at a time: its cost per sample is about 48 single-tree walks.
+// Fleets of quantized rows go through the tiled sweep instead
+// (internal/sweep).
 func BenchmarkPredictCompiledForest(b *testing.B) {
 	a := newAblationEnv(b, smart.CriticalFeatures(), 0.2)
 	x, y, w := a.ds.XMatrix()
@@ -433,19 +432,10 @@ func BenchmarkPredictCompiledForest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := f.Compile()
 	b.Run("pointer", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, row := range x {
 				f.Predict(row)
-			}
-		}
-		reportPerSample(b, len(x))
-	})
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, row := range x {
-				c.Predict(row)
 			}
 		}
 		reportPerSample(b, len(x))
@@ -481,8 +471,8 @@ func benchFleetSeries(b *testing.B, a *ablationEnv) (series []detect.Series, fai
 }
 
 // BenchmarkFleetScan scans the benchmark fleet's series with the 11-voter
-// detector: the pointer tree serially versus the compiled tree at several
-// worker counts. Msamples/s is the fleet-scan throughput.
+// detector on the pointer tree at several worker counts. Msamples/s is
+// the fleet-scan throughput.
 func BenchmarkFleetScan(b *testing.B) {
 	a := newAblationEnv(b, smart.CriticalFeatures(), 0.2)
 	x, y, w := a.ds.XMatrix()
@@ -494,21 +484,13 @@ func BenchmarkFleetScan(b *testing.B) {
 	throughput := func(b *testing.B) {
 		b.ReportMetric(float64(samples)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msamples/s")
 	}
-	b.Run("pointer/workers=1", func(b *testing.B) {
-		det := &detect.Voting{Model: tree, Voters: 11}
-		for i := 0; i < b.N; i++ {
-			detect.ScanBatch(det, series, failHours, 1)
-		}
-		throughput(b)
-	})
-	compiled := tree.Compile()
 	counts := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
 		counts = append(counts, n)
 	}
 	for _, workers := range counts {
-		b.Run(fmt.Sprintf("compiled/workers=%d", workers), func(b *testing.B) {
-			det := &detect.Voting{Model: compiled, Voters: 11}
+		b.Run(fmt.Sprintf("pointer/workers=%d", workers), func(b *testing.B) {
+			det := &detect.Voting{Model: tree, Voters: 11}
 			for i := 0; i < b.N; i++ {
 				detect.ScanBatch(det, series, failHours, workers)
 			}

@@ -332,17 +332,6 @@ func detectorFor(mf *modelFile, model detect.Predictor, voters int, threshold fl
 	return detect.NewVoting(model, voters, 0)
 }
 
-// compiledModel returns the inference-optimized form of a loaded model:
-// trees are flattened into their compiled representation (bit-identical
-// predictions, so evaluation results are unchanged), scored one row at a
-// time; the ANN, which scores blocks itself, is returned as-is.
-func compiledModel(model detect.Predictor, mf *modelFile) detect.Predictor {
-	if mf.Type == "ct" || mf.Type == "rt" {
-		return mf.Tree.Compile()
-	}
-	return model
-}
-
 // profileFlags registers the shared -cpuprofile/-memprofile flags on a
 // subcommand's flag set. Pair with startProfiles after parsing.
 func profileFlags(fs *flag.FlagSet) (cpuprofile, memprofile *string) {
@@ -438,7 +427,7 @@ func cmdEvaluate(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	det, err := detectorFor(mf, compiledModel(model, mf), *voters, *threshold)
+	det, err := detectorFor(mf, model, *voters, *threshold)
 	if err != nil {
 		return fmt.Errorf("evaluate: %w", err)
 	}
@@ -557,7 +546,7 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	det, err := detectorFor(mf, compiledModel(model, mf), *voters, *threshold)
+	det, err := detectorFor(mf, model, *voters, *threshold)
 	if err != nil {
 		return fmt.Errorf("predict: %w", err)
 	}

@@ -215,38 +215,26 @@ func (n *Network) forward(xi, hid []float64) float64 {
 	return math.Tanh(out)
 }
 
+// predictScratch is the scratch Predict keeps on its stack: standardized
+// inputs plus hidden activations. The paper's networks (≤ 19 inputs,
+// ≤ 30 hidden units) fit; larger ones fall back to the heap.
+const predictScratch = 64
+
 // Predict returns the network output in (−1, +1): positive means good,
 // negative failed.
 func (n *Network) Predict(x []float64) float64 {
-	xi := make([]float64, n.NumInputs)
-	hid := make([]float64, n.Hidden)
+	var stack [predictScratch]float64
+	buf := stack[:]
+	if n.NumInputs+n.Hidden > len(buf) {
+		buf = make([]float64, n.NumInputs+n.Hidden)
+	}
+	xi, hid := buf[:n.NumInputs], buf[n.NumInputs:n.NumInputs+n.Hidden]
 	n.standardize(x, xi)
 	return n.forward(xi, hid)
 }
 
 // PredictFailed reports whether the network classifies x as failed.
 func (n *Network) PredictFailed(x []float64) bool { return n.Predict(x) < 0 }
-
-// PredictBatch scores a block of inputs into dst and returns it (nil or
-// short dst allocates a fresh slice). Unlike per-sample Predict, the
-// standardized-input and hidden-layer scratch is allocated once for the
-// whole block and reused across samples, so large scans amortize the two
-// small buffers instead of paying them per call. dst[i] equals
-// Predict(xs[i]) bit for bit: each sample runs the exact same standardize
-// + forward arithmetic.
-func (n *Network) PredictBatch(xs [][]float64, dst []float64) []float64 {
-	if cap(dst) < len(xs) {
-		dst = make([]float64, len(xs))
-	}
-	dst = dst[:len(xs)]
-	xi := make([]float64, n.NumInputs)
-	hid := make([]float64, n.Hidden)
-	for i, x := range xs {
-		n.standardize(x, xi)
-		dst[i] = n.forward(xi, hid)
-	}
-	return dst
-}
 
 // Marshal serializes the network to JSON.
 func (n *Network) Marshal() ([]byte, error) { return json.Marshal(n) }

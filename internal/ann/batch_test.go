@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestPredictBatchBitIdentical proves the batch forward pass matches the
-// per-sample path exactly and reuses a caller-provided output buffer.
-func TestPredictBatchBitIdentical(t *testing.T) {
+// trainedNet trains a small deterministic network on a noisy linear
+// boundary over three inputs.
+func trainedNet(t *testing.T, hidden int) (*Network, [][]float64) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(21))
 	var x [][]float64
 	var y []float64
@@ -20,28 +21,41 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 			y = append(y, -1)
 		}
 	}
-	n, err := Train(x, y, nil, Config{Hidden: 6, Epochs: 60, Seed: 5})
+	n, err := Train(x, y, nil, Config{Hidden: hidden, Epochs: 60, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]float64, len(x))
-	out := n.PredictBatch(x, dst)
-	if &out[0] != &dst[0] {
-		t.Fatal("PredictBatch did not reuse the provided buffer")
-	}
-	for i := range x {
-		if want := n.Predict(x[i]); out[i] != want {
-			t.Fatalf("PredictBatch[%d] = %v, want %v", i, out[i], want)
+	return n, x
+}
+
+// TestPredictBatchBitIdentical proves Predict's stack scratch and its
+// heap fallback (more than predictScratch inputs plus hidden units) both
+// match the forward pass run on freshly allocated scratch, bit for bit.
+func TestPredictBatchBitIdentical(t *testing.T) {
+	for _, hidden := range []int{6, predictScratch} {
+		n, x := trainedNet(t, hidden)
+		for i, row := range x {
+			xi := make([]float64, n.NumInputs)
+			n.standardize(row, xi)
+			want := n.forward(xi, make([]float64, n.Hidden))
+			if got := n.Predict(row); got != want {
+				t.Fatalf("hidden=%d row %d: Predict = %v, want %v", hidden, i, got, want)
+			}
 		}
 	}
-	// nil dst allocates a correctly sized result.
-	out2 := n.PredictBatch(x[:7], nil)
-	if len(out2) != 7 {
-		t.Fatalf("PredictBatch(nil dst) returned %d results, want 7", len(out2))
-	}
-	for i := range out2 {
-		if out2[i] != out[i] {
-			t.Fatalf("PredictBatch(nil dst)[%d] diverged", i)
+}
+
+// TestPredictNoAlloc pins per-row scoring of a paper-sized network at
+// zero allocations: its scratch lives on Predict's stack.
+func TestPredictNoAlloc(t *testing.T) {
+	n, x := trainedNet(t, 30)
+	sink := 0.0
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, row := range x {
+			sink += n.Predict(row)
 		}
+	}); allocs != 0 {
+		t.Fatalf("Predict allocated %.0f times per run", allocs)
 	}
+	_ = sink
 }

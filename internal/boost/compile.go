@@ -2,11 +2,9 @@ package boost
 
 import "hddcart/internal/cart"
 
-// Compiled is the inference-optimized form of an Ensemble: every weak
-// learner flattened into its cart.CompiledTree representation, scored
-// one row at a time. Outputs are bit-identical to
-// Ensemble.Predict: per sample the alpha-weighted scores and the alpha
-// total accumulate in learner order, exactly as the pointer path does.
+// Compiled is an Ensemble with every weak learner flattened into its
+// cart.CompiledTree array form: the input CompileBinned remaps onto a
+// binned matrix's code space. Float rows score through Ensemble.Predict.
 // Compiled is immutable and safe for concurrent use.
 type Compiled struct {
 	// Trees are the compiled weak learners, in training order.
@@ -26,20 +24,3 @@ func (e *Ensemble) Compile() *Compiled {
 	}
 	return c
 }
-
-// Predict returns the weighted vote balance in [−1, +1] (negative =
-// failed), bit-identical to Ensemble.Predict.
-func (c *Compiled) Predict(x []float64) float64 {
-	var score, total float64
-	for i, t := range c.Trees {
-		score += c.Alphas[i] * t.Predict(x)
-		total += c.Alphas[i]
-	}
-	if exactZero(total) {
-		return 0
-	}
-	return score / total
-}
-
-// PredictFailed reports whether the ensemble classifies x as failed.
-func (c *Compiled) PredictFailed(x []float64) bool { return c.Predict(x) < 0 }

@@ -48,7 +48,7 @@ func (c *Compiled) CompileBinned(bm *dataset.BinnedMatrix) (*Binned, error) {
 
 // Predict returns the weighted vote balance in [−1, +1] (negative =
 // failed) for one quantized row, folding in learner order like
-// Compiled.Predict.
+// Ensemble.Predict.
 func (b *Binned) Predict(codes []uint8) float64 {
 	var score, total float64
 	for i, t := range b.Trees {

@@ -51,14 +51,14 @@ func TestBinnedBoostBitIdentical(t *testing.T) {
 	preds := make([]float64, len(codes))
 	b.PredictTiledRange(tm, 0, len(codes), preds)
 	for i, p := range probes {
-		want := c.Predict(p)
+		want := e.Predict(p)
 		if got := b.Predict(codes[i]); got != want {
 			t.Fatalf("Predict diverged at %d: float %v, binned %v", i, want, got)
 		}
 		if preds[i] != want {
 			t.Fatalf("PredictTiledRange diverged at %d: %v vs %v", i, preds[i], want)
 		}
-		if c.PredictFailed(p) != b.PredictFailed(codes[i]) {
+		if e.PredictFailed(p) != b.PredictFailed(codes[i]) {
 			t.Fatalf("PredictFailed diverged at %d", i)
 		}
 	}
@@ -97,7 +97,7 @@ func TestBinnedBoostCoarseCorpus(t *testing.T) {
 	preds := make([]float64, len(codes))
 	b.PredictTiledRange(tm, 0, len(codes), preds)
 	for i, row := range x {
-		want := c.Predict(row)
+		want := e.Predict(row)
 		if got := b.Predict(codes[i]); got != want {
 			t.Fatalf("corpus row %d diverged: float %v, binned %v", i, want, got)
 		}

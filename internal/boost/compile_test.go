@@ -29,6 +29,10 @@ func boostData(seed int64, n int) (x [][]float64, y []float64) {
 	return x, y
 }
 
+// TestCompiledBoostBitIdentical checks that Compile keeps every weak
+// learner and its weight in training order: the compiled learners'
+// per-row Predict, folded as Ensemble.Predict folds them, reproduce the
+// committee's score bit for bit.
 func TestCompiledBoostBitIdentical(t *testing.T) {
 	x, y := boostData(13, 1000)
 	e, err := Train(x, y, nil, Config{Rounds: 8, MaxDepth: 3, Workers: 2})
@@ -39,6 +43,9 @@ func TestCompiledBoostBitIdentical(t *testing.T) {
 		t.Fatalf("want a multi-round ensemble, got %d rounds", e.Rounds())
 	}
 	c := e.Compile()
+	if len(c.Trees) != e.Rounds() || len(c.Alphas) != e.Rounds() {
+		t.Fatalf("compiled %d learners and %d weights, want %d", len(c.Trees), len(c.Alphas), e.Rounds())
+	}
 	rng := rand.New(rand.NewSource(31))
 	probes := append([][]float64(nil), x...)
 	for i := 0; i < 64; i++ {
@@ -51,29 +58,29 @@ func TestCompiledBoostBitIdentical(t *testing.T) {
 		probes = append(probes, p)
 	}
 	for i, p := range probes {
-		want := e.Predict(p)
-		if got := c.Predict(p); got != want {
-			t.Fatalf("Predict diverged at %d: %v vs %v", i, got, want)
+		var score, total float64
+		for j, ct := range c.Trees {
+			score += c.Alphas[j] * ct.Predict(p)
+			total += c.Alphas[j]
 		}
-		if e.PredictFailed(p) != c.PredictFailed(p) {
-			t.Fatalf("PredictFailed diverged at %d", i)
+		if want, got := e.Predict(p), score/total; got != want {
+			t.Fatalf("Predict diverged at %d: %v vs %v", i, got, want)
 		}
 	}
 }
 
 // TestCompiledBoostBatchNoAlloc pins per-row scoring of a whole matrix
-// through the compiled committee at zero allocations.
+// through the committee at zero allocations.
 func TestCompiledBoostBatchNoAlloc(t *testing.T) {
 	x, y := boostData(17, 600)
 	e, err := Train(x, y, nil, Config{Rounds: 5, MaxDepth: 3, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := e.Compile()
 	dst := make([]float64, len(x))
 	if allocs := testing.AllocsPerRun(10, func() {
 		for i, row := range x {
-			dst[i] = c.Predict(row)
+			dst[i] = e.Predict(row)
 		}
 	}); allocs != 0 {
 		t.Fatalf("per-row Predict allocated %.0f times per run", allocs)
@@ -81,8 +88,11 @@ func TestCompiledBoostBatchNoAlloc(t *testing.T) {
 }
 
 func TestCompiledBoostEmpty(t *testing.T) {
-	c := (&Ensemble{}).Compile()
-	if got := c.Predict([]float64{1, 2, 3}); got != 0 {
-		t.Fatalf("empty compiled ensemble Predict = %v, want 0", got)
+	e := &Ensemble{}
+	if c := e.Compile(); len(c.Trees) != 0 || len(c.Alphas) != 0 {
+		t.Fatalf("empty ensemble compiled to %d learners", len(c.Trees))
+	}
+	if got := e.Predict([]float64{1, 2, 3}); got != 0 {
+		t.Fatalf("empty ensemble Predict = %v, want 0", got)
 	}
 }

@@ -4,15 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"unsafe"
 )
 
-// CompiledTree is the inference-optimized form of a Tree: the nodes
-// flattened breadth-first into parallel struct-of-arrays storage (int32
-// feature and child indices, float64 thresholds and leaf payloads) so a
-// prediction is an iterative walk over a few contiguous cache lines
-// instead of a pointer chase through heap-scattered Node structs, with no
-// per-call allocation.
+// CompiledTree is a Tree flattened breadth-first into parallel
+// struct-of-arrays storage (int32 feature and child indices, float64
+// thresholds and leaf payloads): the layout CompileBinned remaps onto a
+// binned matrix's code space. Its Predict walks the arrays with every
+// index checked and is the reference that layout is tested against;
+// float rows score fastest through the source Tree's own Predict.
 //
 // Compilation never changes results: a CompiledTree evaluates exactly the
 // comparisons of the source tree (x[feature] < threshold, in the same
@@ -39,57 +38,9 @@ type CompiledTree struct {
 	Threshold []float64
 	Value     []float64
 	PFailed   []float64
-
-	// nodes is the packed hot-path mirror of the arrays above: one
-	// 16-byte record per node, so each traversal step is a single cache
-	// line touch instead of four bounds-checked array loads. It requires
-	// the breadth-first sibling layout (Right[i] == Left[i]+1); Compile
-	// always produces it, and Validate rebuilds it for hand-assembled
-	// trees. leaf() falls back to the plain arrays when it is absent.
-	nodes []packedNode
-	// needLen is 1 + the largest feature index any split reads:
-	// CompileBinned checks it against the code matrix's width.
-	needLen int
 }
 
-// packedNode is one node of the hot traversal path. The right child is
-// implicitly left+1 (breadth-first sibling adjacency). Every step is
-// branch-free: i = left + (0 if x[feature] < threshold else 1). Leaves are
-// encoded as self-loops — threshold NaN (every comparison is false, so the
-// step always "goes right") with left = self−1, landing back on the leaf —
-// so the traversal needs no leaf branch at all; a NaN threshold is also
-// what marks arrival.
-type packedNode struct {
-	threshold float64
-	feature   int32
-	left      int32
-}
-
-// seal builds the packed hot-path mirror when the layout supports it
-// (Compile output always does): sibling adjacency and no NaN thresholds on
-// internal nodes, which would collide with the leaf encoding.
-func (c *CompiledTree) seal() {
-	for i := range c.Feature {
-		if c.Feature[i] >= 0 && (c.Right[i] != c.Left[i]+1 || math.IsNaN(c.Threshold[i])) {
-			return // keep the slow path for exotic hand-built layouts
-		}
-	}
-	nodes := make([]packedNode, len(c.Feature))
-	c.needLen = 0
-	for i := range nodes {
-		if c.Feature[i] < 0 {
-			nodes[i] = packedNode{threshold: math.NaN(), feature: 0, left: int32(i) - 1}
-			continue
-		}
-		nodes[i] = packedNode{threshold: c.Threshold[i], feature: c.Feature[i], left: c.Left[i]}
-		if int(c.Feature[i]) >= c.needLen {
-			c.needLen = int(c.Feature[i]) + 1
-		}
-	}
-	c.nodes = nodes
-}
-
-// Compile flattens the tree into its inference-optimized form.
+// Compile flattens the tree into its breadth-first array form.
 func (t *Tree) Compile() *CompiledTree {
 	n := t.NumNodes()
 	c := &CompiledTree{
@@ -129,57 +80,16 @@ func (t *Tree) Compile() *CompiledTree {
 			queue = append(queue, nd.Right)
 		}
 	}
-	c.seal()
 	return c
 }
 
 // NumNodes returns the node count.
 func (c *CompiledTree) NumNodes() int { return len(c.Feature) }
 
-// leaf returns the index of the leaf x falls into. The packed walk is
-// the scalar hot path; bcecheck holds it to the hand-elided contract
-// (the PR that introduced the unsafe walk bought ~12% on it), so
-// reintroducing a checked node load fails the lint run.
-//
-//hddlint:nobc
+// leaf returns the index of the leaf x falls into. Every index is
+// checked: the flat arrays are the layout CompileBinned reads, and this
+// walk is their float reference, not a hot path.
 func (c *CompiledTree) leaf(x []float64) int {
-	// len > 0 (not just non-nil) so the prove pass can kill the
-	// &nodes[0] bounds check.
-	if nodes := c.nodes; len(nodes) > 0 {
-		base := unsafe.Pointer(&nodes[0])
-		i := 0
-		for {
-			// Indexes come from the sealed layout (seal verified every
-			// left/right child is in range), so the node load's bounds check
-			// is provably dead and elided by hand.
-			nd := (*packedNode)(unsafe.Add(base, uintptr(i)*unsafe.Sizeof(packedNode{})))
-			thr := nd.threshold
-			if thr != thr { // NaN: the leaf self-loop encoding
-				return i
-			}
-			// Mirrors the pointer tree's x[f] < threshold branch exactly
-			// (NaN inputs compare false, so they descend right there and
-			// here alike). The feature load's check is load-bearing: x is
-			// caller data, and eliding it by hand would turn a short row
-			// into an out-of-bounds unsafe read instead of a panic.
-			//hddlint:ignore bcecheck x[nd.feature] guards caller-provided rows; eliding it trades a panic for an OOB read
-			if x[nd.feature] < thr {
-				i = int(nd.left)
-			} else {
-				i = int(nd.left) + 1
-			}
-		}
-	}
-	// Inlining attributes the fallback's checks to this call line; they
-	// are deliberate, so the contract exempts the call.
-	//hddlint:ignore bcecheck the fallback array walk keeps every check on purpose; it is off the hot path
-	return c.leafArrays(x)
-}
-
-// leafArrays is the fallback walk for hand-assembled trees without the
-// packed mirror. It is off the hot path and carries no bounds-check
-// contract: every index here is checked.
-func (c *CompiledTree) leafArrays(x []float64) int {
 	feat, thr := c.Feature, c.Threshold
 	left, right := c.Left, c.Right
 	i := 0
@@ -241,9 +151,6 @@ func (c *CompiledTree) Validate() error {
 				return fmt.Errorf("cart: compiled node %d has bad child index %d", i, child)
 			}
 		}
-	}
-	if c.nodes == nil {
-		c.seal()
 	}
 	return nil
 }

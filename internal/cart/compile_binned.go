@@ -68,27 +68,18 @@ type binnedNode struct {
 }
 
 // CompileBinned remaps the tree's split thresholds onto bm's code space.
-// The tree must have the sealed breadth-first layout Compile produces
-// (Validate re-seals hand-assembled trees that conform) and must not
-// split on features beyond bm's width. Thresholds that fall strictly
-// inside a bin's value range cannot be represented by any cut; they
-// compile to the conservative "first bin not entirely below the
-// threshold routes right" rule and clear Exact.
+// The tree must pass Validate, keep the breadth-first sibling layout
+// Compile produces (Right[i] == Left[i]+1, which the packed binned nodes
+// rely on) and split on no feature beyond bm's width. Thresholds that
+// fall strictly inside a bin's value range cannot be represented by any
+// cut; they compile to the conservative "first bin not entirely below
+// the threshold routes right" rule and clear Exact.
 func (c *CompiledTree) CompileBinned(bm *dataset.BinnedMatrix) (*BinnedTree, error) {
 	if bm == nil {
 		return nil, errors.New("cart: CompileBinned needs a binned matrix")
 	}
-	if c.nodes == nil {
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("cart: CompileBinned: %w", err)
-		}
-		if c.nodes == nil {
-			return nil, errors.New("cart: CompileBinned requires the sealed breadth-first layout Compile produces")
-		}
-	}
-	if c.needLen > bm.NumFeatures {
-		return nil, fmt.Errorf("cart: tree reads feature %d but matrix has %d columns",
-			c.needLen-1, bm.NumFeatures)
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("cart: CompileBinned: %w", err)
 	}
 	n := len(c.Feature)
 	bt := &BinnedTree{
@@ -102,13 +93,22 @@ func (c *CompiledTree) CompileBinned(bm *dataset.BinnedMatrix) (*BinnedTree, err
 		PFailed:     c.PFailed,
 		Exact:       true,
 		nodes:       make([]binnedNode, n),
-		needLen:     c.needLen,
 	}
 	for i := 0; i < n; i++ {
-		if c.Feature[i] < 0 {
+		f := c.Feature[i]
+		if f < 0 {
 			bt.nodes[i] = binnedNode{feature: -1}
 			continue
 		}
+		if c.Right[i] != c.Left[i]+1 {
+			return nil, fmt.Errorf("cart: CompileBinned: node %d's children %d and %d are not adjacent",
+				i, c.Left[i], c.Right[i])
+		}
+		if int(f) >= bm.NumFeatures {
+			return nil, fmt.Errorf("cart: tree reads feature %d but matrix has %d columns",
+				f, bm.NumFeatures)
+		}
+		bt.needLen = max(bt.needLen, int(f)+1)
 		t := c.Threshold[i]
 		var cut uint8
 		if math.IsNaN(t) {
@@ -117,13 +117,13 @@ func (c *CompiledTree) CompileBinned(bm *dataset.BinnedMatrix) (*BinnedTree, err
 			cut = 0
 		} else {
 			var exact bool
-			cut, exact = bm.Cols[c.Feature[i]].CutFor(t)
+			cut, exact = bm.Cols[f].CutFor(t)
 			if !exact {
 				bt.Exact = false
 			}
 		}
 		bt.Cut[i] = cut
-		bt.nodes[i] = binnedNode{left: c.Left[i], feature: c.Feature[i], cut: cut}
+		bt.nodes[i] = binnedNode{left: c.Left[i], feature: f, cut: cut}
 	}
 	return bt, nil
 }

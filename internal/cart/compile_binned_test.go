@@ -182,6 +182,40 @@ func TestCompileBinnedErrors(t *testing.T) {
 	if _, err := bad.CompileBinned(narrow); err == nil {
 		t.Error("invalid compiled tree accepted")
 	}
+	// A hand-built tree that passes Validate but breaks sibling
+	// adjacency: the root's children are nodes 1 and 3, and the packed
+	// binned nodes would route right to node 2.
+	gapped := &CompiledTree{
+		Kind: Classification, NumFeatures: 1,
+		Feature:   []int32{0, -1, -1, -1},
+		Left:      []int32{1, -1, -1, -1},
+		Right:     []int32{3, -1, -1, -1},
+		Threshold: []float64{1.5, 0, 0, 0},
+		Value:     []float64{0, -1, 0, 1},
+		PFailed:   []float64{0, 1, 0, 0},
+	}
+	if err := gapped.Validate(); err != nil {
+		t.Fatalf("gapped fixture invalid: %v", err)
+	}
+	if _, err := gapped.CompileBinned(narrow); err == nil {
+		t.Error("tree without sibling adjacency accepted")
+	}
+	// A hand-built tree splitting on feature 2 of a one-column matrix.
+	wide := &CompiledTree{
+		Kind: Classification, NumFeatures: 3,
+		Feature:   []int32{2, -1, -1},
+		Left:      []int32{1, -1, -1},
+		Right:     []int32{2, -1, -1},
+		Threshold: []float64{1.5, 0, 0},
+		Value:     []float64{0, -1, 1},
+		PFailed:   []float64{0, 1, 0},
+	}
+	if err := wide.Validate(); err != nil {
+		t.Fatalf("wide fixture invalid: %v", err)
+	}
+	if _, err := wide.CompileBinned(narrow); err == nil {
+		t.Error("tree reading past the matrix width accepted")
+	}
 }
 
 // TestBinnedSingleLeaf covers the degenerate no-split tree through both

@@ -2,27 +2,11 @@ package detect
 
 import "hddcart/internal/par"
 
-// BatchPredictor is the optional extension of Predictor implemented by
-// ann.Network: it scores a whole block of feature vectors into dst,
-// reusing it when large enough, and returns the scored slice. Tree
-// models score one row at a time. dst[i] must
-// equal Predict(xs[i]) bit for bit — detectors rely on that to keep batch
-// and streaming scans interchangeable.
-type BatchPredictor interface {
-	Predictor
-	PredictBatch(xs [][]float64, dst []float64) []float64
-}
-
-// scoreChunk scores one contiguous chunk through the batch path when
-// available, else sample by sample; with a caller-provided dst it is
-// allocation-free either way.
+// scoreChunk scores one contiguous chunk sample by sample into dst;
+// with a caller-provided dst it is allocation-free.
 //
 //hddlint:noalloc
-func scoreChunk(model Predictor, bp BatchPredictor, batched bool, xs [][]float64, dst []float64) {
-	if batched {
-		bp.PredictBatch(xs, dst)
-		return
-	}
+func scoreChunk(model Predictor, xs [][]float64, dst []float64) {
 	for i, x := range xs {
 		dst[i] = model.Predict(x)
 	}

@@ -1,27 +1,11 @@
 package detect
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
-
-// batchScoreModel is scoreModel plus the batch path, so tests can compare
-// the streaming and batch detector code against the same scores.
-type batchScoreModel struct{ scoreModel }
-
-func (m batchScoreModel) PredictBatch(xs [][]float64, dst []float64) []float64 {
-	if cap(dst) < len(xs) {
-		dst = make([]float64, len(xs))
-	}
-	dst = dst[:len(xs)]
-	for i, x := range xs {
-		dst[i] = m.Predict(x)
-	}
-	return dst
-}
-
-var _ BatchPredictor = batchScoreModel{}
 
 // randomSeries builds a deterministic noisy score sequence.
 func randomSeries(seed int64, n int) [][]float64 {
@@ -33,39 +17,69 @@ func randomSeries(seed int64, n int) [][]float64 {
 	return xs
 }
 
+// seamSeries builds a healthy series three chunks long with one fail
+// cluster at a seed-dependent position, so the first alarm lands in any
+// chunk, next to a seam or not.
+func seamSeries(seed int64) (xs [][]float64, scores []float64) {
+	xs = randomSeries(seed, 3*detectChunk+int(seed))
+	at := int(seed*157) % (len(xs) - 20)
+	scores = make([]float64, len(xs))
+	for i, x := range xs {
+		x[0] = 2 + 0.3*x[0]
+		if i >= at && i < at+20 {
+			x[0] -= 3
+		}
+		scores[i] = x[0]
+	}
+	return xs, scores
+}
+
+// TestVotingBatchMatchesStreaming checks the chunked detector, which
+// scores and sweeps detectChunk samples at a time, against the
+// brute-force rule over the whole series.
 func TestVotingBatchMatchesStreaming(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		xs := randomSeries(seed, 120)
+		xs, scores := seamSeries(seed)
 		for _, n := range []int{0, 1, 3, 7, 12} {
-			stream := &Voting{Model: scoreModel{}, Voters: n, Threshold: 0.1}
-			batch := &Voting{Model: batchScoreModel{}, Voters: n, Threshold: 0.1}
-			if a, b := stream.Detect(xs), batch.Detect(xs); a != b {
-				t.Fatalf("seed %d N=%d: streaming %d vs batch %d", seed, n, a, b)
+			got := (&Voting{Model: scoreModel{}, Voters: n, Threshold: 0.1}).Detect(xs)
+			if want := bruteVoting(scores, n, 0.1); got != want || got < 0 {
+				t.Fatalf("seed %d N=%d: chunked %d vs brute force %d", seed, n, got, want)
 			}
 		}
 	}
 }
 
+// TestMeanThresholdBatchMatchesStreaming is the chunk-seam check for the
+// health-degree detector.
 func TestMeanThresholdBatchMatchesStreaming(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		xs := randomSeries(seed, 120)
+		xs, scores := seamSeries(seed)
 		for _, n := range []int{0, 1, 4, 9} {
-			stream := &MeanThreshold{Model: scoreModel{}, Voters: n, Threshold: -0.2}
-			batch := &MeanThreshold{Model: batchScoreModel{}, Voters: n, Threshold: -0.2}
-			if a, b := stream.Detect(xs), batch.Detect(xs); a != b {
-				t.Fatalf("seed %d N=%d: streaming %d vs batch %d", seed, n, a, b)
+			got := (&MeanThreshold{Model: scoreModel{}, Voters: n, Threshold: -0.2}).Detect(xs)
+			if want := bruteMean(scores, n, -0.2); got != want || got < 0 {
+				t.Fatalf("seed %d N=%d: chunked %d vs brute force %d", seed, n, got, want)
 			}
 		}
 	}
 }
 
+// TestMultiVotingWorkersDeterministic checks that DetectAll's window
+// sizes do not see each other's sweeps: each runs on its own copy of the
+// scores (a sweep compacts NaN away in place), so any order of Voters
+// gives the single detectors' alarms.
 func TestMultiVotingWorkersDeterministic(t *testing.T) {
 	xs := randomSeries(5, 785)
+	for i := 3; i < len(xs); i += 7 {
+		xs[i][0] = math.NaN()
+	}
 	voters := []int{1, 3, 5, 9, 15}
-	base := (&MultiVoting{Model: scoreModel{}, Voters: voters, Threshold: 0.05}).DetectAll(xs)
-	m := &MultiVoting{Model: batchScoreModel{}, Voters: voters, Threshold: 0.05}
-	if got := m.DetectAll(xs); !reflect.DeepEqual(got, base) {
-		t.Fatalf("batch model: DetectAll = %v, want %v", got, base)
+	got := (&MultiVoting{Model: scoreModel{}, Voters: voters, Threshold: 0.05}).DetectAll(xs)
+	rev := (&MultiVoting{Model: scoreModel{}, Voters: []int{15, 9, 5, 3, 1}, Threshold: 0.05}).DetectAll(xs)
+	for i, n := range voters {
+		want := (&Voting{Model: scoreModel{}, Voters: n, Threshold: 0.05}).Detect(xs)
+		if got[i] != want || rev[len(voters)-1-i] != want {
+			t.Fatalf("N=%d: DetectAll %d, reversed %d, Voting %d", n, got[i], rev[len(voters)-1-i], want)
+		}
 	}
 }
 
@@ -91,7 +105,7 @@ func TestScanBatchDeterministic(t *testing.T) {
 		}
 		series[i] = Series{X: xs, Hours: hours}
 	}
-	det := &Voting{Model: batchScoreModel{}, Voters: 3, Threshold: 0}
+	det := &Voting{Model: scoreModel{}, Voters: 3, Threshold: 0}
 	base := ScanBatch(det, series, failHours, 1)
 	alarmed := 0
 	for _, o := range base {
@@ -117,21 +131,15 @@ func TestScanBatchDeterministic(t *testing.T) {
 }
 
 // TestScoreChunkNoAlloc proves the //hddlint:noalloc contract for the
-// chunk scorer: with a caller-supplied dst, both the batch and the
-// streaming paths score without allocating.
+// chunk scorer: with a caller-supplied dst it scores without allocating.
 func TestScoreChunkNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	xs := randomSeries(5, 1024)
 	dst := make([]float64, len(xs))
-	bm := batchScoreModel{}
-	allocs := testing.AllocsPerRun(50, func() { scoreChunk(bm, bm, true, xs, dst) })
+	allocs := testing.AllocsPerRun(50, func() { scoreChunk(scoreModel{}, xs, dst) })
 	if allocs != 0 {
-		t.Fatalf("batched scoreChunk allocated %.0f times per run", allocs)
-	}
-	allocs = testing.AllocsPerRun(50, func() { scoreChunk(scoreModel{}, nil, false, xs, dst) })
-	if allocs != 0 {
-		t.Fatalf("streaming scoreChunk allocated %.0f times per run", allocs)
+		t.Fatalf("scoreChunk allocated %.0f times per run", allocs)
 	}
 }

@@ -29,9 +29,9 @@ import (
 	"hddcart/internal/smart"
 )
 
-// detectChunk is how many samples the detectors score per model call: big
-// enough to amortize batch setup, small enough that a drive alarming early
-// doesn't pay for scoring its whole series.
+// detectChunk is how many samples the detectors score before sweeping
+// them: small enough that a drive alarming early doesn't pay for scoring
+// its whole series, big enough that the sweep's per-call setup is noise.
 const detectChunk = 512
 
 // scoreBuf pools per-series score buffers so the detectors stay
@@ -111,16 +111,15 @@ func (v *Voting) Validate() error {
 // Detect implements Detector: the first index i where more than N/2 of the
 // last N valid samples up to i vote failed (and at least N valid samples
 // exist), else -1. NaN scores are excluded from the window. The series is
-// scored in pooled chunks (through the model's batch path when it has
-// one) interleaved with the vote sweep, so an early alarm stops scoring.
+// scored in pooled chunks interleaved with the vote sweep, so an early
+// alarm stops scoring.
 func (v *Voting) Detect(xs [][]float64) int {
-	bp, batched := v.Model.(BatchPredictor)
 	bufp, scores := getScores(len(xs))
 	sw := votingSweep{scores: scores, threshold: v.Threshold, n: max(v.Voters, 1)}
 	idx := -1
 	for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
 		hi := min(lo+detectChunk, len(xs))
-		scoreChunk(v.Model, bp, batched, xs[lo:hi], scores[lo:hi])
+		scoreChunk(v.Model, xs[lo:hi], scores[lo:hi])
 		idx = sw.feed(lo, hi)
 	}
 	scoreBuf.Put(bufp)
@@ -170,13 +169,12 @@ func (m *MeanThreshold) Validate() error {
 // window. The series is scored in pooled chunks interleaved with the
 // window sweep, as Voting.Detect does.
 func (m *MeanThreshold) Detect(xs [][]float64) int {
-	bp, batched := m.Model.(BatchPredictor)
 	bufp, scores := getScores(len(xs))
 	sw := meanSweep{scores: scores, threshold: m.Threshold, n: max(m.Voters, 1)}
 	idx := -1
 	for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
 		hi := min(lo+detectChunk, len(xs))
-		scoreChunk(m.Model, bp, batched, xs[lo:hi], scores[lo:hi])
+		scoreChunk(m.Model, xs[lo:hi], scores[lo:hi])
 		idx = sw.feed(lo, hi)
 	}
 	scoreBuf.Put(bufp)
@@ -300,17 +298,22 @@ func (m *MultiVoting) Validate() error {
 
 // DetectAll returns, for each configured window size, the index of the
 // first alarm (-1 = none), in the same order as Voters. Samples are
-// scored through the model's batch path when available. NaN scores are excluded from every window, with
-// alarm indexes reported in series coordinates — identical to running
-// Voting per window size.
+// scored once; each window size then runs VoteAlarm on its own copy of
+// the scores, so every alarm is exactly Voting's for that window size
+// (NaN scores excluded, indexes in series coordinates).
 func (m *MultiVoting) DetectAll(xs [][]float64) []int {
-	if len(m.Voters) == 0 {
-		return []int{}
+	out := make([]int, len(m.Voters))
+	if len(out) == 0 {
+		return out
 	}
 	scores := make([]float64, len(xs))
-	bp, batched := m.Model.(BatchPredictor)
-	scoreChunk(m.Model, bp, batched, xs, scores)
-	return multiVoteAlarms(scores, m.Voters, m.Threshold)
+	scoreChunk(m.Model, xs, scores)
+	buf := make([]float64, len(xs))
+	for i, n := range m.Voters {
+		copy(buf, scores)
+		out[i], _ = VoteAlarm(buf, n, m.Threshold)
+	}
+	return out
 }
 
 // ScanAll runs DetectAll and converts each alarm into an Outcome (as Scan

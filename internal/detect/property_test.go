@@ -211,7 +211,8 @@ func saltNaN(rng *rand.Rand, scores []float64, frac float64) []float64 {
 // TestVotingExcludesNaN: a series with NaN scores must alarm exactly where
 // the same series with those samples deleted alarms (mapped back to series
 // coordinates) — invalid predictions are excluded, never counted as
-// healthy votes. Streaming, batch and multi paths must all agree.
+// healthy votes. The detector, the pre-scored sweep and the multi path
+// must all agree.
 func TestVotingExcludesNaN(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -228,7 +229,7 @@ func TestVotingExcludesNaN(t *testing.T) {
 			want = orig[want]
 		}
 		stream := (&Voting{Model: scoreModel{}, Voters: n, Threshold: th}).Detect(series(salted...))
-		batch := (&Voting{Model: batchScoreModel{}, Voters: n, Threshold: th}).Detect(series(salted...))
+		batch, _ := VoteAlarm(append([]float64(nil), salted...), n, th)
 		multi := (&MultiVoting{Model: scoreModel{}, Voters: []int{n}, Threshold: th}).DetectAll(series(salted...))
 		if stream != want || batch != want || multi[0] != want {
 			t.Fatalf("trial %d (n=%d): stream=%d batch=%d multi=%d, want %d",
@@ -255,7 +256,7 @@ func TestMeanThresholdExcludesNaN(t *testing.T) {
 			want = orig[want]
 		}
 		stream := (&MeanThreshold{Model: scoreModel{}, Voters: n, Threshold: th}).Detect(series(salted...))
-		batch := (&MeanThreshold{Model: batchScoreModel{}, Voters: n, Threshold: th}).Detect(series(salted...))
+		batch, _ := MeanAlarm(append([]float64(nil), salted...), n, th)
 		if stream != want || batch != want {
 			t.Fatalf("trial %d (n=%d): stream=%d batch=%d, want %d", trial, n, stream, batch, want)
 		}

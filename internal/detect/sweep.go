@@ -107,29 +107,30 @@ func voteFeed(buf []float64, thr float64, n, m0, votes0, lo, hi int) (idx, m, vo
 }
 
 // meanSweep is the health-degree state: alarm at the first index where
-// the mean of the last n valid scores drops below threshold. The rolling
-// sum adds and subtracts the same scores in the same order as the
-// streaming path, so the mean comparison is bit-identical.
+// the mean of the last n valid scores drops below threshold.
 type meanSweep struct {
 	scores    []float64
 	threshold float64
 	n         int
-	sum       float64
 	cnt       int
 }
 
 // feed sweeps scores[lo:hi] and returns the alarm index, or -1.
 func (sw *meanSweep) feed(lo, hi int) int {
-	idx, cnt, sum := meanFeed(sw.scores, sw.threshold, sw.n, sw.cnt, sw.sum, lo, hi)
-	sw.cnt, sw.sum = cnt, sum
+	idx, cnt := meanFeed(sw.scores, sw.threshold, sw.n, sw.cnt, lo, hi)
+	sw.cnt = cnt
 	return idx
 }
 
 // meanFeed is the mean sweep over explicit state, lifted out of the
-// method for the same per-drive call economy as voteFeed.
+// method for the same per-drive call economy as voteFeed. Each full
+// window is summed fresh, oldest first, exactly as Window.Mean sums it:
+// a rolling sum would carry the rounding of scores that have left the
+// window, and the offline sweep could then alarm at a sample where the
+// online Monitor does not (or the other way round).
 //
 //hddlint:noalloc //hddlint:nobc
-func meanFeed(buf []float64, thr float64, n, cnt0 int, sum0 float64, lo, hi int) (idx, cnt int, sum float64) {
+func meanFeed(buf []float64, thr float64, n, cnt0, lo, hi int) (idx, cnt int) {
 	// Resliced to hi (and lo clamped) for the same bounds-check elision
 	// as voteFeed.
 	if lo < 0 {
@@ -137,7 +138,7 @@ func meanFeed(buf []float64, thr float64, n, cnt0 int, sum0 float64, lo, hi int)
 	}
 	//hddlint:ignore bcecheck the reslice is the per-call hi guard; one check per feed, none per sample
 	scores := buf[:hi]
-	cnt, sum = cnt0, sum0
+	cnt = cnt0
 	for i := lo; i < hi; i++ {
 		s := scores[i]
 		if s != s {
@@ -147,16 +148,19 @@ func meanFeed(buf []float64, thr float64, n, cnt0 int, sum0 float64, lo, hi int)
 		//hddlint:ignore bcecheck cnt ≤ i < hi is a sweep invariant invisible to the prove pass
 		scores[cnt] = s
 		cnt++
-		sum += s
-		if cnt > n {
-			//hddlint:ignore bcecheck cnt-n-1 < cnt ≤ hi is the same cursor invariant
-			sum -= scores[cnt-n-1]
+		if cnt < n {
+			continue
 		}
-		if cnt >= n && sum/float64(n) < thr {
-			return i, cnt, sum
+		sum := 0.0
+		//hddlint:ignore bcecheck 0 ≤ cnt-n < cnt ≤ hi is the same cursor invariant
+		for _, v := range scores[cnt-n : cnt] {
+			sum += v
+		}
+		if sum/float64(n) < thr {
+			return i, cnt
 		}
 	}
-	return -1, cnt, sum
+	return -1, cnt
 }
 
 // VoteAlarm sweeps one fully scored series through the voting window
@@ -188,51 +192,10 @@ func MeanAlarm(scores []float64, voters int, threshold float64) (idx, excluded i
 	if voters < 1 {
 		voters = 1
 	}
-	idx, cnt, _ := meanFeed(scores, threshold, voters, 0, 0, 0, len(scores))
+	idx, cnt := meanFeed(scores, threshold, voters, 0, 0, len(scores))
 	swept := len(scores)
 	if idx >= 0 {
 		swept = idx + 1
 	}
 	return idx, swept - cnt
-}
-
-// multiVoteAlarms turns one fully scored series into per-window alarm
-// indexes: invalid scores are compacted away (remembering each valid
-// score's series index), failed votes become prefix counts, and every
-// window size reads the same counts — identical to running Voting per
-// window size, at one scoring pass.
-func multiVoteAlarms(scores []float64, voters []int, threshold float64) []int {
-	out := make([]int, len(voters))
-	for i := range out {
-		out[i] = -1
-	}
-	orig := make([]int, 0, len(scores))
-	valid := scores[:0]
-	for i, s := range scores {
-		if s != s {
-			continue
-		}
-		valid = append(valid, s)
-		orig = append(orig, i)
-	}
-	// Prefix counts of failed votes: fails[i] = #failed among valid[:i].
-	fails := make([]int, len(valid)+1)
-	for i, s := range valid {
-		fails[i+1] = fails[i]
-		if s < threshold {
-			fails[i+1]++
-		}
-	}
-	for vi, n := range voters {
-		if n < 1 {
-			n = 1
-		}
-		for i := n - 1; i < len(valid); i++ {
-			if 2*(fails[i+1]-fails[i+1-n]) > n {
-				out[vi] = orig[i]
-				break
-			}
-		}
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -91,6 +92,53 @@ func TestWindowMeanOrder(t *testing.T) {
 	var empty Window
 	if !math.IsNaN(empty.Mean()) {
 		t.Errorf("empty mean = %v, want NaN", empty.Mean())
+	}
+}
+
+// windowMeanAlarm is the online mean rule: push every score into a
+// Window and return the first index where it trips, or -1.
+func windowMeanAlarm(scores []float64, n int, threshold float64) int {
+	var w Window
+	for i, s := range scores {
+		w.Push(s, n, threshold)
+		if w.Tripped(n, threshold, true) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestWindowMeanMatchesSweeps: the online Window and the offline mean
+// sweeps (MeanAlarm, MeanThreshold.Detect) must alarm at the same
+// sample. A rolling window sum carries the rounding of scores that have
+// left the window: on the first stream it alarmed at index 3, where the
+// Window never trips.
+func TestWindowMeanMatchesSweeps(t *testing.T) {
+	check := func(scores []float64, n int, thr float64) {
+		t.Helper()
+		want := windowMeanAlarm(scores, n, thr)
+		got, _ := MeanAlarm(append([]float64(nil), scores...), n, thr)
+		det := (&MeanThreshold{Model: scoreModel{}, Voters: n, Threshold: thr}).Detect(series(scores...))
+		if got != want || det != want {
+			t.Fatalf("n=%d thr=%v %v: Window %d, MeanAlarm %d, MeanThreshold %d",
+				n, thr, scores, want, got, det)
+		}
+	}
+	check([]float64{0.3, -0.6, -0.1, -0.2}, 3, -0.3)
+	// RT-like streams: a few two-decimal leaf values, so window means
+	// often equal a threshold in exact arithmetic and rounding decides.
+	rng := rand.New(rand.NewSource(20))
+	thresholds := []float64{-0.5, -0.37, -0.3, -0.2, -0.1, -0.02, 0}
+	for trial := 0; trial < 2000; trial++ {
+		leaves := make([]float64, 2+rng.Intn(8))
+		for i := range leaves {
+			leaves[i] = math.Round(rng.Float64()*200-100) / 100
+		}
+		scores := make([]float64, rng.Intn(200))
+		for i := range scores {
+			scores[i] = leaves[rng.Intn(len(leaves))]
+		}
+		check(scores, 1+rng.Intn(11), thresholds[rng.Intn(len(thresholds))])
 	}
 }
 

@@ -406,16 +406,16 @@ func CheckDetect(c *Case, voters []int, workers []int) error {
 	const meanThreshold = -0.1
 	multi := make([][]detect.Outcome, len(series))
 	for d := range series {
-		mv := &detect.MultiVoting{Model: c.Compiled, Voters: voters}
+		mv := &detect.MultiVoting{Model: c.Tree, Voters: voters}
 		multi[d] = mv.ScanAll(series[d], failHours[d])
 	}
 	for k, n := range voters {
 		for _, w := range workers {
 			for _, mean := range []bool{false, true} {
-				var det detect.Detector = &detect.Voting{Model: c.Compiled, Voters: n}
+				var det detect.Detector = &detect.Voting{Model: c.Tree, Voters: n}
 				cfg := sweep.Config{Voters: n, Workers: w}
 				if mean {
-					det = &detect.MeanThreshold{Model: c.Compiled, Voters: n, Threshold: meanThreshold}
+					det = &detect.MeanThreshold{Model: c.Tree, Voters: n, Threshold: meanThreshold}
 					cfg.Threshold, cfg.Mean = meanThreshold, true
 				}
 				want := detect.ScanBatch(det, series, failHours, w)

@@ -70,7 +70,7 @@ func (e *Env) Baselines() (*Report, error) {
 	row("naive Bayes (N=11)", &detect.Voting{Model: nb, Voters: 11})
 	row("Mahalanobis distance (N=11)", &detect.Voting{Model: md, Voters: 11})
 	row(fmt.Sprintf("rank-sum (win=12, z>%.1f)", 6.5), rs)
-	row("CT model (N=11)", &detect.Voting{Model: tree.Compile(), Voters: 11})
+	row("CT model (N=11)", &detect.Voting{Model: tree, Voters: 11})
 	r.addf("")
 	r.addf("§II context: vendors' thresholds reach 3-10%% FDR; rank-sum ~60%% at")
 	r.addf("0.5%% FAR; Mahalanobis ~67%% at 0%% FAR — all far below the CT model.")

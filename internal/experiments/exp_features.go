@@ -66,7 +66,7 @@ func (e *Env) table3Row(model string, features smart.FeatureSet) (eval.Result, e
 		if err != nil {
 			return eval.Result{}, err
 		}
-		predictor = tree.Compile()
+		predictor = tree
 	case "BP ANN":
 		net, err := e.trainANN(ds)
 		if err != nil {
@@ -125,7 +125,7 @@ func (e *Env) Table4() (*Report, error) {
 			return nil, err
 		}
 		var c eval.Counter
-		e.scanDrives(e.fleet.DrivesOf("W"), features, &detect.Voting{Model: tree.Compile(), Voters: 1},
+		e.scanDrives(e.fleet.DrivesOf("W"), features, &detect.Voting{Model: tree, Voters: 1},
 			0, simulate.HoursPerWeek, 0.7, e.cfg.Seed, &c)
 		res := c.Result()
 		r.addf("%-12s %9.2f %9.2f %11.1f",

@@ -36,7 +36,7 @@ func (e *Env) rtModels() (rtPair, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctDet := &detect.Voting{Model: tree.Compile(), Voters: 1}
+		ctDet := &detect.Voting{Model: tree, Voters: 1}
 
 		series := make(map[int]detect.Series)
 		failHours := make(map[int]int)
@@ -153,9 +153,9 @@ func (e *Env) Figure10() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	healthCurve := e.thresholdCurve(pair.health.Compile(), []float64{-0.5, -0.37, -0.3, -0.2, -0.1, -0.02, 0})
-	globalCurve := e.thresholdCurve(pair.global.Compile(), []float64{-0.5, -0.37, -0.3, -0.2, -0.1, -0.02, 0})
-	controlCurve := e.thresholdCurve(pair.control.Compile(), []float64{-0.94, -0.86, -0.6, -0.4, -0.2, -0.05, 0})
+	healthCurve := e.thresholdCurve(pair.health, []float64{-0.5, -0.37, -0.3, -0.2, -0.1, -0.02, 0})
+	globalCurve := e.thresholdCurve(pair.global, []float64{-0.5, -0.37, -0.3, -0.2, -0.1, -0.02, 0})
+	controlCurve := e.thresholdCurve(pair.control, []float64{-0.94, -0.86, -0.6, -0.4, -0.2, -0.05, 0})
 	r.addf("health degree model, personalized windows (thresholds as in the paper):")
 	for _, line := range thresholdLines(healthCurve) {
 		r.addf("%s", line)

@@ -32,9 +32,9 @@ func (e *Env) measuredPredictions() (map[string]reliability.Prediction, error) {
 		features := smart.CriticalFeatures()
 		out := make(map[string]reliability.Prediction, 3)
 		dets := map[string]detect.Detector{
-			"CT":     &detect.Voting{Model: tree.Compile(), Voters: 11},
+			"CT":     &detect.Voting{Model: tree, Voters: 11},
 			"BP ANN": &detect.Voting{Model: net, Voters: 11},
-			"RT":     &detect.MeanThreshold{Model: rts.health.Compile(), Voters: 11, Threshold: -0.3},
+			"RT":     &detect.MeanThreshold{Model: rts.health, Voters: 11, Threshold: -0.3},
 		}
 		for _, name := range sortedKeys(dets) {
 			det := dets[name]

@@ -70,7 +70,7 @@ func (e *Env) Table5() (*Report, error) {
 		for _, m := range []struct {
 			name  string
 			model detect.Predictor
-		}{{"BP ANN", net}, {"CT", tree.Compile()}} {
+		}{{"BP ANN", net}, {"CT", tree}} {
 			var c eval.Counter
 			e.scanDrives(drives, features, &detect.Voting{Model: m.model, Voters: 11},
 				0, simulate.HoursPerWeek, 0.7, e.cfg.Seed, &c)

@@ -119,8 +119,7 @@ func (e *Env) updatingModels(family string) (*updatingModelSet, error) {
 			if err != nil {
 				return nil, fmt.Errorf("updating CT weeks %d-%d: %w", wr.start, wr.end, err)
 			}
-			// Scans only score the model, so store the compiled form.
-			set.ct[wr] = tree.Compile()
+			set.ct[wr] = tree
 			netDS, err := b.net.Finalize()
 			if err != nil {
 				return nil, err

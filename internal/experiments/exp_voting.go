@@ -101,7 +101,7 @@ func (e *Env) Figure2() (*Report, error) {
 		return nil, err
 	}
 	voters := []int{1, 3, 5, 7, 9, 11, 15, 17, 27}
-	ctCurve := e.votingCurve("W", tree.Compile(), voters)
+	ctCurve := e.votingCurve("W", tree, voters)
 	annCurve := e.votingCurve("W", net, voters)
 	r.addf("CT model:")
 	for _, line := range curveLines(ctCurve) {
@@ -157,7 +157,7 @@ func (e *Env) Figure4() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	curve := e.votingCurve("W", tree.Compile(), []int{27})
+	curve := e.votingCurve("W", tree, []int{27})
 	tiaHistogramReport(r, curve[0].Result)
 	return r, nil
 }
@@ -172,7 +172,7 @@ func (e *Env) Figure5() (*Report, error) {
 		return nil, err
 	}
 	voters := []int{1, 3, 5, 11, 17}
-	ctCurve := e.votingCurve("Q", tree.Compile(), voters)
+	ctCurve := e.votingCurve("Q", tree, voters)
 	annCurve := e.votingCurve("Q", net, voters)
 	r.addf("CT model:")
 	for _, line := range curveLines(ctCurve) {

@@ -99,7 +99,7 @@ func chaosFixture(t *testing.T) *chaosEnv {
 		if err != nil {
 			panic(err)
 		}
-		e.model = hddcart.CompileModel(tree)
+		e.model = tree
 		env = e
 	})
 	return env

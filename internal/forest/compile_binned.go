@@ -43,7 +43,7 @@ func (c *Compiled) CompileBinned(bm *dataset.BinnedMatrix) (*Binned, error) {
 }
 
 // Predict returns the mean of tree predictions for one quantized row,
-// folding in tree order like Compiled.Predict.
+// folding in tree order like Forest.Predict.
 func (b *Binned) Predict(codes []uint8) float64 {
 	if len(b.Trees) == 0 {
 		return 0

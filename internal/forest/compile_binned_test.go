@@ -72,16 +72,16 @@ func TestBinnedForestBitIdentical(t *testing.T) {
 		preds := make([]float64, len(codes))
 		b.PredictTiledRange(tm, 0, len(codes), preds)
 		for i, p := range probes {
-			if want, got := c.Predict(p), b.Predict(codes[i]); want != got {
+			if want, got := f.Predict(p), b.Predict(codes[i]); want != got {
 				t.Fatalf("%s: Predict diverged at %d: float %v, binned %v", kind, i, want, got)
 			}
-			if preds[i] != c.Predict(p) {
+			if preds[i] != f.Predict(p) {
 				t.Fatalf("%s: PredictTiledRange diverged at %d", kind, i)
 			}
-			if c.PredictFailed(p) != b.PredictFailed(codes[i]) {
+			if f.PredictFailed(p) != b.PredictFailed(codes[i]) {
 				t.Fatalf("%s: PredictFailed diverged at %d", kind, i)
 			}
-			pw, pg := c.ProbFailed(p), b.ProbFailed(codes[i])
+			pw, pg := f.ProbFailed(p), b.ProbFailed(codes[i])
 			if pw != pg && !(math.IsNaN(pw) && math.IsNaN(pg)) {
 				t.Fatalf("%s: ProbFailed diverged at %d: %v vs %v", kind, i, pw, pg)
 			}

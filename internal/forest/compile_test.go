@@ -56,6 +56,10 @@ func compiledProbe(x [][]float64, seed int64) [][]float64 {
 	return probes
 }
 
+// TestCompiledForestBitIdentical checks that Compile keeps every member
+// tree in training order: the compiled members' per-row Predict, folded
+// as Forest.Predict and Forest.ProbFailed fold them, reproduce the
+// forest's outputs bit for bit.
 func TestCompiledForestBitIdentical(t *testing.T) {
 	for _, kind := range []string{"classification", "regression"} {
 		x, y, w := trainingData(401, 600, 6, kind == "classification")
@@ -72,34 +76,40 @@ func TestCompiledForestBitIdentical(t *testing.T) {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		c := f.Compile()
+		if c.Kind != f.Kind || len(c.Trees) != len(f.Trees) {
+			t.Fatalf("%s: compiled %v with %d trees, want %v with %d", kind, c.Kind, len(c.Trees), f.Kind, len(f.Trees))
+		}
 		for i, p := range compiledProbe(x, 99) {
-			if want, got := f.Predict(p), c.Predict(p); want != got {
+			sum, failed := 0.0, 0
+			for _, ct := range c.Trees {
+				v := ct.Predict(p)
+				sum += v
+				if v < 0 {
+					failed++
+				}
+			}
+			if want, got := f.Predict(p), sum/float64(len(c.Trees)); want != got {
 				t.Fatalf("%s: Predict diverged at %d: %v vs %v", kind, i, want, got)
 			}
-			if f.PredictFailed(p) != c.PredictFailed(p) {
-				t.Fatalf("%s: PredictFailed diverged at %d", kind, i)
-			}
-			pw, pg := f.ProbFailed(p), c.ProbFailed(p)
-			if pw != pg && !(math.IsNaN(pw) && math.IsNaN(pg)) {
-				t.Fatalf("%s: ProbFailed diverged at %d: %v vs %v", kind, i, pw, pg)
+			if want, got := f.ProbFailed(p), float64(failed)/float64(len(c.Trees)); want != got {
+				t.Fatalf("%s: ProbFailed diverged at %d: %v vs %v", kind, i, want, got)
 			}
 		}
 	}
 }
 
 // TestCompiledForestBatchNoAlloc pins per-row scoring of a whole
-// matrix through the compiled forest at zero allocations.
+// matrix through the forest at zero allocations.
 func TestCompiledForestBatchNoAlloc(t *testing.T) {
 	x, y, w := trainingData(77, 400, 5, true)
 	f, err := TrainClassifier(x, y, w, Config{Trees: 8, Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := f.Compile()
 	dst := make([]float64, len(x))
 	if allocs := testing.AllocsPerRun(10, func() {
 		for i, row := range x {
-			dst[i] = c.Predict(row)
+			dst[i] = f.Predict(row)
 		}
 	}); allocs != 0 {
 		t.Fatalf("per-row Predict allocated %.0f times per run", allocs)
@@ -107,11 +117,14 @@ func TestCompiledForestBatchNoAlloc(t *testing.T) {
 }
 
 func TestCompiledForestEmpty(t *testing.T) {
-	c := (&Forest{}).Compile()
-	if got := c.Predict([]float64{1}); got != 0 {
-		t.Fatalf("empty compiled forest Predict = %v, want 0", got)
+	f := &Forest{}
+	if c := f.Compile(); len(c.Trees) != 0 {
+		t.Fatalf("empty forest compiled to %d trees", len(c.Trees))
 	}
-	if got := c.ProbFailed([]float64{1}); !math.IsNaN(got) {
-		t.Fatalf("empty compiled forest ProbFailed = %v, want NaN", got)
+	if got := f.Predict([]float64{1}); got != 0 {
+		t.Fatalf("empty forest Predict = %v, want 0", got)
+	}
+	if got := f.ProbFailed([]float64{1}); !math.IsNaN(got) {
+		t.Fatalf("empty forest ProbFailed = %v, want NaN", got)
 	}
 }

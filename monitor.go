@@ -93,7 +93,6 @@ func (cfg *MonitorConfig) Validate() error {
 // Monitor is not safe for concurrent use; wrap it with a mutex if needed.
 type Monitor struct {
 	cfg    MonitorConfig
-	model  Predictor // compiled form of cfg.Model (bit-identical scores)
 	budget int       // resolved BadSampleBudget (0 = disabled)
 	x      []float64 // feature scratch, reused across Observe calls
 	drives map[string]*monitoredDrive
@@ -189,7 +188,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	}
 	m := &Monitor{
 		cfg:    cfg,
-		model:  CompileModel(cfg.Model),
 		budget: budget,
 		x:      make([]float64, len(cfg.Features)),
 		drives: make(map[string]*monitoredDrive),
@@ -270,7 +268,7 @@ func (m *Monitor) Observe(driveID string, rec Record) (MonitorWarning, bool) {
 	if !m.cfg.Features.Extract(d.history, len(d.history)-1, m.x) {
 		return MonitorWarning{}, false // not enough history for change rates yet
 	}
-	score := m.model.Predict(m.x)
+	score := m.cfg.Model.Predict(m.x)
 	if score != score {
 		// An invalid prediction must be excluded from the window, not
 		// counted as a healthy vote.

@@ -62,16 +62,10 @@ func TestMonitorQueueOrderInterleaved(t *testing.T) {
 	}
 }
 
-// plainTreeModel hides a tree's concrete type from CompileModel so a
-// monitor can be forced onto the pointer-tree scoring path.
-type plainTreeModel struct{ t *cart.Tree }
-
-func (p plainTreeModel) Predict(x []float64) float64 { return p.t.Predict(x) }
-
 // TestMonitorCompiledModelEquivalence feeds identical interleaved streams
-// to a monitor scoring through the compiled tree (the default) and one
-// pinned to the pointer tree, and requires identical warnings — the
-// end-to-end form of the compiled engine's bit-identical guarantee.
+// to a monitor scoring through the compiled tree and one scoring through
+// the pointer tree, and requires identical warnings — the end-to-end form
+// of the compiled layout's bit-identical guarantee.
 func TestMonitorCompiledModelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var x [][]float64
@@ -99,8 +93,8 @@ func TestMonitorCompiledModelEquivalence(t *testing.T) {
 		}
 		return m
 	}
-	compiled := mk(tree) // NewMonitor compiles *cart.Tree automatically
-	pointer := mk(plainTreeModel{tree})
+	compiled := mk(tree.Compile())
+	pointer := mk(tree)
 
 	serials := []string{"a", "b", "c"}
 	for h := 0; h < 200; h++ {
