@@ -136,16 +136,10 @@ type (
 	Forest = forest.Forest
 	// ForestConfig are the forest hyper-parameters.
 	ForestConfig = forest.Config
-	// CompiledForest is a forest with every tree compiled
-	// (Forest.Compile), ready for CompileBinned.
-	CompiledForest = forest.Compiled
 	// BoostEnsemble is an AdaBoost committee of shallow trees.
 	BoostEnsemble = boost.Ensemble
 	// BoostConfig are the AdaBoost hyper-parameters.
 	BoostConfig = boost.Config
-	// CompiledBoost is a committee with every weak learner compiled
-	// (BoostEnsemble.Compile), ready for CompileBinned.
-	CompiledBoost = boost.Compiled
 
 	// StorageSimConfig parameterizes the discrete-event storage-system
 	// simulation with proactive fault tolerance.

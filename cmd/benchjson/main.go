@@ -11,8 +11,9 @@
 // so CI may run any subset; baseline benchmarks the run lacks are named
 // in a note, so a deleted or renamed one does not leave the gate
 // silently. Each report records the GOMAXPROCS its
-// benchmarks ran at; when the baseline's differs, the diff says so and
-// gates anyway. An input that runs one benchmark at several GOMAXPROCS
+// benchmarks ran at, and the host's CPU count and partition-kernel tier;
+// when the baseline's GOMAXPROCS differs, the diff says so and gates
+// anyway. An input that runs one benchmark at several GOMAXPROCS
 // (`-cpu 1,2`) is rejected.
 //
 // Usage:

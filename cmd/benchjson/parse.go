@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+
+	"hddcart/internal/cpu"
 )
 
 // Report is the JSON document benchjson emits.
@@ -15,7 +18,11 @@ type Report struct {
 	// Context echoes the `go test` environment lines (goos, goarch, pkg,
 	// cpu) when present in the input, and records under "gomaxprocs" the
 	// GOMAXPROCS the benchmarks ran at (comma-separated when benchmarks
-	// of one input ran at different values).
+	// of one input ran at different values). With any benchmark line it
+	// also records the host benchjson runs on — the one the piped
+	// benchmarks ran on: "nproc" (runtime.NumCPU) and "kernel", the
+	// partition-kernel tier a build from this source dispatches to
+	// (cpu.Active: "avx2" or "scalar").
 	Context map[string]string `json:"context,omitempty"`
 	// Benchmarks holds one entry per distinct benchmark name, in input
 	// order of first appearance.
@@ -93,6 +100,8 @@ func Parse(r io.Reader) (*Report, error) {
 			report.Context = map[string]string{}
 		}
 		report.Context["gomaxprocs"] = joinProcs(procs)
+		report.Context["nproc"] = strconv.Itoa(runtime.NumCPU())
+		report.Context["kernel"] = cpu.Active().String()
 	}
 	for i := range report.Benchmarks {
 		acc := samples[report.Benchmarks[i].Name]

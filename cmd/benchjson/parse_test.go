@@ -1,8 +1,12 @@
 package main
 
 import (
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+
+	"hddcart/internal/cpu"
 )
 
 const sampleOutput = `goos: linux
@@ -142,6 +146,31 @@ func TestParseRecordsGOMAXPROCS(t *testing.T) {
 	}
 	if _, ok := report.Context["gomaxprocs"]; ok {
 		t.Error("gomaxprocs recorded for an input without benchmarks")
+	}
+}
+
+// TestParseRecordsHost: a report names the host it was measured on —
+// CPU count and partition-kernel tier — so numbers from different
+// machines or tiers are not compared unawares.
+func TestParseRecordsHost(t *testing.T) {
+	report, err := Parse(strings.NewReader("BenchmarkX-2 10 50 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := report.Context["nproc"], strconv.Itoa(runtime.NumCPU()); got != want {
+		t.Errorf("nproc %q, want %q", got, want)
+	}
+	if got, want := report.Context["kernel"], cpu.Active().String(); got != want {
+		t.Errorf("kernel %q, want %q", got, want)
+	}
+	report, err = Parse(strings.NewReader("PASS\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"nproc", "kernel"} {
+		if _, ok := report.Context[k]; ok {
+			t.Errorf("%s recorded for an input without benchmarks", k)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@ package detect
 
 import "hddcart/internal/par"
 
-// scoreChunk scores one contiguous chunk sample by sample into dst;
-// with a caller-provided dst it is allocation-free.
+// scoreChunk scores xs sample by sample into dst; with a caller-provided
+// dst it is allocation-free.
 //
 //hddlint:noalloc
 func scoreChunk(model Predictor, xs [][]float64, dst []float64) {

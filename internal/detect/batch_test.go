@@ -17,11 +17,11 @@ func randomSeries(seed int64, n int) [][]float64 {
 	return xs
 }
 
-// seamSeries builds a healthy series three chunks long with one fail
-// cluster at a seed-dependent position, so the first alarm lands in any
-// chunk, next to a seam or not.
+// seamSeries builds a healthy series of ~1.5k samples with one fail
+// cluster at a seed-dependent position, so the first alarm lands
+// anywhere along it, inside the bulk skip's healthy runs or not.
 func seamSeries(seed int64) (xs [][]float64, scores []float64) {
-	xs = randomSeries(seed, 3*detectChunk+int(seed))
+	xs = randomSeries(seed, 3*512+int(seed))
 	at := int(seed*157) % (len(xs) - 20)
 	scores = make([]float64, len(xs))
 	for i, x := range xs {
@@ -34,22 +34,21 @@ func seamSeries(seed int64) (xs [][]float64, scores []float64) {
 	return xs, scores
 }
 
-// TestVotingBatchMatchesStreaming checks the chunked detector, which
-// scores and sweeps detectChunk samples at a time, against the
-// brute-force rule over the whole series.
+// TestVotingBatchMatchesStreaming checks the detector, which scores the
+// whole series and then sweeps it, against the brute-force rule.
 func TestVotingBatchMatchesStreaming(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		xs, scores := seamSeries(seed)
 		for _, n := range []int{0, 1, 3, 7, 12} {
 			got := (&Voting{Model: scoreModel{}, Voters: n, Threshold: 0.1}).Detect(xs)
 			if want := bruteVoting(scores, n, 0.1); got != want || got < 0 {
-				t.Fatalf("seed %d N=%d: chunked %d vs brute force %d", seed, n, got, want)
+				t.Fatalf("seed %d N=%d: detector %d vs brute force %d", seed, n, got, want)
 			}
 		}
 	}
 }
 
-// TestMeanThresholdBatchMatchesStreaming is the chunk-seam check for the
+// TestMeanThresholdBatchMatchesStreaming is the same check for the
 // health-degree detector.
 func TestMeanThresholdBatchMatchesStreaming(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -57,7 +56,7 @@ func TestMeanThresholdBatchMatchesStreaming(t *testing.T) {
 		for _, n := range []int{0, 1, 4, 9} {
 			got := (&MeanThreshold{Model: scoreModel{}, Voters: n, Threshold: -0.2}).Detect(xs)
 			if want := bruteMean(scores, n, -0.2); got != want || got < 0 {
-				t.Fatalf("seed %d N=%d: chunked %d vs brute force %d", seed, n, got, want)
+				t.Fatalf("seed %d N=%d: detector %d vs brute force %d", seed, n, got, want)
 			}
 		}
 	}

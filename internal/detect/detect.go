@@ -29,11 +29,6 @@ import (
 	"hddcart/internal/smart"
 )
 
-// detectChunk is how many samples the detectors score before sweeping
-// them: small enough that a drive alarming early doesn't pay for scoring
-// its whole series, big enough that the sweep's per-call setup is noise.
-const detectChunk = 512
-
 // scoreBuf pools per-series score buffers so the detectors stay
 // allocation-free across drives in steady state.
 var scoreBuf = sync.Pool{New: func() any { return new([]float64) }}
@@ -110,20 +105,9 @@ func (v *Voting) Validate() error {
 
 // Detect implements Detector: the first index i where more than N/2 of the
 // last N valid samples up to i vote failed (and at least N valid samples
-// exist), else -1. NaN scores are excluded from the window. The series is
-// scored in pooled chunks interleaved with the vote sweep, so an early
-// alarm stops scoring.
+// exist), else -1. NaN scores are excluded from the window.
 func (v *Voting) Detect(xs [][]float64) int {
-	bufp, scores := getScores(len(xs))
-	sw := votingSweep{scores: scores, threshold: v.Threshold, n: max(v.Voters, 1)}
-	idx := -1
-	for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
-		hi := min(lo+detectChunk, len(xs))
-		scoreChunk(v.Model, xs[lo:hi], scores[lo:hi])
-		idx = sw.feed(lo, hi)
-	}
-	scoreBuf.Put(bufp)
-	return idx
+	return detectWith(v.Model, xs, v.Voters, v.Threshold, VoteAlarm)
 }
 
 // MeanThreshold is the health-degree detector: it alarms when the mean of
@@ -165,18 +149,20 @@ func (m *MeanThreshold) Validate() error {
 	return nil
 }
 
-// Detect implements Detector. NaN scores are excluded from the rolling
-// window. The series is scored in pooled chunks interleaved with the
-// window sweep, as Voting.Detect does.
+// Detect implements Detector: the first index where the mean of the last
+// N valid samples drops below Threshold, else -1. NaN scores are excluded
+// from the window.
 func (m *MeanThreshold) Detect(xs [][]float64) int {
+	return detectWith(m.Model, xs, m.Voters, m.Threshold, MeanAlarm)
+}
+
+// detectWith scores a whole series into a pooled buffer and runs one
+// detection rule (VoteAlarm or MeanAlarm) over it.
+func detectWith(model Predictor, xs [][]float64, voters int, threshold float64,
+	alarm func(scores []float64, voters int, threshold float64) (idx, excluded int)) int {
 	bufp, scores := getScores(len(xs))
-	sw := meanSweep{scores: scores, threshold: m.Threshold, n: max(m.Voters, 1)}
-	idx := -1
-	for lo := 0; lo < len(xs) && idx < 0; lo += detectChunk {
-		hi := min(lo+detectChunk, len(xs))
-		scoreChunk(m.Model, xs[lo:hi], scores[lo:hi])
-		idx = sw.feed(lo, hi)
-	}
+	scoreChunk(model, xs, scores)
+	idx, _ := alarm(scores, voters, threshold)
 	scoreBuf.Put(bufp)
 	return idx
 }

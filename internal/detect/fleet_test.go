@@ -24,32 +24,43 @@ func alarmScores(seed int64, n int) []float64 {
 	return scores
 }
 
-// TestVoteAlarmMatchesDetector proves the exported single-feed sweeps
-// equal the chunked detectors on the same scores: same alarm index, and
-// the excluded count equals the NaN count in the swept prefix.
+// TestVoteAlarmMatchesDetector holds the exported sweeps and the
+// detectors on the same scores against the brute-force rules over the
+// NaN-compacted series (mapped back to series coordinates), on series
+// long enough for long bulk-skip runs; the excluded count must equal the
+// NaN count in the swept prefix.
 func TestVoteAlarmMatchesDetector(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
-		for _, n := range []int{0, 1, 5, 40, detectChunk + 77, 3000} {
+		for _, n := range []int{0, 1, 5, 40, 512 + 77, 3000} {
 			scores := alarmScores(seed, n)
+			valid, orig := compactNaN(scores)
 			xs := make([][]float64, n)
 			for i := range xs {
 				xs[i] = []float64{scores[i]}
 			}
 			for _, voters := range []int{1, 3, 11} {
 				for _, thr := range []float64{0, -0.3} {
+					want := bruteVoting(valid, voters, thr)
+					if want >= 0 {
+						want = orig[want]
+					}
 					vIdx := (&Voting{Model: scoreModel{}, Voters: voters, Threshold: thr}).Detect(xs)
 					gotIdx, gotExcl := VoteAlarm(append([]float64(nil), scores...), voters, thr)
-					if gotIdx != vIdx {
-						t.Fatalf("seed=%d n=%d voters=%d thr=%v: VoteAlarm %d, Voting %d",
-							seed, n, voters, thr, gotIdx, vIdx)
+					if gotIdx != want || vIdx != want {
+						t.Fatalf("seed=%d n=%d voters=%d thr=%v: VoteAlarm %d, Voting %d, brute force %d",
+							seed, n, voters, thr, gotIdx, vIdx, want)
 					}
 					checkExcluded(t, scores, gotIdx, gotExcl)
 
+					want = bruteMean(valid, voters, thr)
+					if want >= 0 {
+						want = orig[want]
+					}
 					mIdx := (&MeanThreshold{Model: scoreModel{}, Voters: voters, Threshold: thr}).Detect(xs)
 					gotIdx, gotExcl = MeanAlarm(append([]float64(nil), scores...), voters, thr)
-					if gotIdx != mIdx {
-						t.Fatalf("seed=%d n=%d voters=%d thr=%v: MeanAlarm %d, MeanThreshold %d",
-							seed, n, voters, thr, gotIdx, mIdx)
+					if gotIdx != want || mIdx != want {
+						t.Fatalf("seed=%d n=%d voters=%d thr=%v: MeanAlarm %d, MeanThreshold %d, brute force %d",
+							seed, n, voters, thr, gotIdx, mIdx, want)
 					}
 					checkExcluded(t, scores, gotIdx, gotExcl)
 				}

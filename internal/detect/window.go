@@ -1,73 +1,55 @@
 package detect
 
-// Window is the incremental per-drive detection state shared by the
-// online paths: the root Monitor and the serve ingest shards both push
-// one valid score per accepted sample and ask whether the paper's
-// detection rule tripped. It is the streaming twin of the batch sweeps
-// in sweep.go — Push maintains exactly the sliding window votingSweep
-// and meanSweep reconstruct over a fully scored series, so a drive
-// observed online alarms at the same sample it would in a fleet scan.
+// Window is the incremental per-drive detection state of the online
+// paths: the root Monitor (and through it every serve shard) pushes one
+// valid score per accepted sample and asks whether the paper's detection
+// rule tripped. It keeps only the last ≤ n scores; the rule itself is
+// VoteAlarm or MeanAlarm run over them, so a drive observed online
+// alarms at the same sample it would in an offline scan.
 //
 // The caller owns NaN exclusion (invalid predictions must not be
 // pushed) and must use one fixed (n, threshold) pair per window; both
-// are parameters rather than fields so the struct stays two words of
-// state and serializes trivially (snapshot encode/decode round-trips
-// Scores and Votes verbatim).
+// are parameters rather than fields so the state is just the scores and
+// serializes trivially.
 type Window struct {
 	// Scores holds the last ≤ n valid scores, oldest first.
 	Scores []float64
-	// Votes counts the scores in Scores below the push threshold.
-	Votes int
 }
 
 // Push appends a valid score and slides the window to the last n
-// scores, maintaining Votes incrementally. n must be ≥ 1 and threshold
-// fixed across the window's lifetime.
-func (w *Window) Push(score float64, n int, threshold float64) {
+// scores. n must be ≥ 1.
+func (w *Window) Push(score float64, n int) {
 	w.Scores = append(w.Scores, score)
-	if score < threshold {
-		w.Votes++
-	}
 	if len(w.Scores) > n {
-		if w.Scores[len(w.Scores)-n-1] < threshold {
-			w.Votes--
-		}
 		w.Scores = w.Scores[len(w.Scores)-n:]
 	}
 }
 
-// Full reports whether the window holds at least n scores — the
-// detection rule never trips on a partial window.
-func (w *Window) Full(n int) bool { return len(w.Scores) >= n }
-
-// Mean returns the mean of the windowed scores (NaN when empty). The
-// sum runs oldest-first, the same order every observer of the window
-// uses, so the value is bit-identical across paths.
+// Mean returns the mean of the windowed scores (NaN when empty), summed
+// by windowSum exactly as the mean rule sums a full window.
 func (w *Window) Mean() float64 {
-	m := 0.0
-	for _, s := range w.Scores {
-		m += s
-	}
-	return m / float64(len(w.Scores))
+	return windowSum(w.Scores) / float64(len(w.Scores))
 }
 
-// Tripped reports whether the window trips the detection rule: with
-// useMean, the mean of the last n scores falls below threshold (paper
-// §V-C); otherwise more than n/2 of the last n scores do (§V-A3).
-// Partial windows never trip.
+// Tripped reports whether the window holds n scores and the detection
+// rule fires on its newest one: MeanAlarm with useMean (paper §V-C),
+// VoteAlarm otherwise (§V-A3). Over exactly n valid scores a sweep can
+// only alarm at index n-1, so this is the offline rule's verdict at the
+// sample just pushed.
 func (w *Window) Tripped(n int, threshold float64, useMean bool) bool {
-	if len(w.Scores) < n {
+	if len(w.Scores) != n {
 		return false
 	}
+	alarm := VoteAlarm
 	if useMean {
-		return w.Mean() < threshold
+		alarm = MeanAlarm
 	}
-	return 2*w.Votes > n
+	idx, _ := alarm(w.Scores, n, threshold)
+	return idx == n-1
 }
 
 // Reset empties the window, keeping its capacity for reuse (telemetry
 // blackouts reset windows without releasing per-drive buffers).
 func (w *Window) Reset() {
 	w.Scores = w.Scores[:0]
-	w.Votes = 0
 }

@@ -6,67 +6,81 @@ import (
 	"testing"
 )
 
-// naiveWindow recomputes the window state from scratch: the last ≤ n
-// scores and the count below threshold. Window.Push must match it after
-// every push.
-func naiveWindow(scores []float64, n int, threshold float64) ([]float64, int) {
-	if len(scores) > n {
-		scores = scores[len(scores)-n:]
+// lastN is the window oracle: the last ≤ n scores of a stream.
+func lastN(stream []float64, n int) []float64 {
+	if len(stream) > n {
+		return stream[len(stream)-n:]
 	}
-	votes := 0
-	for _, s := range scores {
+	return stream
+}
+
+// bruteTrips is the detection-rule oracle over the scores pushed so far:
+// with a full window of n, more than n/2 of them below threshold
+// (voting), or their oldest-first sum over n below threshold (mean).
+func bruteTrips(stream []float64, n int, threshold float64, useMean bool) bool {
+	if len(stream) < n {
+		return false
+	}
+	votes, sum := 0, 0.0
+	for _, s := range stream[len(stream)-n:] {
 		if s < threshold {
 			votes++
 		}
+		sum += s
 	}
-	return scores, votes
+	if useMean {
+		return sum/float64(n) < threshold
+	}
+	return 2*votes > n
 }
 
 func TestWindowPushMatchesNaive(t *testing.T) {
 	const n = 4
-	const threshold = -0.1
 	stream := []float64{0.5, -0.3, -0.2, 0.9, -0.15, -0.5, 0.1, -0.9, -0.11, 0.3, -0.4}
 	var w Window
 	for i := range stream {
-		w.Push(stream[i], n, threshold)
-		wantScores, wantVotes := naiveWindow(stream[:i+1], n, threshold)
-		if len(w.Scores) != len(wantScores) {
-			t.Fatalf("push %d: window holds %d scores, want %d", i, len(w.Scores), len(wantScores))
+		w.Push(stream[i], n)
+		want := lastN(stream[:i+1], n)
+		if len(w.Scores) != len(want) {
+			t.Fatalf("push %d: window holds %d scores, want %d", i, len(w.Scores), len(want))
 		}
-		for j := range wantScores {
-			if w.Scores[j] != wantScores[j] {
-				t.Fatalf("push %d: score[%d] = %v, want %v", i, j, w.Scores[j], wantScores[j])
+		for j := range want {
+			if w.Scores[j] != want[j] {
+				t.Fatalf("push %d: score[%d] = %v, want %v", i, j, w.Scores[j], want[j])
 			}
-		}
-		if w.Votes != wantVotes {
-			t.Fatalf("push %d: votes = %d, want %d", i, w.Votes, wantVotes)
-		}
-		if w.Full(n) != (i+1 >= n) {
-			t.Fatalf("push %d: Full = %v", i, w.Full(n))
 		}
 	}
 }
 
+// TestWindowTripped checks Tripped after every push against bruteTrips,
+// both rules, on hand-picked and random streams.
 func TestWindowTripped(t *testing.T) {
-	const n = 3
-	var w Window
-	w.Push(-0.5, n, 0)
-	w.Push(-0.5, n, 0)
-	if w.Tripped(n, 0, false) {
-		t.Error("partial window tripped")
+	check := func(stream []float64, n int, threshold float64) {
+		t.Helper()
+		var w Window
+		for i, s := range stream {
+			w.Push(s, n)
+			for _, useMean := range []bool{false, true} {
+				if got, want := w.Tripped(n, threshold, useMean), bruteTrips(stream[:i+1], n, threshold, useMean); got != want {
+					t.Fatalf("n=%d thr=%v mean=%v %v: push %d tripped %v, want %v",
+						n, threshold, useMean, stream, i, got, want)
+				}
+			}
+		}
 	}
-	w.Push(0.5, n, 0)
-	if !w.Tripped(n, 0, false) {
-		t.Error("2-of-3 failing votes did not trip voting rule")
-	}
-	// Mean rule: mean = (−0.5 −0.5 +0.5)/3 < 0 trips; against a −0.3
-	// threshold it does not.
-	if !w.Tripped(n, 0, true) {
-		t.Error("negative mean did not trip mean rule at threshold 0")
-	}
-	if w.Tripped(n, -0.3, true) {
-		// mean is −1/6 ≈ −0.167 > −0.3
-		t.Error("mean above threshold tripped")
+	// 2 of 3 failing trips voting only once the window is full; the mean
+	// (−0.5 −0.5 +0.5)/3 trips at threshold 0 but not at −0.3.
+	check([]float64{-0.5, -0.5, 0.5}, 3, 0)
+	check([]float64{-0.5, -0.5, 0.5}, 3, -0.3)
+	// Exactly half failing never trips voting (strict majority).
+	check([]float64{-1, -1, 1, 1, -1, 1}, 4, 0)
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 500; trial++ {
+		stream := make([]float64, rng.Intn(60))
+		for i := range stream {
+			stream[i] = math.Round(rng.NormFloat64()*100) / 100
+		}
+		check(stream, 1+rng.Intn(17), math.Round(rng.NormFloat64()*40)/100)
 	}
 }
 
@@ -77,7 +91,7 @@ func TestWindowMeanOrder(t *testing.T) {
 	vals := []float64{0.1, 0.2, 0.3}
 	var w Window
 	for _, v := range vals {
-		w.Push(v, 3, 0)
+		w.Push(v, 3)
 	}
 	// Built with runtime float adds (a constant expression would fold in
 	// exact precision and miss the rounding the window actually does).
@@ -95,12 +109,23 @@ func TestWindowMeanOrder(t *testing.T) {
 	}
 }
 
+// bruteMeanAlarm is the mean rule's first alarm over a whole stream: the
+// first index whose window trips bruteTrips, or -1.
+func bruteMeanAlarm(scores []float64, n int, threshold float64) int {
+	for i := range scores {
+		if bruteTrips(scores[:i+1], n, threshold, true) {
+			return i
+		}
+	}
+	return -1
+}
+
 // windowMeanAlarm is the online mean rule: push every score into a
 // Window and return the first index where it trips, or -1.
 func windowMeanAlarm(scores []float64, n int, threshold float64) int {
 	var w Window
 	for i, s := range scores {
-		w.Push(s, n, threshold)
+		w.Push(s, n)
 		if w.Tripped(n, threshold, true) {
 			return i
 		}
@@ -109,19 +134,21 @@ func windowMeanAlarm(scores []float64, n int, threshold float64) int {
 }
 
 // TestWindowMeanMatchesSweeps: the online Window and the offline mean
-// sweeps (MeanAlarm, MeanThreshold.Detect) must alarm at the same
-// sample. A rolling window sum carries the rounding of scores that have
-// left the window: on the first stream it alarmed at index 3, where the
-// Window never trips.
+// sweeps (MeanAlarm, MeanThreshold.Detect) must all alarm where the
+// brute-force rule does, each window summed fresh and oldest first. A
+// rolling window sum carries the rounding of scores that have left the
+// window: on the first stream it alarmed at index 3, where the rule
+// never trips.
 func TestWindowMeanMatchesSweeps(t *testing.T) {
 	check := func(scores []float64, n int, thr float64) {
 		t.Helper()
-		want := windowMeanAlarm(scores, n, thr)
+		want := bruteMeanAlarm(scores, n, thr)
+		win := windowMeanAlarm(scores, n, thr)
 		got, _ := MeanAlarm(append([]float64(nil), scores...), n, thr)
 		det := (&MeanThreshold{Model: scoreModel{}, Voters: n, Threshold: thr}).Detect(series(scores...))
-		if got != want || det != want {
-			t.Fatalf("n=%d thr=%v %v: Window %d, MeanAlarm %d, MeanThreshold %d",
-				n, thr, scores, want, got, det)
+		if win != want || got != want || det != want {
+			t.Fatalf("n=%d thr=%v %v: brute force %d, Window %d, MeanAlarm %d, MeanThreshold %d",
+				n, thr, scores, want, win, got, det)
 		}
 	}
 	check([]float64{0.3, -0.6, -0.1, -0.2}, 3, -0.3)
@@ -145,11 +172,11 @@ func TestWindowMeanMatchesSweeps(t *testing.T) {
 func TestWindowReset(t *testing.T) {
 	var w Window
 	for i := 0; i < 5; i++ {
-		w.Push(-1, 3, 0)
+		w.Push(-1, 3)
 	}
 	w.Reset()
-	if len(w.Scores) != 0 || w.Votes != 0 {
-		t.Errorf("reset left %d scores, %d votes", len(w.Scores), w.Votes)
+	if len(w.Scores) != 0 {
+		t.Errorf("reset left %d scores", len(w.Scores))
 	}
 	if w.Tripped(3, 0, false) {
 		t.Error("reset window tripped")

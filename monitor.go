@@ -31,9 +31,6 @@ type MonitorConfig struct {
 	// UseMean selects mean-threshold (health-degree) detection instead
 	// of voting.
 	UseMean bool
-	// HistoryHours bounds how much per-drive history is retained for
-	// change-rate lookback; 0 means the feature set's requirement + 2 h.
-	HistoryHours int
 
 	// BadSampleBudget is the per-drive error budget: after this many
 	// consecutive corrupt samples (non-finite or out-of-domain values)
@@ -64,9 +61,6 @@ func (cfg *MonitorConfig) Validate() error {
 	if !(cfg.Threshold >= -1 && cfg.Threshold <= 1) { // NaN fails too
 		return fmt.Errorf("hddcart: monitor threshold %v outside [-1, 1]", cfg.Threshold)
 	}
-	if cfg.HistoryHours < 0 {
-		return fmt.Errorf("hddcart: monitor history %d h must be non-negative", cfg.HistoryHours)
-	}
 	if cfg.StaleAfterHours < 0 {
 		return fmt.Errorf("hddcart: monitor stale timeout %d h must be non-negative", cfg.StaleAfterHours)
 	}
@@ -92,12 +86,13 @@ func (cfg *MonitorConfig) Validate() error {
 //
 // Monitor is not safe for concurrent use; wrap it with a mutex if needed.
 type Monitor struct {
-	cfg    MonitorConfig
-	budget int       // resolved BadSampleBudget (0 = disabled)
-	x      []float64 // feature scratch, reused across Observe calls
-	drives map[string]*monitoredDrive
-	queue  warningHeap
-	stats  MonitorStats
+	cfg          MonitorConfig
+	budget       int       // resolved BadSampleBudget (0 = disabled)
+	historyHours int       // per-drive retention: the deepest change-rate interval + 2 h
+	x            []float64 // feature scratch, reused across Observe calls
+	drives       map[string]*monitoredDrive
+	queue        warningHeap
+	stats        MonitorStats
 }
 
 // MonitorWarning is an outstanding warning with its drive serial.
@@ -159,7 +154,7 @@ func (s *MonitorStats) Add(o MonitorStats) {
 // monitoredDrive is the per-drive sliding state and warning state.
 type monitoredDrive struct {
 	history     []smart.Record // bounded chronological history
-	window      detect.Window  // last N scores + failed-vote count
+	window      detect.Window  // last N valid scores
 	badRun      int            // consecutive corrupt arrivals
 	quarantined bool
 	warned      bool           // warned since the last Resolve
@@ -172,13 +167,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.HistoryHours == 0 {
-		cfg.HistoryHours = cfg.Features.MaxInterval() + 2
-	}
-	if cfg.HistoryHours < cfg.Features.MaxInterval() {
-		return nil, fmt.Errorf("hddcart: history %d h shorter than change-rate lookback %d h",
-			cfg.HistoryHours, cfg.Features.MaxInterval())
-	}
 	budget := cfg.BadSampleBudget
 	switch {
 	case budget == 0:
@@ -187,10 +175,11 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		budget = 0 // disabled
 	}
 	m := &Monitor{
-		cfg:    cfg,
-		budget: budget,
-		x:      make([]float64, len(cfg.Features)),
-		drives: make(map[string]*monitoredDrive),
+		cfg:          cfg,
+		budget:       budget,
+		historyHours: cfg.Features.MaxInterval() + 2,
+		x:            make([]float64, len(cfg.Features)),
+		drives:       make(map[string]*monitoredDrive),
 	}
 	return m, nil
 }
@@ -254,10 +243,12 @@ func (m *Monitor) Observe(driveID string, rec Record) (MonitorWarning, bool) {
 		d.badRun = 0
 	}
 	d.history = append(d.history, rec)
-	// Trim history older than the lookback horizon.
-	cutoff := rec.Hour - m.cfg.HistoryHours
+	// Trim history past the lookback horizon, keeping the newest record
+	// at or before the cutoff: across a telemetry gap it is the record a
+	// change rate looks back to, exactly as over the whole trace offline.
+	cutoff := rec.Hour - m.historyHours
 	trim := 0
-	for trim < len(d.history)-1 && d.history[trim].Hour < cutoff {
+	for trim+1 < len(d.history) && d.history[trim+1].Hour <= cutoff {
 		trim++
 	}
 	d.history = d.history[trim:]
@@ -277,17 +268,13 @@ func (m *Monitor) Observe(driveID string, rec Record) (MonitorWarning, bool) {
 	}
 	m.stats.Scored++
 
-	// The shared incremental window (detect.Window) slides to the last
-	// Voters scores and maintains the failed-vote count; the detection
-	// rule is the same one the batch sweeps reconstruct offline.
-	d.window.Push(score, m.cfg.Voters, m.cfg.Threshold)
-	if !d.window.Full(m.cfg.Voters) {
-		return MonitorWarning{}, false
-	}
-	mean := d.window.Mean()
+	// The window slides to the last Voters scores and trips through the
+	// same rule sweep (detect.VoteAlarm / MeanAlarm) the offline scans run.
+	d.window.Push(score, m.cfg.Voters)
 	if !d.window.Tripped(m.cfg.Voters, m.cfg.Threshold, m.cfg.UseMean) {
 		return MonitorWarning{}, false
 	}
+	mean := d.window.Mean()
 	if d.warned {
 		if d.slot >= 0 {
 			d.warning.Health = mean

@@ -74,7 +74,7 @@ func (m *Monitor) EncodeSnapshot(w io.Writer) error {
 		Threshold:       m.cfg.Threshold,
 		UseMean:         m.cfg.UseMean,
 		Features:        len(m.cfg.Features),
-		HistoryHours:    m.cfg.HistoryHours,
+		HistoryHours:    m.historyHours,
 		StaleAfterHours: m.cfg.StaleAfterHours,
 		BadSampleBudget: m.budget,
 		Drives:          make([]driveSnapshot, 0, len(m.drives)),
@@ -91,7 +91,7 @@ func (m *Monitor) EncodeSnapshot(w io.Writer) error {
 			Serial:      serial,
 			History:     d.history,
 			Scores:      d.window.Scores,
-			Votes:       d.window.Votes,
+			Votes:       votesBelow(d.window.Scores, m.cfg.Threshold),
 			BadRun:      d.badRun,
 			Quarantined: d.quarantined,
 		})
@@ -119,8 +119,10 @@ func (m *Monitor) EncodeSnapshot(w io.Writer) error {
 // same detection rule as the snapshot's fingerprint; any version,
 // fingerprint or decode mismatch, and any warned or queued serial that
 // does not match the drive list (an unknown drive, a queued drive that
-// was never warned, a drive queued twice), is an error and leaves the
-// monitor empty, so callers can fall back to a counted cold start.
+// was never warned, a drive queued twice), and any vote window holding
+// more than Voters scores or a vote count its scores do not give, is an
+// error and leaves the monitor empty, so callers can fall back to a
+// counted cold start.
 func (m *Monitor) RestoreSnapshot(r io.Reader) error {
 	if m.stats.Observed != 0 || len(m.drives) != 0 {
 		return fmt.Errorf("hddcart: restore onto a used monitor (%d observed)", m.stats.Observed)
@@ -146,9 +148,13 @@ func (m *Monitor) RestoreSnapshot(r io.Reader) error {
 			m.reset()
 			return fmt.Errorf("hddcart: monitor snapshot repeats drive %q", ds.Serial)
 		}
+		if err := m.checkWindow(ds); err != nil {
+			m.reset()
+			return err
+		}
 		m.drives[ds.Serial] = &monitoredDrive{
 			history:     ds.History,
-			window:      detect.Window{Scores: ds.Scores, Votes: ds.Votes},
+			window:      detect.Window{Scores: ds.Scores},
 			badRun:      ds.BadRun,
 			quarantined: ds.Quarantined,
 			slot:        -1,
@@ -196,8 +202,8 @@ func (m *Monitor) checkFingerprint(snap *monitorSnapshot) error {
 		return fmt.Errorf("hddcart: snapshot use_mean %v, monitor has %v", snap.UseMean, m.cfg.UseMean)
 	case snap.Features != len(m.cfg.Features):
 		return fmt.Errorf("hddcart: snapshot has %d features, monitor has %d", snap.Features, len(m.cfg.Features))
-	case snap.HistoryHours != m.cfg.HistoryHours:
-		return fmt.Errorf("hddcart: snapshot history %d h, monitor has %d h", snap.HistoryHours, m.cfg.HistoryHours)
+	case snap.HistoryHours != m.historyHours:
+		return fmt.Errorf("hddcart: snapshot history %d h, monitor has %d h", snap.HistoryHours, m.historyHours)
 	case snap.StaleAfterHours != m.cfg.StaleAfterHours:
 		return fmt.Errorf("hddcart: snapshot stale timeout %d h, monitor has %d h", snap.StaleAfterHours, m.cfg.StaleAfterHours)
 	case snap.BadSampleBudget != m.budget:
@@ -206,6 +212,32 @@ func (m *Monitor) checkFingerprint(snap *monitorSnapshot) error {
 		return errors.New("hddcart: snapshot binned true, monitor scores float rows")
 	}
 	return nil
+}
+
+// checkWindow rejects a drive whose vote window could not have come from
+// this monitor: more scores than the window holds, or a vote count that
+// disagrees with its scores. The count is redundant with the scores (it
+// is written for format compatibility), so a mismatch means corruption.
+func (m *Monitor) checkWindow(ds *driveSnapshot) error {
+	if len(ds.Scores) > m.cfg.Voters {
+		return fmt.Errorf("hddcart: monitor snapshot drive %q holds %d scores, window is %d", ds.Serial, len(ds.Scores), m.cfg.Voters)
+	}
+	if want := votesBelow(ds.Scores, m.cfg.Threshold); ds.Votes != want {
+		return fmt.Errorf("hddcart: monitor snapshot drive %q has %d votes, its scores give %d", ds.Serial, ds.Votes, want)
+	}
+	return nil
+}
+
+// votesBelow counts the scores below threshold: the failed votes of a
+// window.
+func votesBelow(scores []float64, threshold float64) int {
+	votes := 0
+	for _, s := range scores {
+		if s < threshold {
+			votes++
+		}
+	}
+	return votes
 }
 
 // sameThreshold reports whether a snapshot's threshold equals the

@@ -263,6 +263,33 @@ func TestMonitorSnapshotRejects(t *testing.T) {
 			t.Errorf("%s: refused restore left state behind", tc.name)
 		}
 	}
+	// A drive's vote window must be one this monitor could have built:
+	// at most Voters scores, and a vote count its scores give. drive-a's
+	// window holds 3 failing scores, so 3 votes.
+	windows := []struct {
+		name   string
+		scores []float64
+		votes  int
+	}{
+		{"flipped votes", base.Drives[0].Scores, len(base.Drives[0].Scores) - base.Drives[0].Votes},
+		{"scores beyond the window", append([]float64{-1}, base.Drives[0].Scores...), base.Drives[0].Votes + 1},
+	}
+	for _, tc := range windows {
+		snap := base
+		snap.Drives = append([]driveSnapshot(nil), base.Drives...)
+		snap.Drives[0].Scores, snap.Drives[0].Votes = tc.scores, tc.votes
+		raw, err := json.Marshal(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := newTestMonitor(t, 3, false)
+		if err := target.RestoreSnapshot(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: restore accepted", tc.name)
+		}
+		if target.Outstanding() != 0 || target.Stats().Observed != 0 {
+			t.Errorf("%s: refused restore left state behind", tc.name)
+		}
+	}
 	// After every rejection the monitor must still be cold and usable.
 	if fresh.Stats().Observed != 0 {
 		t.Error("rejections left state behind")

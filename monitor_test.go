@@ -51,11 +51,6 @@ func TestNewMonitorValidation(t *testing.T) {
 	if _, err := NewMonitor(MonitorConfig{Features: monitorFeatures}); err == nil {
 		t.Error("missing model accepted")
 	}
-	if _, err := NewMonitor(MonitorConfig{
-		Features: CriticalFeatures(), Model: firstFeatureModel{}, Voters: 1, HistoryHours: 2,
-	}); err == nil {
-		t.Error("history shorter than lookback accepted")
-	}
 	// Degenerate windows, thresholds and timeouts are construction-time
 	// errors, not silently clamped defaults.
 	if _, err := NewMonitor(MonitorConfig{Features: monitorFeatures, Model: firstFeatureModel{}}); err == nil {
@@ -75,11 +70,6 @@ func TestNewMonitorValidation(t *testing.T) {
 		Features: monitorFeatures, Model: firstFeatureModel{}, Voters: 1, StaleAfterHours: -1,
 	}); err == nil {
 		t.Error("negative stale timeout accepted")
-	}
-	if _, err := NewMonitor(MonitorConfig{
-		Features: monitorFeatures, Model: firstFeatureModel{}, Voters: 1, HistoryHours: -5,
-	}); err == nil {
-		t.Error("negative history accepted")
 	}
 }
 
@@ -224,12 +214,16 @@ func TestMonitorChangeRateLookback(t *testing.T) {
 	// With a change-rate feature the monitor needs history before it can
 	// score at all.
 	features := FeatureSet{{Attr: smart.RawReadErrorRate, Kind: smart.ChangeRate, IntervalHours: 6}}
-	m, err := NewMonitor(MonitorConfig{
-		Features: features, Model: rateModel{}, Voters: 1, Threshold: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
+	newMonitor := func() *Monitor {
+		m, err := NewMonitor(MonitorConfig{
+			Features: features, Model: rateModel{}, Voters: 1, Threshold: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
+	m := newMonitor()
 	// Declining value: rate −1/h → Δ6h = −6 < −1 once lookback exists.
 	warned := false
 	for h := 0; h < 10; h++ {
@@ -242,6 +236,32 @@ func TestMonitorChangeRateLookback(t *testing.T) {
 	}
 	if !warned {
 		t.Error("never warned despite steady decline")
+	}
+
+	// Across a telemetry gap the change rate looks back to the newest
+	// record at or before hour−6, which can be older than the retained
+	// horizon: flat at hours 0–10, a drop after the gap, so the first
+	// post-gap sample (hour 20, looking back to hour 10) must warn, as
+	// ExtractSeries over the whole trace scores it.
+	m = newMonitor()
+	var got []int
+	for h := 0; h <= 30; h++ {
+		if h > 10 && h < 20 {
+			continue
+		}
+		v := 100.0
+		if h >= 20 {
+			v = 90
+		}
+		if _, ok := m.Observe("d", recAt(h, v)); ok {
+			got = append(got, h)
+		}
+	}
+	if len(got) != 1 || got[0] != 20 {
+		t.Errorf("gap trace warned at hours %v, want [20]", got)
+	}
+	if s := m.Stats(); s.Scored != 16 {
+		t.Errorf("gap trace scored %d samples, want 16 (hours 6–10 and 20–30)", s.Scored)
 	}
 }
 
