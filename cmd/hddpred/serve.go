@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -112,17 +113,25 @@ func cmdServe(args []string) (err error) {
 		fmt.Fprintf(os.Stderr, "serve: snapshot %s unusable, cold start (counted)\n", *snapshot)
 	}
 
-	httpSrv := newHTTPServer(*addr, s.Handler())
-	errCh := make(chan error, 1)
-	//hddlint:ignore nakedgo the listener goroutine lives for the whole process; it is joined below through errCh (ListenAndServe only returns on Shutdown or a fatal listen error)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	// Catch SIGINT/SIGTERM before the port can answer: a supervisor that
+	// stops the service right after its readiness probe connects must
+	// get the graceful drain and the final snapshot, not the default
+	// handler's exit.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return errors.Join(fmt.Errorf("serve: %w", err), s.Close())
+	}
+	httpSrv := newHTTPServer(*addr, s.Handler())
+	errCh := make(chan error, 1)
+	//hddlint:ignore nakedgo the listener goroutine lives for the whole process; it is joined below through errCh (Serve only returns on Shutdown or a fatal accept error)
+	go func() { errCh <- httpSrv.Serve(ln) }()
 
 	select {
 	case err := <-errCh:
-		// The listener died on its own (port in use, ...): still drain
+		// The listener died on its own (a fatal accept error): still drain
 		// the shards and write the final snapshot before reporting.
 		if closeErr := s.Close(); closeErr != nil {
 			return errors.Join(err, closeErr)

@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -17,26 +19,141 @@ import (
 
 // SnapshotVersion is the on-disk version of the service snapshot
 // envelope. The envelope wraps one Monitor snapshot per shard (each
-// itself versioned — see hddcart.MonitorSnapshotVersion) plus the
-// undrained warning feeds; restores reject any other version and fall
-// back to a counted cold start.
-const SnapshotVersion = 1
+// itself versioned and checksummed — see hddcart.MonitorSnapshotVersion)
+// plus the undrained warning feeds, under its own CRC32C; restores
+// reject any other version, the version 1 JSON included, and fall back
+// to a counted cold start.
+const SnapshotVersion = 2
+
+// snapshotMagic opens every service snapshot.
+var snapshotMagic = []byte("HDSV")
+
+// castagnoli is the CRC32C table of the envelope trailer.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // snapshotFile is the service snapshot envelope. Shard membership is a
 // pure function of the serial (ShardOf), so restoring shard i's monitor
 // into shard i of a same-shard-count server re-creates exactly the
 // ownership the encoding server had; a different shard count would
 // scatter drives across wrong monitors, so it is a restore mismatch.
+//
+// On disk it is little-endian binary:
+//
+//	"HDSV" u32 version · i64 taken_unix · u32 policy length · policy ·
+//	u32 shards · per shard: u64 monitor snapshot length · monitor snapshot ·
+//	u32 feed length · feed × (u32 serial length · serial · f64 health · i64 hour)
+//	u32 CRC32C (Castagnoli) of every byte before it
 type snapshotFile struct {
-	Version   int    `json:"version"`
-	Shards    int    `json:"shards"`
-	TakenUnix int64  `json:"taken_unix"`
-	Policy    string `json:"policy"` // informational; restores do not check it
+	Version   int
+	TakenUnix int64
+	Policy    string // informational; restores do not check it
 
 	// Monitors holds shard i's Monitor snapshot at index i; Feeds its
 	// undrained warning feed.
-	Monitors []json.RawMessage          `json:"monitors"`
-	Feeds    [][]hddcart.MonitorWarning `json:"feeds"`
+	Monitors [][]byte
+	Feeds    [][]hddcart.MonitorWarning
+}
+
+// marshal encodes the envelope.
+func (f *snapshotFile) marshal() []byte {
+	le := binary.LittleEndian
+	size := 4 + 4 + 8 + 4 + len(f.Policy) + 4 + 4
+	for i := range f.Monitors {
+		size += 8 + len(f.Monitors[i]) + 4
+		for _, w := range f.Feeds[i] {
+			size += 4 + len(w.Serial) + 16
+		}
+	}
+	b := make([]byte, 0, size)
+	b = append(b, snapshotMagic...)
+	b = le.AppendUint32(b, uint32(f.Version))
+	b = le.AppendUint64(b, uint64(f.TakenUnix))
+	b = le.AppendUint32(b, uint32(len(f.Policy)))
+	b = append(b, f.Policy...)
+	b = le.AppendUint32(b, uint32(len(f.Monitors)))
+	for i, mon := range f.Monitors {
+		b = le.AppendUint64(b, uint64(len(mon)))
+		b = append(b, mon...)
+		b = le.AppendUint32(b, uint32(len(f.Feeds[i])))
+		for _, w := range f.Feeds[i] {
+			b = le.AppendUint32(b, uint32(len(w.Serial)))
+			b = append(b, w.Serial...)
+			b = le.AppendUint64(b, math.Float64bits(w.Health))
+			b = le.AppendUint64(b, uint64(w.Hour))
+		}
+	}
+	return le.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// errEnvelope reports a snapshot file that is not a whole version 2
+// envelope: another format, a truncation or a checksum mismatch.
+var errEnvelope = errors.New("serve: snapshot is not an intact binary envelope")
+
+// unmarshalSnapshot decodes an envelope. The monitor snapshots alias
+// data; a bad magic, checksum or layout is errEnvelope.
+func unmarshalSnapshot(data []byte) (snapshotFile, error) {
+	var f snapshotFile
+	if !bytes.HasPrefix(data, snapshotMagic) || len(data) < len(snapshotMagic)+4 {
+		return f, errEnvelope
+	}
+	body := data[:len(data)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
+		return f, errEnvelope
+	}
+	r := envelopeReader{b: body[len(snapshotMagic):], ok: true}
+	f.Version = int(r.u32())
+	f.TakenUnix = int64(r.u64())
+	f.Policy = string(r.take(uint64(r.u32())))
+	shards := r.u32()
+	for i := uint32(0); i < shards && r.ok; i++ {
+		f.Monitors = append(f.Monitors, r.take(r.u64()))
+		n := r.u32()
+		var feed []hddcart.MonitorWarning
+		for j := uint32(0); j < n && r.ok; j++ {
+			serial := string(r.take(uint64(r.u32())))
+			feed = append(feed, hddcart.MonitorWarning{
+				Serial: serial,
+				Health: math.Float64frombits(r.u64()),
+				Hour:   int(r.u64()),
+			})
+		}
+		f.Feeds = append(f.Feeds, feed)
+	}
+	if !r.ok || len(r.b) != 0 {
+		return snapshotFile{}, errEnvelope
+	}
+	return f, nil
+}
+
+// envelopeReader reads an envelope's fields in order; a short read
+// clears ok and every later read returns zero.
+type envelopeReader struct {
+	b  []byte
+	ok bool
+}
+
+func (r *envelopeReader) take(n uint64) []byte {
+	if !r.ok || n > uint64(len(r.b)) {
+		r.ok = false
+		return nil
+	}
+	v := r.b[:n:n]
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *envelopeReader) u32() uint32 {
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (r *envelopeReader) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }
 
 // snapshotState is the Server's snapshot bookkeeping, embedded so
@@ -88,10 +205,9 @@ func (s *Server) SnapshotNow() error {
 	defer s.snapshotMu.Unlock()
 	snap := snapshotFile{
 		Version:   SnapshotVersion,
-		Shards:    len(s.shards),
 		TakenUnix: time.Now().Unix(),
 		Policy:    s.cfg.Policy.String(),
-		Monitors:  make([]json.RawMessage, 0, len(s.shards)),
+		Monitors:  make([][]byte, 0, len(s.shards)),
 		Feeds:     make([][]hddcart.MonitorWarning, 0, len(s.shards)),
 	}
 	for _, sh := range s.shards {
@@ -106,15 +222,10 @@ func (s *Server) SnapshotNow() error {
 			s.snapshotErrors.Add(1)
 			return fmt.Errorf("serve: snapshot shard %d: %w", sh.id, encErr)
 		}
-		snap.Monitors = append(snap.Monitors, json.RawMessage(bytes.TrimSpace(buf.Bytes())))
+		snap.Monitors = append(snap.Monitors, buf.Bytes())
 		snap.Feeds = append(snap.Feeds, feed)
 	}
-	data, err := json.Marshal(&snap)
-	if err != nil {
-		s.snapshotErrors.Add(1)
-		return fmt.Errorf("serve: encode snapshot: %w", err)
-	}
-	data = append(data, '\n')
+	data := snap.marshal()
 	if err := installFile(s.cfg.SnapshotPath, data); err != nil {
 		s.snapshotErrors.Add(1)
 		return err
@@ -181,8 +292,8 @@ func (s *Server) restore() error {
 		s.snapshotErrors.Add(1)
 		return nil
 	}
-	var snap snapshotFile
-	if err := json.Unmarshal(data, &snap); err != nil {
+	snap, err := unmarshalSnapshot(data)
+	if err != nil {
 		s.snapshotErrors.Add(1)
 		return nil
 	}
@@ -190,25 +301,20 @@ func (s *Server) restore() error {
 	case snap.Version != SnapshotVersion:
 		s.snapshotErrors.Add(1)
 		return nil
-	case snap.Shards != len(s.shards):
+	case len(snap.Monitors) != len(s.shards):
 		// Shard membership is serial-hash mod shard count; a different
 		// count would hand drives to the wrong monitors.
 		s.snapshotErrors.Add(1)
 		return nil
-	case len(snap.Monitors) != snap.Shards:
-		s.snapshotErrors.Add(1)
-		return nil
 	}
 	for i, raw := range snap.Monitors {
-		if err := s.shards[i].mon.RestoreSnapshot(bytes.NewReader(raw)); err != nil {
+		if err := s.shards[i].mon.RestoreSnapshot(bytes.NewBuffer(raw)); err != nil {
 			// Shards before i already hold restored state; rebuild
 			// everything cold so the server never starts half-restored.
 			s.snapshotErrors.Add(1)
 			return s.rebuildCold()
 		}
-		if i < len(snap.Feeds) && len(snap.Feeds[i]) > 0 {
-			s.shards[i].warnings = append([]hddcart.MonitorWarning(nil), snap.Feeds[i]...)
-		}
+		s.shards[i].warnings = snap.Feeds[i]
 	}
 	s.lastSnapshotUnix.Store(snap.TakenUnix)
 	s.restored.Store(true)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -118,28 +117,28 @@ func TestServeSnapshotColdStarts(t *testing.T) {
 		{"garbage", func(p string) error { return os.WriteFile(p, []byte("not a snapshot"), 0o644) }},
 		{"truncated", func(p string) error { return os.WriteFile(p, validData[:len(validData)/2], 0o644) }},
 		{"bad version", func(p string) error {
-			var snap snapshotFile
-			if err := json.Unmarshal(validData, &snap); err != nil {
+			snap, err := unmarshalSnapshot(validData)
+			if err != nil {
 				return err
 			}
 			snap.Version = 99
-			data, err := json.Marshal(&snap)
-			if err != nil {
-				return err
-			}
-			return os.WriteFile(p, data, 0o644)
+			return os.WriteFile(p, snap.marshal(), 0o644)
 		}},
 		{"corrupt shard state", func(p string) error {
-			var snap snapshotFile
-			if err := json.Unmarshal(validData, &snap); err != nil {
-				return err
-			}
-			snap.Monitors[2] = json.RawMessage(`{"version":1}`) // fingerprint mismatch
-			data, err := json.Marshal(&snap)
+			snap, err := unmarshalSnapshot(validData)
 			if err != nil {
 				return err
 			}
-			return os.WriteFile(p, data, 0o644)
+			snap.Monitors[2] = []byte(`{"version":1}`) // a version 1 monitor snapshot
+			return os.WriteFile(p, snap.marshal(), 0o644)
+		}},
+		{"bad checksum", func(p string) error {
+			bad := append([]byte(nil), validData...)
+			bad[len(bad)-1] ^= 0x80
+			return os.WriteFile(p, bad, 0o644)
+		}},
+		{"version 1 JSON", func(p string) error {
+			return os.WriteFile(p, []byte(`{"version":1,"shards":4,"taken_unix":1,"monitors":[],"feeds":[]}`+"\n"), 0o644)
 		}},
 	}
 	for _, tc := range cases {
@@ -224,7 +223,7 @@ func TestSnapshotFailedInstallCleansUp(t *testing.T) {
 }
 
 // TestSnapshotAtomicInstall checks the tmp+rename discipline: after a
-// snapshot the path holds complete versioned JSON and no tmp file
+// snapshot the path holds a complete versioned envelope and no tmp file
 // remains.
 func TestSnapshotAtomicInstall(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "state.snap")
@@ -247,12 +246,12 @@ func TestSnapshotAtomicInstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap snapshotFile
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
+	snap, err := unmarshalSnapshot(data)
+	if err != nil {
+		t.Fatalf("snapshot is not an intact envelope: %v", err)
 	}
-	if snap.Version != SnapshotVersion || snap.Shards != 2 || len(snap.Monitors) != 2 {
-		t.Errorf("snapshot header %+v", snap)
+	if snap.Version != SnapshotVersion || len(snap.Monitors) != 2 || len(snap.Feeds) != 2 {
+		t.Errorf("snapshot header: version %d, %d monitors, %d feeds", snap.Version, len(snap.Monitors), len(snap.Feeds))
 	}
 	if m := s.Metrics(); m.SnapshotAgeSeconds < 0 {
 		t.Error("snapshot age still unset after SnapshotNow")
@@ -312,5 +311,56 @@ func TestSnapshotSurvivesWarningRestore(t *testing.T) {
 	want := hddcart.MonitorWarning{Serial: "drive-0000", Health: -0.9, Hour: 2}
 	if ws[0].Serial != want.Serial || ws[0].Hour != want.Hour {
 		t.Errorf("restored warning %+v, want serial/hour of %+v", ws[0], want)
+	}
+}
+
+// TestServeSnapshotCorruptionColdStarts flips one bit at every byte
+// offset of a small service snapshot and truncates it at every length:
+// each must be a counted cold start, never a silent restore.
+func TestServeSnapshotCorruptionColdStarts(t *testing.T) {
+	dir := t.TempDir()
+	valid := filepath.Join(dir, "valid.snap")
+	src, err := New(Config{NewMonitor: newTestMonitor, Shards: 2, SnapshotPath: valid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < 5; h++ {
+		src.Ingest("drive-0000", recAt(h, -0.9))
+		src.Ingest("drive-0001", recAt(h, 0.5))
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	validData, err := os.ReadFile(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "case.snap")
+	coldStart := func(data []byte) bool {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{NewMonitor: newTestMonitor, Shards: 2, SnapshotPath: path})
+		if err != nil {
+			t.Fatalf("cold start failed: %v", err)
+		}
+		m := s.Metrics()
+		s.Close()
+		return !m.SnapshotRestored && m.SnapshotErrors == 1 && m.Totals.Monitor.Observed == 0
+	}
+	if coldStart(validData) {
+		t.Fatal("the intact snapshot did not restore")
+	}
+	for i := range validData {
+		flipped := append([]byte(nil), validData...)
+		flipped[i] ^= 1 << (i % 8)
+		if !coldStart(flipped) {
+			t.Errorf("bit %d of byte %d flipped: not a counted cold start", i%8, i)
+		}
+	}
+	for n := range len(validData) {
+		if !coldStart(validData[:n]) {
+			t.Errorf("truncated to %d of %d bytes: not a counted cold start", n, len(validData))
+		}
 	}
 }

@@ -250,7 +250,7 @@ func (s *driveSim) step(h int) smart.Record {
 	s.rscRaw += rscInc
 	s.rueRaw += float64(s.poisson(rueLambda))
 	s.hfwRaw += float64(s.poisson(hfwLambda))
-	s.crcRaw += float64(s.poisson(2e-4))
+	s.crcRaw += float64(s.poissonExp(expCRC))
 	s.timeoutRaw += float64(s.poisson(5e-5 + 0.002*w))
 	s.offlineRaw += float64(s.poisson(0.4 * rscLambda))
 	if s.d.Failed && s.d.Mode == ModeSpinUp {
@@ -261,12 +261,12 @@ func (s *driveSim) step(h int) smart.Record {
 	// noisy, weakly informative attribute — the statistical feature
 	// selection excludes it, as in the paper.
 	s.pending = s.pending*0.96 + float64(s.poisson(pendLambda))
-	s.startStop += float64(s.poisson(1.0 / 200))
-	s.powerCycle += float64(s.poisson(1.0 / 250))
-	s.loadCycle += float64(s.poisson(1.0 / 30))
-	s.porc += float64(s.poisson(1.0 / 300))
-	s.downshift += float64(s.poisson(1e-5))
-	s.endToEnd += float64(s.poisson(5e-6))
+	s.startStop += float64(s.poissonExp(expStartStop))
+	s.powerCycle += float64(s.poissonExp(expPowerCycle))
+	s.loadCycle += float64(s.poissonExp(expLoadCycle))
+	s.porc += float64(s.poissonExp(expPORC))
+	s.downshift += float64(s.poissonExp(expDownshift))
+	s.endToEnd += float64(s.poissonExp(expEndToEnd))
 
 	// Temperature (diurnal cycle + fleet drift + thermal degradation).
 	tempC := fam.TempBase + per.offTemp +
@@ -350,7 +350,24 @@ func (s *driveSim) poisson(lambda float64) int {
 		}
 		return n
 	}
-	l := math.Exp(-lambda)
+	return s.poissonExp(math.Exp(-lambda))
+}
+
+// The exponentials of the seven constant rates step draws every hour,
+// computed once: math.Exp dominated those draws.
+var (
+	expCRC        = math.Exp(-2e-4)
+	expStartStop  = math.Exp(-1.0 / 200)
+	expPowerCycle = math.Exp(-1.0 / 250)
+	expLoadCycle  = math.Exp(-1.0 / 30)
+	expPORC       = math.Exp(-1.0 / 300)
+	expDownshift  = math.Exp(-1e-5)
+	expEndToEnd   = math.Exp(-5e-6)
+)
+
+// poissonExp draws a Poisson variate by Knuth's product method given
+// l = exp(-λ) for 0 < λ ≤ 30.
+func (s *driveSim) poissonExp(l float64) int {
 	k := 0
 	p := 1.0
 	for {

@@ -301,18 +301,25 @@ func TestCorruptValuesAndRepair(t *testing.T) {
 	if n := rec.CorruptValues(); n != 3 {
 		t.Fatalf("CorruptValues = %d, want 3", n)
 	}
-	if n := rec.Repair(&prev); n != 3 {
+	// A plan reading the three corrupt values and two clean ones repairs
+	// the corrupt ones from the previous row and keeps the clean ones.
+	cols := []Column{3, Column(NumAttrs + 5), Column(NumAttrs + 7), 0, Column(NumAttrs)}
+	p := &Plan{Cols: cols}
+	prevRow, row := make([]float64, len(cols)), make([]float64, len(cols))
+	p.Gather(prevRow, &prev)
+	if n := p.Repair(row, prevRow, &rec); n != 3 {
 		t.Fatalf("Repair = %d, want 3", n)
 	}
-	if rec.Normalized[3] != 100 || rec.Raw[5] != 5 || rec.Raw[7] != 7 {
-		t.Errorf("repair carried wrong values: %v %v %v",
-			rec.Normalized[3], rec.Raw[5], rec.Raw[7])
+	if row[0] != 100 || row[1] != 5 || row[2] != 7 {
+		t.Errorf("repair carried wrong values: %v %v %v", row[0], row[1], row[2])
 	}
-	if rec.CorruptValues() != 0 {
-		t.Error("repaired record still corrupt")
+	for k, c := range cols {
+		if !c.Valid(row[k]) {
+			t.Errorf("repaired column %d still corrupt: %v", c, row[k])
+		}
 	}
 	// Untouched values survive.
-	if rec.Normalized[0] != 90 || rec.Raw[0] != 0 {
+	if row[3] != 90 || row[4] != 0 {
 		t.Error("repair touched clean values")
 	}
 }

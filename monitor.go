@@ -1,9 +1,10 @@
 package hddcart
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"hddcart/internal/detect"
 	"hddcart/internal/smart"
@@ -64,6 +65,9 @@ func (cfg *MonitorConfig) Validate() error {
 	if cfg.StaleAfterHours < 0 {
 		return fmt.Errorf("hddcart: monitor stale timeout %d h must be non-negative", cfg.StaleAfterHours)
 	}
+	if iv := cfg.Features.MaxInterval(); iv > maxMonitorInterval {
+		return fmt.Errorf("hddcart: monitor change-rate interval %d h exceeds %d h", iv, maxMonitorInterval)
+	}
 	return nil
 }
 
@@ -84,15 +88,28 @@ func (cfg *MonitorConfig) Validate() error {
 // Every decision is counted in Stats so operators can watch drop, repair
 // and quarantine rates instead of discovering them during an incident.
 //
+// Per-drive state lives in slabs indexed by a slot number: a ring of the
+// feature plan's columns for the retained records, the last Voters
+// scores and a small fixed record. Observe allocates nothing once a
+// drive has a slot; Resolve returns the slot to a free list.
+//
 // Monitor is not safe for concurrent use; wrap it with a mutex if needed.
 type Monitor struct {
 	cfg          MonitorConfig
+	plan         *smart.Plan
 	budget       int       // resolved BadSampleBudget (0 = disabled)
 	historyHours int       // per-drive retention: the deepest change-rate interval + 2 h
+	ringRows     int       // ring rows per drive: the retention plus the current row
 	x            []float64 // feature scratch, reused across Observe calls
-	drives       map[string]*monitoredDrive
-	queue        warningHeap
-	stats        MonitorStats
+
+	slotOf map[string]uint32
+	free   []uint32 // resolved slots, reused before the slabs grow
+	drives []driveState
+	hours  []int     // ringRows per slot
+	vals   []float64 // ringRows·len(plan.Cols) per slot
+	scores []float64 // Voters per slot: the vote window, oldest first
+	queue  warningHeap
+	stats  MonitorStats
 }
 
 // MonitorWarning is an outstanding warning with its drive serial.
@@ -151,15 +168,25 @@ func (s *MonitorStats) Add(o MonitorStats) {
 	s.Quarantined += o.Quarantined
 }
 
-// monitoredDrive is the per-drive sliding state and warning state.
-type monitoredDrive struct {
-	history     []smart.Record // bounded chronological history
-	window      detect.Window  // last N valid scores
-	badRun      int            // consecutive corrupt arrivals
+// maxMonitorInterval bounds the deepest change-rate interval a Monitor
+// accepts: every drive holds a ring of that many hourly rows, so an
+// interval of years would cost megabytes per drive.
+const maxMonitorInterval = 1 << 16
+
+// driveState is one slot's fixed-size record. The slot's ring holds
+// rows of its retained records, chronological from row head (mod
+// ringRows); its window holds the last nscores valid scores.
+type driveState struct {
+	serial      string
+	warnHealth  float64 // the warning's health, re-scored while queued
+	warnHour    int     // the hour the warning was raised
+	badRun      int     // consecutive corrupt arrivals
+	head, rows  int32   // ring start and length
+	nscores     int32   // scores in the window
+	heapPos     int32   // index in the warning heap; -1 when not queued
+	live        bool    // the slot holds a drive (false once resolved)
 	quarantined bool
-	warned      bool           // warned since the last Resolve
-	warning     MonitorWarning // the warning, re-scored while queued
-	slot        int            // index in Monitor.queue; -1 when not queued
+	warned      bool // warned since the last Resolve
 }
 
 // NewMonitor validates the configuration and returns an empty monitor.
@@ -176,12 +203,60 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	}
 	m := &Monitor{
 		cfg:          cfg,
+		plan:         cfg.Features.Compile(),
 		budget:       budget,
 		historyHours: cfg.Features.MaxInterval() + 2,
+		ringRows:     cfg.Features.MaxInterval() + 3,
 		x:            make([]float64, len(cfg.Features)),
-		drives:       make(map[string]*monitoredDrive),
+		slotOf:       make(map[string]uint32),
 	}
+	m.queue.m = m
 	return m, nil
+}
+
+// rowsOf returns slot s's ring as smart.Rows.
+func (m *Monitor) rowsOf(s uint32) smart.Rows {
+	r, nc := m.ringRows, len(m.plan.Cols)
+	lo := int(s) * r
+	d := &m.drives[s]
+	return smart.Rows{
+		Hours: m.hours[lo : lo+r],
+		Vals:  m.vals[lo*nc : (lo+r)*nc],
+		Head:  int(d.head),
+		Len:   int(d.rows),
+	}
+}
+
+// window returns slot s's vote window: its scores, with capacity Voters.
+func (m *Monitor) window(s uint32) detect.Window {
+	v := m.cfg.Voters
+	lo := int(s) * v
+	return detect.Window{Scores: m.scores[lo : lo+int(m.drives[s].nscores) : lo+v]}
+}
+
+// newSlot gives serial a slot: a resolved one if any, else a new one at
+// the end of every slab.
+func (m *Monitor) newSlot(serial string) uint32 {
+	serial = strings.Clone(serial) // never pin a caller's larger buffer
+	var s uint32
+	if n := len(m.free); n > 0 {
+		s = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		s = uint32(len(m.drives))
+		m.drives = append(m.drives, driveState{})
+		m.hours = grow(m.hours, m.ringRows)
+		m.vals = grow(m.vals, m.ringRows*len(m.plan.Cols))
+		m.scores = grow(m.scores, m.cfg.Voters)
+	}
+	m.drives[s] = driveState{serial: serial, heapPos: -1, live: true}
+	m.slotOf[serial] = s
+	return s
+}
+
+// grow extends s by n elements.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s, n)[:len(s)+n]
 }
 
 // Observe ingests one SMART record for a drive and returns the new warning
@@ -191,72 +266,84 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 // accounted in Stats; they never trip the rule and never panic.
 func (m *Monitor) Observe(driveID string, rec Record) (MonitorWarning, bool) {
 	m.stats.Observed++
-	d := m.drives[driveID]
-	if d == nil {
-		d = &monitoredDrive{slot: -1}
-		m.drives[driveID] = d
+	s, ok := m.slotOf[driveID]
+	if !ok {
+		s = m.newSlot(driveID)
 	}
+	d := &m.drives[s]
 	if d.quarantined {
 		m.stats.DroppedQuarantined++
 		return MonitorWarning{}, false
 	}
+	rows := m.rowsOf(s)
 	// Drop out-of-order and re-delivered records; SMART collectors poll
 	// monotonically, so these are transport faults (retries, conflicting
 	// serials), not drive state.
-	if n := len(d.history); n > 0 {
-		last := d.history[n-1].Hour
-		if rec.Hour == last {
+	last := -1 // physical row of the newest record
+	if rows.Len > 0 {
+		last = rows.Phys(rows.Len - 1)
+		lastHour := rows.Hours[last]
+		if rec.Hour == lastHour {
 			m.stats.DroppedDuplicate++
 			return MonitorWarning{}, false
 		}
-		if rec.Hour < last {
+		if rec.Hour < lastHour {
 			m.stats.DroppedOutOfOrder++
 			return MonitorWarning{}, false
 		}
-		if m.cfg.StaleAfterHours > 0 && rec.Hour-last > m.cfg.StaleAfterHours {
+		if m.cfg.StaleAfterHours > 0 && rec.Hour-lastHour > m.cfg.StaleAfterHours {
 			// Telemetry blackout: predictions from before the gap must
 			// not vote on the drive's health after it.
-			d.window.Reset()
+			d.nscores = 0
 			m.stats.StaleResets++
 		}
 	}
 	// Corrupt values consume the drive's error budget; repair what can be
 	// repaired, drop what cannot, quarantine when the budget runs out.
-	if rec.Hour < 0 || rec.CorruptValues() > 0 {
+	repair := rec.Hour < 0 || rec.CorruptValues() > 0
+	if repair {
 		d.badRun++
 		if m.budget > 0 && d.badRun >= m.budget {
 			d.quarantined = true
-			d.history = nil
-			d.window = detect.Window{}
+			d.head, d.rows, d.nscores = 0, 0, 0
 			m.stats.QuarantineEvents++
 			m.stats.Quarantined++
 			m.stats.DroppedInvalid++
 			return MonitorWarning{}, false
 		}
-		if rec.Hour < 0 || len(d.history) == 0 {
+		if rec.Hour < 0 || rows.Len == 0 {
 			m.stats.DroppedInvalid++
 			return MonitorWarning{}, false
 		}
-		rec.Repair(&d.history[len(d.history)-1])
 		m.stats.Repaired++
 	} else {
 		d.badRun = 0
 	}
-	d.history = append(d.history, rec)
-	// Trim history past the lookback horizon, keeping the newest record
-	// at or before the cutoff: across a telemetry gap it is the record a
-	// change rate looks back to, exactly as over the whole trace offline.
+	// Trim rows past the lookback horizon, keeping the newest row at or
+	// before the cutoff: across a telemetry gap it is the row a change
+	// rate looks back to, exactly as over the whole trace offline. What
+	// remains spans at most historyHours-1 hours before this record, so
+	// the ring always has room for it.
 	cutoff := rec.Hour - m.historyHours
-	trim := 0
-	for trim+1 < len(d.history) && d.history[trim+1].Hour <= cutoff {
-		trim++
+	for rows.Len > 1 && rows.Hours[rows.Phys(1)] <= cutoff {
+		rows.Head = rows.Phys(1)
+		rows.Len--
 	}
-	d.history = d.history[trim:]
+	nc := len(m.plan.Cols)
+	p := rows.Phys(rows.Len)
+	row := rows.Vals[p*nc : p*nc+nc]
+	if repair {
+		m.plan.Repair(row, rows.Vals[last*nc:last*nc+nc], &rec)
+	} else {
+		m.plan.Gather(row, &rec)
+	}
+	rows.Hours[p] = rec.Hour
+	rows.Len++
+	d.head, d.rows = int32(rows.Head), int32(rows.Len)
 
 	// Features land in the monitor's scratch buffer: it is fully
-	// overwritten per observation and only its scalar score is retained,
-	// so Observe stays allocation-free in steady state.
-	if !m.cfg.Features.Extract(d.history, len(d.history)-1, m.x) {
+	// overwritten per observation and only its scalar score is retained.
+	if !m.plan.Extract(m.x, &rows, rows.Len-1) {
 		return MonitorWarning{}, false // not enough history for change rates yet
 	}
 	score := m.cfg.Model.Predict(m.x)
@@ -270,34 +357,42 @@ func (m *Monitor) Observe(driveID string, rec Record) (MonitorWarning, bool) {
 
 	// The window slides to the last Voters scores and trips through the
 	// same rule sweep (detect.VoteAlarm / MeanAlarm) the offline scans run.
-	d.window.Push(score, m.cfg.Voters)
-	if !d.window.Tripped(m.cfg.Voters, m.cfg.Threshold, m.cfg.UseMean) {
+	w := m.window(s)
+	w.Push(score, m.cfg.Voters)
+	d.nscores = int32(len(w.Scores))
+	if !w.Tripped(m.cfg.Voters, m.cfg.Threshold, m.cfg.UseMean) {
 		return MonitorWarning{}, false
 	}
-	mean := d.window.Mean()
+	mean := w.Mean()
 	if d.warned {
-		if d.slot >= 0 {
-			d.warning.Health = mean
-			heap.Fix(&m.queue, d.slot)
+		if d.heapPos >= 0 {
+			d.warnHealth = mean
+			m.queue.fix(int(d.heapPos))
 		}
 		return MonitorWarning{}, false
 	}
 	d.warned = true
-	d.warning = MonitorWarning{Serial: driveID, Health: mean, Hour: rec.Hour}
-	heap.Push(&m.queue, d)
-	return d.warning, true
+	d.warnHealth, d.warnHour = mean, rec.Hour
+	m.queue.push(s)
+	return m.warningOf(s), true
+}
+
+// warningOf returns slot s's warning.
+func (m *Monitor) warningOf(s uint32) MonitorWarning {
+	d := &m.drives[s]
+	return MonitorWarning{Serial: d.serial, Health: d.warnHealth, Hour: d.warnHour}
 }
 
 // NextWarning pops the most urgent outstanding warning (lowest health).
 func (m *Monitor) NextWarning() (MonitorWarning, bool) {
-	if len(m.queue) == 0 {
+	if len(m.queue.slots) == 0 {
 		return MonitorWarning{}, false
 	}
-	return heap.Pop(&m.queue).(*monitoredDrive).warning, true
+	return m.warningOf(m.queue.pop()), true
 }
 
 // Outstanding returns the number of unprocessed warnings.
-func (m *Monitor) Outstanding() int { return len(m.queue) }
+func (m *Monitor) Outstanding() int { return len(m.queue.slots) }
 
 // Stats returns the ingest accounting so far.
 func (m *Monitor) Stats() MonitorStats { return m.stats }
@@ -305,62 +400,123 @@ func (m *Monitor) Stats() MonitorStats { return m.stats }
 // Quarantined reports whether a drive is currently quarantined for
 // exhausting its error budget. Resolve lifts the quarantine.
 func (m *Monitor) Quarantined(driveID string) bool {
-	d := m.drives[driveID]
-	return d != nil && d.quarantined
+	s, ok := m.slotOf[driveID]
+	return ok && m.drives[s].quarantined
 }
 
 // Resolve clears a drive's warning and quarantine state (after
 // replacement/migration or a telemetry fix) so future observations can
-// warn again. The drive's queued warning, if still unpopped, goes too.
+// warn again. The drive's queued warning, if still unpopped, goes too,
+// and its slot is freed for the next new drive.
 func (m *Monitor) Resolve(driveID string) {
-	d := m.drives[driveID]
-	if d == nil {
+	s, ok := m.slotOf[driveID]
+	if !ok {
 		return
 	}
+	d := &m.drives[s]
 	if d.quarantined {
 		m.stats.Quarantined--
 	}
-	if d.slot >= 0 {
-		heap.Remove(&m.queue, d.slot)
+	if d.heapPos >= 0 {
+		m.queue.remove(int(d.heapPos))
 	}
-	delete(m.drives, driveID)
+	delete(m.slotOf, driveID)
+	m.drives[s] = driveState{heapPos: -1}
+	m.free = append(m.free, s)
 }
 
-// warningHeap is the Monitor's triage queue (paper §III-B): the drives
-// with an unpopped warning, most urgent first. Swap keeps every drive's
-// slot current, so a re-scored or resolved drive is fixed or removed in
-// O(log n) without a search.
-type warningHeap []*monitoredDrive
+// warningHeap is the Monitor's triage queue (paper §III-B): the slots
+// with an unpopped warning, most urgent first. Every swap keeps the
+// slots' heapPos current, so a re-scored or resolved drive is fixed or
+// removed in O(log n) without a search. The sift steps are those of
+// container/heap, so equal inputs pop in the same order.
+type warningHeap struct {
+	m     *Monitor
+	slots []uint32
+}
 
-func (h warningHeap) Len() int           { return len(h) }
-func (h warningHeap) Less(i, j int) bool { return moreUrgent(h[i].warning, h[j].warning) }
-func (h warningHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].slot = i
-	h[j].slot = j
+func (h *warningHeap) less(i, j int) bool {
+	a, b := &h.m.drives[h.slots[i]], &h.m.drives[h.slots[j]]
+	return moreUrgent(a.warnHealth, a.warnHour, b.warnHealth, b.warnHour)
 }
-func (h *warningHeap) Push(x any) {
-	d := x.(*monitoredDrive)
-	d.slot = len(*h)
-	*h = append(*h, d)
+
+func (h *warningHeap) swap(i, j int) {
+	h.slots[i], h.slots[j] = h.slots[j], h.slots[i]
+	h.m.drives[h.slots[i]].heapPos = int32(i)
+	h.m.drives[h.slots[j]].heapPos = int32(j)
 }
-func (h *warningHeap) Pop() any {
-	old := *h
-	n := len(old)
-	d := old[n-1]
-	old[n-1] = nil
-	d.slot = -1
-	*h = old[:n-1]
-	return d
+
+func (h *warningHeap) push(s uint32) {
+	h.m.drives[s].heapPos = int32(len(h.slots))
+	h.slots = append(h.slots, s)
+	h.up(len(h.slots) - 1)
+}
+
+// pop removes and returns the most urgent slot.
+func (h *warningHeap) pop() uint32 {
+	return h.remove(0)
+}
+
+// remove takes out the slot at heap index i and returns it.
+func (h *warningHeap) remove(i int) uint32 {
+	n := len(h.slots) - 1
+	if n != i {
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	s := h.slots[n]
+	h.slots = h.slots[:n]
+	h.m.drives[s].heapPos = -1
+	return s
+}
+
+// fix restores heap order after the warning at index i changed.
+func (h *warningHeap) fix(i int) {
+	if !h.down(i, len(h.slots)) {
+		h.up(i)
+	}
+}
+
+func (h *warningHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h *warningHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // moreUrgent orders warnings as health.Queue does: lower health first,
 // older warnings first on ties.
 //
 //hddlint:floatcmp a tie in stored health degrees falls through to the raise hour; any other order would depend on heap history
-func moreUrgent(a, b MonitorWarning) bool {
-	if a.Health != b.Health {
-		return a.Health < b.Health
+func moreUrgent(aHealth float64, aHour int, bHealth float64, bHour int) bool {
+	if aHealth != bHealth {
+		return aHealth < bHealth
 	}
-	return a.Hour < b.Hour
+	return aHour < bHour
 }

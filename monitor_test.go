@@ -1,7 +1,6 @@
 package hddcart
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 
@@ -30,7 +29,7 @@ func recAt(hour int, v float64) Record {
 	return r
 }
 
-func newTestMonitor(t *testing.T, voters int, useMean bool) *Monitor {
+func newTestMonitor(t testing.TB, voters int, useMean bool) *Monitor {
 	t.Helper()
 	m, err := NewMonitor(MonitorConfig{
 		Features: monitorFeatures,
@@ -178,13 +177,10 @@ func TestMonitorResolveDropsQueuedWarning(t *testing.T) {
 	m.Observe("a", recAt(0, -1))
 	m.Observe("b", recAt(0, -0.25))
 	m.Resolve("a")
-	var snap monitorSnapshot
-	if err := json.Unmarshal([]byte(encodeString(t, m)), &snap); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range snap.Queue {
-		if w.Serial == "a" {
-			t.Fatalf("snapshot after Resolve still queues %+v", w)
+	c := m.content()
+	for _, w := range c.queue {
+		if serial := c.drive(int(w.drive)).serial; serial == "a" {
+			t.Fatalf("snapshot after Resolve still queues drive %q: %+v", serial, w)
 		}
 	}
 	if m.Outstanding() != 1 {
