@@ -168,21 +168,3 @@ func TestWindowMeanMatchesSweeps(t *testing.T) {
 		check(scores, 1+rng.Intn(11), thresholds[rng.Intn(len(thresholds))])
 	}
 }
-
-func TestWindowReset(t *testing.T) {
-	var w Window
-	for i := 0; i < 5; i++ {
-		w.Push(-1, 3)
-	}
-	w.Reset()
-	if len(w.Scores) != 0 {
-		t.Errorf("reset left %d scores", len(w.Scores))
-	}
-	if w.Tripped(3, 0, false) {
-		t.Error("reset window tripped")
-	}
-	// Capacity is retained for reuse.
-	if cap(w.Scores) == 0 {
-		t.Error("reset released the window's capacity")
-	}
-}
