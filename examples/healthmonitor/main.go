@@ -90,33 +90,36 @@ func main() {
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].hour < events[j].hour })
 
-	bySerial := make(map[string]hddcart.Drive)
-	for _, d := range fleet.Drives() {
-		bySerial[d.Serial] = d
-	}
+	// Observe returns each drive's warning once, when the drive first
+	// trips the rule; triage pushes it into a queue keyed by drive index.
+	var queue hddcart.WarningQueue
 	for _, ev := range events {
-		monitor.Observe(ev.drive.Serial, ev.rec)
+		if w, ok := monitor.Observe(ev.drive.Serial, ev.rec); ok {
+			queue.Push(hddcart.Warning{Drive: ev.drive.Index, Health: w.Health, Hour: w.Hour})
+		}
 	}
-	fmt.Printf("replayed %d records; %d warnings outstanding\n", len(events), monitor.Outstanding())
+	fmt.Printf("replayed %d records; %d warnings outstanding\n", len(events), queue.Len())
 
 	// Drain the warning queue: worst health first. With a capacity of a
 	// few migrations per day, this ordering is what saves the drives
 	// that are actually about to die.
 	fmt.Println("\nprocessing order (worst health first):")
+	drives := fleet.Drives()
 	rank := 0
 	for {
-		w, ok := monitor.NextWarning()
+		w, ok := queue.Pop()
 		if !ok {
 			break
 		}
 		rank++
+		d := drives[w.Drive]
 		truth := "false alarm"
-		if d := bySerial[w.Serial]; d.Failed {
+		if d.Failed {
 			truth = fmt.Sprintf("fails at hour %d (%s)", d.FailHour, d.Mode)
 		}
 		if rank <= 12 {
 			fmt.Printf("  %2d. %-10s health %+.3f raised at hour %4d — %s\n",
-				rank, w.Serial, w.Health, w.Hour, truth)
+				rank, d.Serial, w.Health, w.Hour, truth)
 		}
 	}
 	if rank > 12 {

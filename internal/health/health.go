@@ -2,8 +2,9 @@
 // §V-C): personalized deterioration windows derived from a first-pass CT
 // model, a priority queue that orders warnings by predicted health (worst
 // first), and a triage simulation over that queue quantifying why
-// ordering warnings by health degree reduces processing cost. The online
-// Monitor keeps its own queue of drives, ordered the same way.
+// ordering warnings by health degree reduces processing cost. It is the
+// repository's one health ordering: callers of the online Monitor triage
+// by pushing the warnings Observe returns into a Queue.
 package health
 
 import (

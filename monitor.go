@@ -74,9 +74,10 @@ func (cfg *MonitorConfig) Validate() error {
 // Monitor watches a drive population online. Feed every new SMART record
 // through Observe; the monitor extracts features (including change rates
 // against the drive's retained history), scores them, applies the
-// configured detection rule and maintains a warning queue ordered by
-// health degree so operators handle the most critical drives first
-// (paper §III-B).
+// configured detection rule and returns a warning the first time a drive
+// trips it. Observe's return is the monitor's only warning output: a
+// caller that triages by health degree (paper §III-B) pushes each warning
+// into a WarningQueue.
 //
 // Real telemetry arrives late, duplicated, truncated or NaN-laden, so the
 // monitor enforces an explicit degradation policy instead of scoring
@@ -108,17 +109,18 @@ type Monitor struct {
 	hours  []int     // ringRows per slot
 	vals   []float64 // ringRows·len(plan.Cols) per slot
 	scores []float64 // Voters per slot: the vote window, oldest first
-	queue  warningHeap
 	stats  MonitorStats
 }
 
-// MonitorWarning is an outstanding warning with its drive serial.
+// MonitorWarning is the warning Observe returns when a drive trips the
+// detection rule.
 type MonitorWarning struct {
 	// Serial identifies the drive.
 	Serial string
-	// Health is the predicted health degree (lower = more urgent).
+	// Health is the vote window's mean score when the rule tripped: the
+	// predicted health degree (lower = more urgent).
 	Health float64
-	// Hour is when the warning was raised.
+	// Hour is the hour of the record that tripped the rule.
 	Hour int
 }
 
@@ -178,13 +180,10 @@ const maxMonitorInterval = 1 << 16
 // ringRows); its window holds the last nscores valid scores.
 type driveState struct {
 	serial      string
-	warnHealth  float64 // the warning's health, re-scored while queued
-	warnHour    int     // the hour the warning was raised
-	badRun      int     // consecutive corrupt arrivals
-	head, rows  int32   // ring start and length
-	nscores     int32   // scores in the window
-	heapPos     int32   // index in the warning heap; -1 when not queued
-	live        bool    // the slot holds a drive (false once resolved)
+	badRun      int   // consecutive corrupt arrivals
+	head, rows  int32 // ring start and length
+	nscores     int32 // scores in the window
+	live        bool  // the slot holds a drive (false once resolved)
 	quarantined bool
 	warned      bool // warned since the last Resolve
 }
@@ -210,7 +209,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		x:            make([]float64, len(cfg.Features)),
 		slotOf:       make(map[string]uint32),
 	}
-	m.queue.m = m
 	return m, nil
 }
 
@@ -249,7 +247,7 @@ func (m *Monitor) newSlot(serial string) uint32 {
 		m.vals = grow(m.vals, m.ringRows*len(m.plan.Cols))
 		m.scores = grow(m.scores, m.cfg.Voters)
 	}
-	m.drives[s] = driveState{serial: serial, heapPos: -1, live: true}
+	m.drives[s] = driveState{serial: serial, live: true}
 	m.slotOf[serial] = s
 	return s
 }
@@ -259,11 +257,12 @@ func grow[T any](s []T, n int) []T {
 	return slices.Grow(s, n)[:len(s)+n]
 }
 
-// Observe ingests one SMART record for a drive and returns the new warning
-// if this observation tripped the detection rule (at most one outstanding
-// warning per drive; later observations update its health in the queue).
-// Records that violate the degradation policy are repaired or dropped and
-// accounted in Stats; they never trip the rule and never panic.
+// Observe ingests one SMART record for a drive and returns a warning if
+// this observation tripped the detection rule and the drive has not
+// warned since it was last resolved: each drive warns at most once until
+// Resolve. Records that violate the degradation policy are repaired or
+// dropped and accounted in Stats; they never trip the rule and never
+// panic.
 func (m *Monitor) Observe(driveID string, rec Record) (MonitorWarning, bool) {
 	m.stats.Observed++
 	s, ok := m.slotOf[driveID]
@@ -360,39 +359,12 @@ func (m *Monitor) Observe(driveID string, rec Record) (MonitorWarning, bool) {
 	w := m.window(s)
 	w.Push(score, m.cfg.Voters)
 	d.nscores = int32(len(w.Scores))
-	if !w.Tripped(m.cfg.Voters, m.cfg.Threshold, m.cfg.UseMean) {
-		return MonitorWarning{}, false
-	}
-	mean := w.Mean()
-	if d.warned {
-		if d.heapPos >= 0 {
-			d.warnHealth = mean
-			m.queue.fix(int(d.heapPos))
-		}
+	if d.warned || !w.Tripped(m.cfg.Voters, m.cfg.Threshold, m.cfg.UseMean) {
 		return MonitorWarning{}, false
 	}
 	d.warned = true
-	d.warnHealth, d.warnHour = mean, rec.Hour
-	m.queue.push(s)
-	return m.warningOf(s), true
+	return MonitorWarning{Serial: d.serial, Health: w.Mean(), Hour: rec.Hour}, true
 }
-
-// warningOf returns slot s's warning.
-func (m *Monitor) warningOf(s uint32) MonitorWarning {
-	d := &m.drives[s]
-	return MonitorWarning{Serial: d.serial, Health: d.warnHealth, Hour: d.warnHour}
-}
-
-// NextWarning pops the most urgent outstanding warning (lowest health).
-func (m *Monitor) NextWarning() (MonitorWarning, bool) {
-	if len(m.queue.slots) == 0 {
-		return MonitorWarning{}, false
-	}
-	return m.warningOf(m.queue.pop()), true
-}
-
-// Outstanding returns the number of unprocessed warnings.
-func (m *Monitor) Outstanding() int { return len(m.queue.slots) }
 
 // Stats returns the ingest accounting so far.
 func (m *Monitor) Stats() MonitorStats { return m.stats }
@@ -404,10 +376,10 @@ func (m *Monitor) Quarantined(driveID string) bool {
 	return ok && m.drives[s].quarantined
 }
 
-// Resolve clears a drive's warning and quarantine state (after
-// replacement/migration or a telemetry fix) so future observations can
-// warn again. The drive's queued warning, if still unpopped, goes too,
-// and its slot is freed for the next new drive.
+// Resolve forgets a drive (after replacement/migration or a telemetry
+// fix): its warned and quarantine state, rows and vote window go, so
+// future observations start it afresh and can warn again. Its slot is
+// freed for the next new drive.
 func (m *Monitor) Resolve(driveID string) {
 	s, ok := m.slotOf[driveID]
 	if !ok {
@@ -417,106 +389,7 @@ func (m *Monitor) Resolve(driveID string) {
 	if d.quarantined {
 		m.stats.Quarantined--
 	}
-	if d.heapPos >= 0 {
-		m.queue.remove(int(d.heapPos))
-	}
 	delete(m.slotOf, driveID)
-	m.drives[s] = driveState{heapPos: -1}
+	m.drives[s] = driveState{}
 	m.free = append(m.free, s)
-}
-
-// warningHeap is the Monitor's triage queue (paper §III-B): the slots
-// with an unpopped warning, most urgent first. Every swap keeps the
-// slots' heapPos current, so a re-scored or resolved drive is fixed or
-// removed in O(log n) without a search. The sift steps are those of
-// container/heap, so equal inputs pop in the same order.
-type warningHeap struct {
-	m     *Monitor
-	slots []uint32
-}
-
-func (h *warningHeap) less(i, j int) bool {
-	a, b := &h.m.drives[h.slots[i]], &h.m.drives[h.slots[j]]
-	return moreUrgent(a.warnHealth, a.warnHour, b.warnHealth, b.warnHour)
-}
-
-func (h *warningHeap) swap(i, j int) {
-	h.slots[i], h.slots[j] = h.slots[j], h.slots[i]
-	h.m.drives[h.slots[i]].heapPos = int32(i)
-	h.m.drives[h.slots[j]].heapPos = int32(j)
-}
-
-func (h *warningHeap) push(s uint32) {
-	h.m.drives[s].heapPos = int32(len(h.slots))
-	h.slots = append(h.slots, s)
-	h.up(len(h.slots) - 1)
-}
-
-// pop removes and returns the most urgent slot.
-func (h *warningHeap) pop() uint32 {
-	return h.remove(0)
-}
-
-// remove takes out the slot at heap index i and returns it.
-func (h *warningHeap) remove(i int) uint32 {
-	n := len(h.slots) - 1
-	if n != i {
-		h.swap(i, n)
-		if !h.down(i, n) {
-			h.up(i)
-		}
-	}
-	s := h.slots[n]
-	h.slots = h.slots[:n]
-	h.m.drives[s].heapPos = -1
-	return s
-}
-
-// fix restores heap order after the warning at index i changed.
-func (h *warningHeap) fix(i int) {
-	if !h.down(i, len(h.slots)) {
-		h.up(i)
-	}
-}
-
-func (h *warningHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
-		}
-		h.swap(i, j)
-		j = i
-	}
-}
-
-func (h *warningHeap) down(i0, n int) bool {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h.swap(i, j)
-		i = j
-	}
-	return i > i0
-}
-
-// moreUrgent orders warnings as health.Queue does: lower health first,
-// older warnings first on ties.
-//
-//hddlint:floatcmp a tie in stored health degrees falls through to the raise hour; any other order would depend on heap history
-func moreUrgent(aHealth float64, aHour int, bHealth float64, bHour int) bool {
-	if aHealth != bHealth {
-		return aHealth < bHealth
-	}
-	return aHour < bHour
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hddcart/internal/smart"
 )
@@ -27,14 +28,15 @@ func criticalMonitor(tb testing.TB, budget int) *Monitor {
 }
 
 // TestObserveAllocs pins Observe at zero allocations once a drive
-// exists, on the plain path, the repair path and the re-score of an
-// already warned, queued drive.
+// exists, on the plain path, the repair path and the path of a drive
+// that has already warned.
 func TestObserveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	m := criticalMonitor(t, -1) // no quarantine: every corrupt record is repaired
 	hour := 0
+	var warned []string
 	observe := func(serial string, v float64, corrupt bool) {
 		r := recAt(hour, v)
 		if corrupt {
@@ -42,7 +44,9 @@ func TestObserveAllocs(t *testing.T) {
 			i, _ := smart.Index(smart.ReallocatedSectors)
 			r.Raw[i], r.Raw[0] = math.NaN(), math.Inf(1)
 		}
-		m.Observe(serial, r)
+		if w, ok := m.Observe(serial, r); ok {
+			warned = append(warned, w.Serial)
+		}
 		hour++
 	}
 	for range 40 {
@@ -50,8 +54,8 @@ func TestObserveAllocs(t *testing.T) {
 		observe("repaired", 0.5, false)
 		observe("failing", -0.5, false)
 	}
-	if m.Outstanding() != 1 {
-		t.Fatalf("%d warnings outstanding, want the failing drive's", m.Outstanding())
+	if len(warned) != 1 || warned[0] != "failing" {
+		t.Fatalf("warned %v, want the failing drive once", warned)
 	}
 	before := m.Stats()
 	cases := []struct {
@@ -62,7 +66,7 @@ func TestObserveAllocs(t *testing.T) {
 	}{
 		{"plain", "healthy", 0.5, false},
 		{"repair", "repaired", 0.5, true},
-		{"re-score", "failing", -0.5, false},
+		{"already warned", "failing", -0.5, false},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(200, func() { observe(tc.serial, tc.v, tc.corrupt) }); allocs != 0 {
@@ -70,14 +74,14 @@ func TestObserveAllocs(t *testing.T) {
 		}
 	}
 	after := m.Stats()
-	if after.Repaired == before.Repaired || after.Scored-before.Scored != after.Observed-before.Observed {
+	if len(warned) != 1 || after.Repaired == before.Repaired || after.Scored-before.Scored != after.Observed-before.Observed {
 		t.Fatalf("paths not exercised: stats before %+v, after %+v", before, after)
 	}
 }
 
 // TestMonitorHeapPerDrive pins the Monitor's footprint: at 100k drives
 // with full rings and vote windows it holds at most 1.5 KB of heap per
-// drive.
+// drive, and a drive's fixed record is 40 bytes on 64-bit platforms.
 func TestMonitorHeapPerDrive(t *testing.T) {
 	const drives, hours, budget = 100_000, 20, 1536
 	serials := make([]string, drives)
@@ -94,6 +98,9 @@ func TestMonitorHeapPerDrive(t *testing.T) {
 	perDrive := float64(heapAlloc()-before) / drives
 	runtime.KeepAlive(m)
 	t.Logf("%.0f bytes of heap per drive", perDrive)
+	if sz := unsafe.Sizeof(driveState{}); unsafe.Sizeof(uintptr(0)) == 8 && sz != 40 {
+		t.Errorf("driveState is %d bytes on a 64-bit platform, want 40", sz)
+	}
 	if perDrive > budget {
 		t.Errorf("monitor holds %.0f bytes of heap per drive, want ≤ %d", perDrive, budget)
 	}

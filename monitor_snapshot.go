@@ -17,9 +17,9 @@ import (
 // MonitorSnapshotVersion is the on-disk version of the monitor snapshot
 // format. Restores reject any other version: the state is vote windows
 // and quarantine flags, where a silent misread costs missed failures, so
-// an unknown layout — the version 1 JSON included — falls back to cold
-// start rather than a guess.
-const MonitorSnapshotVersion = 2
+// an unknown layout — the version 1 JSON and version 2 included — falls
+// back to cold start rather than a guess.
+const MonitorSnapshotVersion = 3
 
 // monitorMagic opens every binary monitor snapshot.
 var monitorMagic = []byte("HDMS")
@@ -27,12 +27,12 @@ var monitorMagic = []byte("HDMS")
 // castagnoli is the CRC32C table of the snapshot trailers.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// A version 2 snapshot is a little-endian columnar dump of the
+// A version 3 snapshot is a little-endian columnar dump of the
 // Monitor's slabs, drives in sorted-serial order, so equal state gives
 // equal bytes:
 //
 //	"HDMS" u32 version
-//	voters i64 · threshold f64 · use_mean u8 · binned u8 · features i64 ·
+//	voters i64 · threshold f64 · use_mean u8 · features i64 ·
 //	history_hours i64 · stale_after_hours i64 · bad_sample_budget i64 ·
 //	u32 ncols · ncols × u8 plan column
 //	stats: 10 × i64, in MonitorStats field order
@@ -40,22 +40,19 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 //	n × i64 bad run · n × u32 rows · Σrows × i64 hour · Σrows·ncols × f64 value ·
 //	n × u32 scores · n × u32 votes · Σscores × f64 score
 //	u32 warned · warned × u32 drive
-//	u32 queued · queued × (u32 drive · f64 health · i64 hour)
 //	u32 CRC32C (Castagnoli) of every byte before it
 //
 // The config block is a fingerprint, not a restore source: a snapshot
 // only makes sense under the detection rule and feature plan that
 // produced it. Rows hold the plan's columns, oldest first; votes repeat
-// what the scores give, as a check. Warned and queued drives are indexes
-// into the drive list, ascending; a drive is queued at most once, and
-// only if warned.
+// what the scores give, as a check. Warned drives are indexes into the
+// drive list, ascending.
 
 // snapshotHeader is a snapshot's config fingerprint and accounting.
 type snapshotHeader struct {
 	voters          int
 	threshold       float64
 	useMean         bool
-	binned          bool // never written: monitors score float rows
 	features        int
 	historyHours    int
 	staleAfterHours int
@@ -74,13 +71,6 @@ type snapshotDrive struct {
 	votes       int
 }
 
-// snapshotWarning is a queued warning of drive index drive.
-type snapshotWarning struct {
-	drive  uint32
-	health float64
-	hour   int
-}
-
 // snapshotContent is everything a snapshot holds; drive(i) is the i-th
 // drive in serial order.
 type snapshotContent struct {
@@ -88,7 +78,6 @@ type snapshotContent struct {
 	drives int
 	drive  func(i int) snapshotDrive
 	warned []uint32
-	queue  []snapshotWarning
 }
 
 // header returns the monitor's fingerprint and accounting.
@@ -135,35 +124,36 @@ func (m *Monitor) content() snapshotContent {
 		},
 	}
 	for i, s := range order {
-		d := &m.drives[s]
-		if d.warned {
+		if m.drives[s].warned {
 			c.warned = append(c.warned, uint32(i))
-		}
-		if d.heapPos >= 0 {
-			c.queue = append(c.queue, snapshotWarning{drive: uint32(i), health: d.warnHealth, hour: d.warnHour})
 		}
 	}
 	return c
 }
 
 // EncodeSnapshot writes the monitor's complete mutable state — per-drive
-// rows and vote windows, quarantine flags, the warned set, the triage
-// queue and the ingest accounting — as a version 2 binary snapshot. The
-// encoding is deterministic (drives in sorted-serial order), so equal
-// monitor states encode byte-identically and a snapshot diff is a state
-// diff; every float is written as its bits.
+// rows and vote windows, quarantine flags, the warned set and the ingest
+// accounting — as a version 3 binary snapshot. The encoding is
+// deterministic (drives in sorted-serial order), so equal monitor states
+// encode byte-identically and a snapshot diff is a state diff; every
+// float is written as its bits. A *bytes.Buffer is encoded into in
+// place, so the snapshot is held once.
 func (m *Monitor) EncodeSnapshot(w io.Writer) error {
 	c := m.content()
-	if _, err := w.Write(c.append(nil)); err != nil {
+	buf, ok := w.(*bytes.Buffer)
+	if !ok {
+		buf = new(bytes.Buffer)
+	}
+	buf.Grow(c.size())
+	if _, err := w.Write(c.append(buf.AvailableBuffer())); err != nil {
 		return fmt.Errorf("hddcart: encode monitor snapshot: %w", err)
 	}
 	return nil
 }
 
-// append encodes c onto dst.
-func (c *snapshotContent) append(dst []byte) []byte {
-	h := &c.header
-	n := c.drives
+// size returns the length of c's encoding.
+func (c *snapshotContent) size() int {
+	n, nc := c.drives, len(c.header.cols)
 	serialBytes, rows, scores := 0, 0, 0
 	for i := range n {
 		d := c.drive(i)
@@ -171,10 +161,15 @@ func (c *snapshotContent) append(dst []byte) []byte {
 		rows += d.rows.Len
 		scores += len(d.scores)
 	}
-	size := 8 + 6*8 + 2 + 4 + len(h.cols) + 10*8 +
-		4 + n*(4+1+8+4+4+4) + serialBytes + rows*8*(1+len(h.cols)) + scores*8 +
-		4 + 4*len(c.warned) + 4 + 20*len(c.queue) + 4
-	b := slices.Grow(dst, size)
+	return 8 + 6*8 + 1 + 4 + nc + 10*8 +
+		4 + n*(4+1+8+4+4+4) + serialBytes + rows*8*(1+nc) + scores*8 +
+		4 + 4*len(c.warned) + 4
+}
+
+// append encodes c onto dst.
+func (c *snapshotContent) append(b []byte) []byte {
+	h := &c.header
+	n := c.drives
 	start := len(b)
 
 	le := binary.LittleEndian
@@ -182,7 +177,7 @@ func (c *snapshotContent) append(dst []byte) []byte {
 	b = le.AppendUint32(b, MonitorSnapshotVersion)
 	b = le.AppendUint64(b, uint64(h.voters))
 	b = le.AppendUint64(b, math.Float64bits(h.threshold))
-	b = append(b, boolByte(h.useMean), boolByte(h.binned))
+	b = append(b, boolByte(h.useMean))
 	for _, v := range []int{h.features, h.historyHours, h.staleAfterHours, h.budget} {
 		b = le.AppendUint64(b, uint64(v))
 	}
@@ -242,12 +237,6 @@ func (c *snapshotContent) append(dst []byte) []byte {
 	for _, i := range c.warned {
 		b = le.AppendUint32(b, i)
 	}
-	b = le.AppendUint32(b, uint32(len(c.queue)))
-	for _, w := range c.queue {
-		b = le.AppendUint32(b, w.drive)
-		b = le.AppendUint64(b, math.Float64bits(w.health))
-		b = le.AppendUint64(b, uint64(w.hour))
-	}
 	return le.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
 }
 
@@ -268,18 +257,17 @@ func boolByte(v bool) byte {
 
 // RestoreSnapshot loads a snapshot produced by EncodeSnapshot into a
 // freshly constructed monitor, resuming every drive's vote window, rows,
-// quarantine state and the warning queue exactly where the encoding
-// monitor left off: a restored monitor fed the remainder of a stream
-// emits byte-identical warnings to one that never stopped.
+// quarantine state and warned flag exactly where the encoding monitor
+// left off: a restored monitor fed the remainder of a stream returns
+// the same warnings from Observe as one that never stopped.
 //
 // The target must be unused (nothing observed) and configured with the
 // same detection rule and feature plan as the snapshot's fingerprint.
 // Anything else is an error that leaves the monitor empty, so callers
 // can fall back to a counted cold start: a version 1 JSON snapshot or
-// another version, a CRC mismatch or truncation, a fingerprint mismatch,
-// drives out of serial order, rows the monitor could not have kept, any
-// warned or queued drive that does not match the drive list (an unknown
-// drive, a queued drive that was never warned, a drive queued twice),
+// any version but 3, a CRC mismatch or truncation, a fingerprint
+// mismatch, drives out of serial order, rows the monitor could not have
+// kept, a warned drive that is not in the drive list or is out of order,
 // and any vote window holding more than Voters scores or a vote count
 // its scores do not give.
 func (m *Monitor) RestoreSnapshot(r io.Reader) error {
@@ -391,9 +379,6 @@ func (m *Monitor) restore(data []byte) error {
 	if h.useMean, err = r.flag(); err != nil {
 		return err
 	}
-	if h.binned, err = r.flag(); err != nil {
-		return err
-	}
 	h.features, h.historyHours, h.staleAfterHours, h.budget = r.i64(), r.i64(), r.i64(), r.i64()
 	ncols := int(r.u32())
 	if !r.fits(ncols, 1) {
@@ -434,7 +419,7 @@ func (m *Monitor) restore(data []byte) error {
 	for i := range drives {
 		d := &drives[i]
 		d.serial, serials = serials[:serialLen[i]], serials[serialLen[i]:]
-		d.live, d.heapPos = true, -1
+		d.live = true
 		if i > 0 && d.serial <= drives[i-1].serial {
 			if d.serial == drives[i-1].serial {
 				return fmt.Errorf("hddcart: monitor snapshot repeats drive %q", d.serial)
@@ -529,7 +514,7 @@ func (m *Monitor) restore(data []byte) error {
 		}
 	}
 
-	// Warned and queued drives: ascending indexes into the drive list.
+	// Warned drives: ascending indexes into the drive list.
 	nw := int(r.u32())
 	if !r.fits(nw, 4) {
 		return r.err
@@ -545,28 +530,6 @@ func (m *Monitor) restore(data []byte) error {
 		}
 		drives[i].warned, prev = true, i
 	}
-	nq := int(r.u32())
-	if !r.fits(nq, 20) {
-		return r.err
-	}
-	queue := make([]snapshotWarning, nq)
-	prev = -1
-	for k := range queue {
-		w := &queue[k]
-		w.drive, w.health, w.hour = r.u32(), r.f64(), r.i64()
-		i := int(w.drive)
-		switch {
-		case i >= n:
-			return fmt.Errorf("hddcart: monitor snapshot queues unknown drive %d of %d", i, n)
-		case !drives[i].warned:
-			return fmt.Errorf("hddcart: monitor snapshot queues unwarned drive %q", drives[i].serial)
-		case i == prev:
-			return fmt.Errorf("hddcart: monitor snapshot queues drive %q twice", drives[i].serial)
-		case i < prev:
-			return fmt.Errorf("hddcart: monitor snapshot queues drive %q out of order", drives[i].serial)
-		}
-		prev = i
-	}
 	if r.err != nil {
 		return r.err
 	}
@@ -578,11 +541,6 @@ func (m *Monitor) restore(data []byte) error {
 	}
 
 	m.drives, m.slotOf, m.hours, m.vals, m.scores = drives, slotOf, hours, vals, scores
-	for _, w := range queue {
-		d := &m.drives[w.drive]
-		d.warnHealth, d.warnHour = w.health, w.hour
-		m.queue.push(w.drive)
-	}
 	m.stats = h.stats
 	return nil
 }
@@ -607,8 +565,6 @@ func (m *Monitor) checkFingerprint(h *snapshotHeader) error {
 		return fmt.Errorf("hddcart: snapshot stale timeout %d h, monitor has %d h", h.staleAfterHours, m.cfg.StaleAfterHours)
 	case h.budget != m.budget:
 		return fmt.Errorf("hddcart: snapshot error budget %d, monitor has %d", h.budget, m.budget)
-	case h.binned:
-		return errors.New("hddcart: snapshot binned true, monitor scores float rows")
 	}
 	return nil
 }
@@ -630,6 +586,5 @@ func votesBelow(scores []float64, threshold float64) int {
 func (m *Monitor) reset() {
 	m.slotOf = make(map[string]uint32)
 	m.free, m.drives, m.hours, m.vals, m.scores = nil, nil, nil, nil, nil
-	m.queue.slots = nil
 	m.stats = MonitorStats{}
 }

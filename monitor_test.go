@@ -2,8 +2,10 @@ package hddcart
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"hddcart/internal/cart"
 	"hddcart/internal/smart"
 )
 
@@ -76,18 +78,17 @@ func TestMonitorVotingWarns(t *testing.T) {
 	m := newTestMonitor(t, 3, false)
 	// Healthy, then persistent degradation: warn once 2 of last 3 are
 	// negative.
+	// The window at the trip holds (1, -1, -1): health is its mean.
 	inputs := []float64{1, 1, 1, -1, -1, -1}
-	var warnHour = -1
+	var ws []MonitorWarning
 	for h, v := range inputs {
 		if w, ok := m.Observe("d1", recAt(h, v)); ok {
-			warnHour = w.Hour
+			ws = append(ws, w)
 		}
 	}
-	if warnHour != 4 {
-		t.Errorf("warned at hour %d, want 4", warnHour)
-	}
-	if m.Outstanding() != 1 {
-		t.Errorf("outstanding = %d, want 1", m.Outstanding())
+	want := MonitorWarning{Serial: "d1", Health: -1.0 / 3, Hour: 4}
+	if len(ws) != 1 || ws[0] != want {
+		t.Errorf("warnings = %+v, want [%+v]", ws, want)
 	}
 	// No duplicate warning for the same drive.
 	if _, ok := m.Observe("d1", recAt(10, -1)); ok {
@@ -126,20 +127,25 @@ func TestMonitorMeanMode(t *testing.T) {
 	}
 }
 
+// TestMonitorQueueOrderAndSerials checks that each warning Observe
+// returns carries its own drive's serial and health, and that a
+// WarningQueue fed those warnings hands the operator the worst drive
+// first (paper §III-B).
 func TestMonitorQueueOrderAndSerials(t *testing.T) {
 	m := newTestMonitor(t, 1, false)
-	m.Observe("mild", recAt(0, -0.1))
-	m.Observe("bad", recAt(0, -0.9))
-	w1, ok := m.NextWarning()
-	if !ok || w1.Serial != "bad" {
-		t.Errorf("first warning = %+v, want drive 'bad'", w1)
+	var q WarningQueue
+	want := []MonitorWarning{{Serial: "mild", Health: -0.25}, {Serial: "bad", Health: -0.75}}
+	for i, w := range want {
+		got, ok := m.Observe(w.Serial, recAt(0, w.Health))
+		if !ok || got != w {
+			t.Fatalf("Observe(%s) = %+v, %v; want %+v", w.Serial, got, ok, w)
+		}
+		q.Push(Warning{Drive: i, Health: got.Health, Hour: got.Hour})
 	}
-	w2, _ := m.NextWarning()
-	if w2.Serial != "mild" {
-		t.Errorf("second warning = %+v", w2)
-	}
-	if _, ok := m.NextWarning(); ok {
-		t.Error("queue should be empty")
+	for _, i := range []int{1, 0} {
+		if got, ok := q.Pop(); !ok || got.Drive != i {
+			t.Fatalf("queue popped %+v, %v; want drive %q", got, ok, want[i].Serial)
+		}
 	}
 }
 
@@ -149,54 +155,23 @@ func TestMonitorDropsOutOfOrderRecords(t *testing.T) {
 	if _, ok := m.Observe("d", recAt(4, -1)); ok {
 		t.Error("out-of-order record triggered a warning")
 	}
-	if m.Outstanding() != 0 {
-		t.Error("out-of-order record was processed")
+	if st := m.Stats(); st.Scored != 1 || st.DroppedOutOfOrder != 1 {
+		t.Errorf("scored/out-of-order = %d/%d, want 1/1", st.Scored, st.DroppedOutOfOrder)
 	}
 }
 
 func TestMonitorResolve(t *testing.T) {
 	m := newTestMonitor(t, 1, false)
-	m.Observe("d", recAt(0, -1))
-	if m.Outstanding() != 1 {
+	if _, ok := m.Observe("d", recAt(0, -1)); !ok {
 		t.Fatal("no warning raised")
 	}
-	m.NextWarning()
+	if _, ok := m.Observe("d", recAt(1, -1)); ok {
+		t.Fatal("warned drive warned again before Resolve")
+	}
 	m.Resolve("d")
 	// After replacement the (new) drive can warn again.
 	if _, ok := m.Observe("d", recAt(100, -1)); !ok {
 		t.Error("resolved drive cannot warn again")
-	}
-}
-
-// TestMonitorResolveDropsQueuedWarning checks that Resolve takes the
-// drive's unpopped warning out of the queue: after resolve and a fresh
-// warning exactly one is outstanding, and a snapshot taken right after
-// Resolve holds no queue entry for the drive.
-func TestMonitorResolveDropsQueuedWarning(t *testing.T) {
-	m := newTestMonitor(t, 1, false)
-	m.Observe("a", recAt(0, -1))
-	m.Observe("b", recAt(0, -0.25))
-	m.Resolve("a")
-	c := m.content()
-	for _, w := range c.queue {
-		if serial := c.drive(int(w.drive)).serial; serial == "a" {
-			t.Fatalf("snapshot after Resolve still queues drive %q: %+v", serial, w)
-		}
-	}
-	if m.Outstanding() != 1 {
-		t.Fatalf("Outstanding = %d after Resolve, want 1 (drive b)", m.Outstanding())
-	}
-	if _, ok := m.Observe("a", recAt(1, -0.5)); !ok {
-		t.Fatal("resolved drive did not warn again")
-	}
-	if m.Outstanding() != 2 {
-		t.Fatalf("Outstanding = %d after re-warn, want 2", m.Outstanding())
-	}
-	want := []MonitorWarning{{Serial: "a", Health: -0.5, Hour: 1}, {Serial: "b", Health: -0.25, Hour: 0}}
-	for _, w := range want {
-		if got, ok := m.NextWarning(); !ok || got != w {
-			t.Fatalf("NextWarning = %+v, %v; want %+v", got, ok, w)
-		}
 	}
 }
 
@@ -417,25 +392,11 @@ func TestMonitorExcludesInvalidPredictions(t *testing.T) {
 }
 
 // TestMonitorSerialCollision checks that every drive keeps its own
-// warning. B0081191 and B0655080 collided under the 31-bit serial hash
-// that once keyed the warning queue: one drive's pops, re-scores and
+// warned state. B0081191 and B0655080 collided under the 31-bit serial
+// hash that once keyed the warning queue: one drive's warnings and
 // Resolve landed on the other's entry.
 func TestMonitorSerialCollision(t *testing.T) {
 	const a, b = "B0081191", "B0655080"
-
-	m := newTestMonitor(t, 1, false)
-	m.Observe(a, recAt(0, -0.5))
-	m.Observe(b, recAt(0, -0.25))
-	m.Observe(b, recAt(1, -0.75)) // re-scores b's warning only
-	want := []MonitorWarning{{Serial: b, Health: -0.75, Hour: 0}, {Serial: a, Health: -0.5, Hour: 0}}
-	for _, w := range want {
-		if got, ok := m.NextWarning(); !ok || got != w {
-			t.Fatalf("NextWarning = %+v, %v; want %+v", got, ok, w)
-		}
-	}
-	if got, ok := m.NextWarning(); ok {
-		t.Fatalf("extra warning %+v", got)
-	}
 
 	for _, resolved := range []string{a, b} {
 		kept := a
@@ -443,15 +404,83 @@ func TestMonitorSerialCollision(t *testing.T) {
 			kept = b
 		}
 		m := newTestMonitor(t, 1, false)
-		m.Observe(a, recAt(0, -0.5))
-		m.Observe(b, recAt(0, -0.25))
+		want := []MonitorWarning{{Serial: a, Health: -0.5, Hour: 0}, {Serial: b, Health: -0.25, Hour: 0}}
+		for _, w := range want {
+			if got, ok := m.Observe(w.Serial, recAt(w.Hour, w.Health)); !ok || got != w {
+				t.Fatalf("Observe(%s) = %+v, %v; want %+v", w.Serial, got, ok, w)
+			}
+		}
 		m.Resolve(resolved)
-		got, ok := m.NextWarning()
-		if !ok || got.Serial != kept {
-			t.Fatalf("after Resolve(%s): NextWarning = %+v, %v; want %s", resolved, got, ok, kept)
+		// Only the resolved drive warns again; the other stays warned.
+		if got, ok := m.Observe(kept, recAt(1, -0.75)); ok {
+			t.Fatalf("after Resolve(%s): %s warned again: %+v", resolved, kept, got)
 		}
-		if m.Outstanding() != 0 {
-			t.Fatalf("after Resolve(%s): %d outstanding, want 0", resolved, m.Outstanding())
+		w := MonitorWarning{Serial: resolved, Health: -0.75, Hour: 1}
+		if got, ok := m.Observe(resolved, recAt(1, -0.75)); !ok || got != w {
+			t.Fatalf("after Resolve(%s): Observe = %+v, %v; want %+v", resolved, got, ok, w)
 		}
+	}
+}
+
+// TestMonitorCompiledModelEquivalence feeds identical interleaved streams
+// to a monitor scoring through the compiled tree and one scoring through
+// the pointer tree, and requires identical warning streams — the
+// end-to-end form of the compiled layout's bit-identical guarantee.
+func TestMonitorCompiledModelEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var x [][]float64
+	var y []float64
+	for i := 0; i < 400; i++ {
+		v := rng.Float64()*2 - 1
+		// Train in the same offset domain recAt feeds the monitor.
+		x = append(x, []float64{v + monitorScoreOffset})
+		if v < -0.2 {
+			y = append(y, -1)
+		} else {
+			y = append(y, 1)
+		}
+	}
+	tree, err := cart.TrainClassifier(x, y, nil, cart.Params{MinSplit: 4, MinBucket: 2, CP: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(model Predictor) *Monitor {
+		m, err := NewMonitor(MonitorConfig{
+			Features: monitorFeatures, Model: model, Voters: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	compiled := mk(tree.Compile())
+	pointer := mk(tree)
+
+	serials := []string{"a", "b", "c"}
+	warnings := 0
+	for h := 0; h < 200; h++ {
+		for _, serial := range serials {
+			v := rng.Float64()*2 - 1
+			w1, ok1 := compiled.Observe(serial, recAt(h, v))
+			w2, ok2 := pointer.Observe(serial, recAt(h, v))
+			if ok1 != ok2 || w1 != w2 {
+				t.Fatalf("hour %d drive %s: compiled warning (%+v,%v) vs pointer (%+v,%v)",
+					h, serial, w1, ok1, w2, ok2)
+			}
+			if ok1 {
+				warnings++
+			}
+		}
+		if h%50 == 49 {
+			// Resolve so drives can warn again and the streams hold more
+			// than one warning per drive.
+			for _, serial := range serials {
+				compiled.Resolve(serial)
+				pointer.Resolve(serial)
+			}
+		}
+	}
+	if warnings <= len(serials) {
+		t.Fatalf("streams held %d warnings, want more than one per drive", warnings)
 	}
 }
