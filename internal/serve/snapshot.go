@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -54,35 +56,47 @@ type snapshotFile struct {
 	Feeds    [][]hddcart.MonitorWarning
 }
 
-// marshal encodes the envelope.
-func (f *snapshotFile) marshal() []byte {
+// writeEnvelope streams an envelope to w: the header, then for each of
+// the shards the monitor snapshot and feed that shard(i, buf) encodes
+// into buf and returns, then the CRC32C trailer, computed as the bytes
+// go out. buf is one buffer, reset and reused for every shard, so at
+// most one shard's monitor snapshot is held in memory.
+func writeEnvelope(w io.Writer, version int, takenUnix int64, policy string, shards int,
+	shard func(i int, buf *bytes.Buffer) ([]hddcart.MonitorWarning, error)) error {
+	crc := crc32.New(castagnoli)
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 64<<10)
 	le := binary.LittleEndian
-	size := 4 + 4 + 8 + 4 + len(f.Policy) + 4 + 4
-	for i := range f.Monitors {
-		size += 8 + len(f.Monitors[i]) + 4
-		for _, w := range f.Feeds[i] {
-			size += 4 + len(w.Serial) + 16
+	// Write errors stick in bw and surface at Flush.
+	u32 := func(v uint32) { bw.Write(le.AppendUint32(bw.AvailableBuffer(), v)) }
+	u64 := func(v uint64) { bw.Write(le.AppendUint64(bw.AvailableBuffer(), v)) }
+	bw.Write(snapshotMagic)
+	u32(uint32(version))
+	u64(uint64(takenUnix))
+	u32(uint32(len(policy)))
+	bw.WriteString(policy)
+	u32(uint32(shards))
+	var buf bytes.Buffer
+	for i := range shards {
+		buf.Reset()
+		feed, err := shard(i, &buf)
+		if err != nil {
+			return err
+		}
+		u64(uint64(buf.Len()))
+		bw.Write(buf.Bytes())
+		u32(uint32(len(feed)))
+		for _, warn := range feed {
+			u32(uint32(len(warn.Serial)))
+			bw.WriteString(warn.Serial)
+			u64(math.Float64bits(warn.Health))
+			u64(uint64(warn.Hour))
 		}
 	}
-	b := make([]byte, 0, size)
-	b = append(b, snapshotMagic...)
-	b = le.AppendUint32(b, uint32(f.Version))
-	b = le.AppendUint64(b, uint64(f.TakenUnix))
-	b = le.AppendUint32(b, uint32(len(f.Policy)))
-	b = append(b, f.Policy...)
-	b = le.AppendUint32(b, uint32(len(f.Monitors)))
-	for i, mon := range f.Monitors {
-		b = le.AppendUint64(b, uint64(len(mon)))
-		b = append(b, mon...)
-		b = le.AppendUint32(b, uint32(len(f.Feeds[i])))
-		for _, w := range f.Feeds[i] {
-			b = le.AppendUint32(b, uint32(len(w.Serial)))
-			b = append(b, w.Serial...)
-			b = le.AppendUint64(b, math.Float64bits(w.Health))
-			b = le.AppendUint64(b, uint64(w.Hour))
-		}
+	if err := bw.Flush(); err != nil {
+		return err
 	}
-	return le.AppendUint32(b, crc32.Checksum(b, castagnoli))
+	_, err := w.Write(le.AppendUint32(nil, crc.Sum32()))
+	return err
 }
 
 // errEnvelope reports a snapshot file that is not a whole version 2
@@ -194,51 +208,40 @@ func (s *Server) snapshotLoop() {
 // SnapshotNow writes the service state snapshot to Config.SnapshotPath:
 // each shard's monitor state (gathered inside the owning goroutine, so
 // every shard's contribution is internally consistent) plus its
-// undrained warning feed, written to a temporary file, synced and
-// renamed into place so the path always holds either the previous or the
-// new complete snapshot, never a torn write, even across a crash.
+// undrained warning feed, streamed shard by shard to a temporary file,
+// synced and renamed into place so the path always holds either the
+// previous or the new complete snapshot, never a torn write, even across
+// a crash.
 func (s *Server) SnapshotNow() error {
 	if s.cfg.SnapshotPath == "" {
 		return errors.New("serve: no snapshot path configured")
 	}
 	s.snapshotMu.Lock()
 	defer s.snapshotMu.Unlock()
-	snap := snapshotFile{
-		Version:   SnapshotVersion,
-		TakenUnix: time.Now().Unix(),
-		Policy:    s.cfg.Policy.String(),
-		Monitors:  make([][]byte, 0, len(s.shards)),
-		Feeds:     make([][]hddcart.MonitorWarning, 0, len(s.shards)),
-	}
-	for _, sh := range s.shards {
-		var buf bytes.Buffer
-		var feed []hddcart.MonitorWarning
-		var encErr error
-		sh.do(func(sh *shard) {
-			encErr = sh.mon.EncodeSnapshot(&buf)
-			feed = append(feed, sh.warnings...)
-		})
-		if encErr != nil {
-			s.snapshotErrors.Add(1)
-			return fmt.Errorf("serve: snapshot shard %d: %w", sh.id, encErr)
-		}
-		snap.Monitors = append(snap.Monitors, buf.Bytes())
-		snap.Feeds = append(snap.Feeds, feed)
-	}
-	data := snap.marshal()
-	if err := installFile(s.cfg.SnapshotPath, data); err != nil {
+	taken := time.Now().Unix()
+	err := installFile(s.cfg.SnapshotPath, func(w io.Writer) error {
+		return writeEnvelope(w, SnapshotVersion, taken, s.cfg.Policy.String(), len(s.shards),
+			func(i int, buf *bytes.Buffer) (feed []hddcart.MonitorWarning, err error) {
+				s.shards[i].do(func(sh *shard) {
+					err = sh.mon.EncodeSnapshot(buf)
+					feed = append(feed, sh.warnings...)
+				})
+				return feed, err
+			})
+	})
+	if err != nil {
 		s.snapshotErrors.Add(1)
 		return err
 	}
-	s.lastSnapshotUnix.Store(snap.TakenUnix)
+	s.lastSnapshotUnix.Store(taken)
 	return nil
 }
 
-// installFile replaces path with data durably: data goes to path.tmp,
-// which is synced before it is renamed over path, and the directory is
-// synced after, so a crash leaves the old or the new file, complete.
-// path.tmp is removed when any step fails.
-func installFile(path string, data []byte) (err error) {
+// installFile replaces path with what write writes, durably: it goes to
+// path.tmp, which is synced before it is renamed over path, and the
+// directory is synced after, so a crash leaves the old or the new file,
+// complete. path.tmp is removed when any step fails.
+func installFile(path string, write func(io.Writer) error) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -249,7 +252,7 @@ func installFile(path string, data []byte) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	_, err = f.Write(data)
+	err = write(f)
 	if err == nil {
 		err = f.Sync()
 	}

@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,6 +11,22 @@ import (
 
 	"hddcart"
 )
+
+// marshal re-encodes a decoded envelope through the writer SnapshotNow
+// streams with.
+func marshal(t *testing.T, f snapshotFile) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	err := writeEnvelope(&out, f.Version, f.TakenUnix, f.Policy, len(f.Monitors),
+		func(i int, buf *bytes.Buffer) ([]hddcart.MonitorWarning, error) {
+			buf.Write(f.Monitors[i])
+			return f.Feeds[i], nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
 
 // feedFleetHours feeds hours [from, to) of every drive's stream.
 func feedFleetHours(t *testing.T, s *Server, fleet []driveStream, from, to int) {
@@ -122,7 +141,7 @@ func TestServeSnapshotColdStarts(t *testing.T) {
 				return err
 			}
 			snap.Version = 99
-			return os.WriteFile(p, snap.marshal(), 0o644)
+			return os.WriteFile(p, marshal(t, snap), 0o644)
 		}},
 		{"corrupt shard state", func(p string) error {
 			snap, err := unmarshalSnapshot(validData)
@@ -130,7 +149,20 @@ func TestServeSnapshotColdStarts(t *testing.T) {
 				return err
 			}
 			snap.Monitors[2] = []byte(`{"version":1}`) // a version 1 monitor snapshot
-			return os.WriteFile(p, snap.marshal(), 0o644)
+			return os.WriteFile(p, marshal(t, snap), 0o644)
+		}},
+		{"version 2 shard state", func(p string) error {
+			snap, err := unmarshalSnapshot(validData)
+			if err != nil {
+				return err
+			}
+			// A version 2 monitor snapshot under a valid CRC: the layout
+			// that still held the warning queue.
+			mon := append([]byte(nil), snap.Monitors[1]...)
+			body := mon[:len(mon)-4]
+			binary.LittleEndian.PutUint32(body[4:], 2)
+			snap.Monitors[1] = binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+			return os.WriteFile(p, marshal(t, snap), 0o644)
 		}},
 		{"bad checksum", func(p string) error {
 			bad := append([]byte(nil), validData...)
@@ -252,6 +284,9 @@ func TestSnapshotAtomicInstall(t *testing.T) {
 	}
 	if snap.Version != SnapshotVersion || len(snap.Monitors) != 2 || len(snap.Feeds) != 2 {
 		t.Errorf("snapshot header: version %d, %d monitors, %d feeds", snap.Version, len(snap.Monitors), len(snap.Feeds))
+	}
+	if !bytes.Equal(marshal(t, snap), data) {
+		t.Error("re-encoding the decoded envelope changed its bytes")
 	}
 	if m := s.Metrics(); m.SnapshotAgeSeconds < 0 {
 		t.Error("snapshot age still unset after SnapshotNow")
