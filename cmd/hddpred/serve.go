@@ -103,15 +103,6 @@ func cmdServe(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	m := s.Metrics()
-	fmt.Fprintf(os.Stderr, "serve: %s model, %d shards, policy %s, listening on %s\n",
-		mf.Type, s.Shards(), policy, *addr)
-	if m.SnapshotRestored {
-		fmt.Fprintf(os.Stderr, "serve: restored state from %s (%d drives observed)\n",
-			*snapshot, m.Totals.Monitor.Observed)
-	} else if m.SnapshotErrors > 0 {
-		fmt.Fprintf(os.Stderr, "serve: snapshot %s unusable, cold start (counted)\n", *snapshot)
-	}
 
 	// Catch SIGINT/SIGTERM before the port can answer: a supervisor that
 	// stops the service right after its readiness probe connects must
@@ -123,6 +114,15 @@ func cmdServe(args []string) (err error) {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return errors.Join(fmt.Errorf("serve: %w", err), s.Close())
+	}
+	m := s.Metrics()
+	fmt.Fprintf(os.Stderr, "serve: %s model, %d shards, policy %s, listening on %s\n",
+		mf.Type, s.Shards(), policy, ln.Addr())
+	if m.SnapshotRestored {
+		fmt.Fprintf(os.Stderr, "serve: restored state from %s (%d drives observed)\n",
+			*snapshot, m.Totals.Monitor.Observed)
+	} else if m.SnapshotErrors > 0 {
+		fmt.Fprintf(os.Stderr, "serve: snapshot %s unusable, cold start (counted)\n", *snapshot)
 	}
 	httpSrv := newHTTPServer(*addr, s.Handler())
 	errCh := make(chan error, 1)

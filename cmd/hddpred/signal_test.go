@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"os"
 	"os/exec"
@@ -55,6 +56,39 @@ func TestServeSignalAtReadiness(t *testing.T) {
 		if !strings.Contains(out, "restored state from") {
 			t.Fatalf("run %d: restart did not restore the snapshot:\n%s", i, out)
 		}
+	}
+}
+
+// TestServeListenError starts `hddpred serve` on a port another
+// listener already holds: it must exit 1 with the listen error and never
+// claim to be listening.
+func TestServeListenError(t *testing.T) {
+	data := writeFixture(t)
+	model := filepath.Join(t.TempDir(), "ct.json")
+	if err := run([]string{"train", "-data", data, "-model", "ct", "-o", model}); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestServeChildProcess$")
+	cmd.Env = append(os.Environ(), serveChildEnv+"="+strings.Join(
+		[]string{"serve", "-m", model, "-addr", l.Addr().String()}, "\n"))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("serve on a bound port exited with %v, want exit status 1\n%s", err, stderr.String())
+	}
+	out := stderr.String()
+	if !strings.Contains(out, "address already in use") {
+		t.Errorf("stderr does not report the listen error:\n%s", out)
+	}
+	if strings.Contains(out, "listening on") {
+		t.Errorf("stderr claims the service is listening:\n%s", out)
 	}
 }
 
