@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"hddcart/internal/smart"
 )
@@ -126,6 +127,12 @@ type Builder struct {
 	rng  *rand.Rand
 	ds   Dataset
 	done bool
+
+	// Feature extraction: the compiled plan, and the lookback rows and
+	// feature vector of the sample being extracted, reused across samples.
+	plan *smart.Plan
+	rows smart.Rows
+	x    []float64
 }
 
 // NewBuilder returns a Builder for the given configuration.
@@ -144,10 +151,22 @@ func NewBuilder(cfg Config) (*Builder, error) {
 		return nil, fmt.Errorf("dataset: bad FailedShare %v", cfg.FailedShare)
 	}
 	return &Builder{
-		cfg: cfg,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		ds:  Dataset{Features: cfg.Features},
+		cfg:  cfg,
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		ds:   Dataset{Features: cfg.Features},
+		plan: cfg.Features.Compile(),
+		x:    make([]float64, len(cfg.Features)),
 	}, nil
+}
+
+// extract returns the feature vector of trace[i] as a new slice, or nil
+// when i is too early in the trace for the set's change-rate lookback.
+func (b *Builder) extract(trace []smart.Record, i int) []float64 {
+	lo := b.plan.RowsOf(trace, i, i+1, &b.rows)
+	if !b.plan.Extract(b.x, &b.rows, i-lo) {
+		return nil
+	}
+	return slices.Clone(b.x)
 }
 
 // TrainCutoff returns the hour splitting the observation window into
@@ -191,8 +210,8 @@ func (b *Builder) AddGoodDrive(id int, trace []smart.Record) int {
 		if added >= b.cfg.SamplesPerGoodDrive {
 			break
 		}
-		x := make([]float64, len(b.cfg.Features))
-		if !b.cfg.Features.Extract(trace, idx, x) {
+		x := b.extract(trace, idx)
+		if x == nil {
 			continue
 		}
 		b.ds.Samples = append(b.ds.Samples, Sample{
@@ -238,8 +257,8 @@ func (b *Builder) AddFailedDriveWindow(id, failHour, windowHours int, trace []sm
 	}
 	added := 0
 	for _, idx := range idxs {
-		x := make([]float64, len(b.cfg.Features))
-		if !b.cfg.Features.Extract(trace, idx, x) {
+		x := b.extract(trace, idx)
+		if x == nil {
 			continue
 		}
 		b.ds.Samples = append(b.ds.Samples, Sample{

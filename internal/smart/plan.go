@@ -25,7 +25,7 @@ func (c Column) Valid(v float64) bool {
 
 // Plan is a FeatureSet compiled for extraction: the Record columns the
 // set reads, each once, and per feature the column it reads and its
-// change-rate interval. Offline extraction (FeatureSet.Extract and
+// change-rate interval. Offline extraction (dataset.Builder and
 // detect.ExtractSeries) and the online Monitor both compute features
 // through Plan.Extract over Rows holding only those columns, so the
 // paths share one piece of arithmetic and the Monitor stores nothing
@@ -156,11 +156,12 @@ func (p *Plan) RowsOf(trace []Record, from, to int, rows *Rows) (lo int) {
 }
 
 // Extract computes the feature vector of chronological row i of rows
-// into dst, exactly as FeatureSet.Extract defines it: level features
-// copy the row's value; a change rate looks back to the newest earlier
-// row at or before Hour−IntervalHours and scales the difference to a
-// per-interval rate by the hours actually elapsed. It returns false
-// when dst is short or a lookback finds no row.
+// into dst: level features copy the row's value; a change rate looks
+// back to the newest earlier row at or before Hour−IntervalHours
+// (traces may miss samples) and scales the difference to a per-interval
+// rate by the hours actually elapsed. It returns false when dst is
+// short or a lookback finds no row, as for a record earlier in its
+// trace than the set's deepest change-rate interval.
 //
 //hddlint:noalloc
 func (p *Plan) Extract(dst []float64, rows *Rows, i int) bool {

@@ -302,24 +302,6 @@ func ExpertFeatures() FeatureSet {
 	)
 }
 
-// Extract computes the feature vector for the record at index i of a
-// chronological per-drive trace. It returns false when i is too early in
-// the trace for the deepest change-rate interval: change rates need the
-// value IntervalHours earlier, which Extract locates by Hour (traces may
-// have missing samples; the closest record at or before Hour-Interval is
-// used, and the rate is scaled to the actual elapsed time). It compiles
-// the set on every call; loops over a trace compile once (Compile) and
-// call Plan.Extract.
-func (fs FeatureSet) Extract(trace []Record, i int, dst []float64) bool {
-	if len(dst) < len(fs) {
-		return false
-	}
-	p := fs.Compile()
-	var rows Rows
-	lo := p.RowsOf(trace, i, i+1, &rows)
-	return p.Extract(dst, &rows, i-lo)
-}
-
 // Value-domain bounds for corruption checks. Normalized SMART values live
 // in 1..253 by convention, with 0 and 254/255 appearing as sentinel or
 // vendor quirks; raw values are non-negative counters/measurements that fit

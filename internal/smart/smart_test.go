@@ -182,6 +182,15 @@ func traceWithHours(hours ...int) []Record {
 	return trace
 }
 
+// extractAt computes the feature vector of trace[i] as the offline
+// paths do: the plan's rows for that record, then Plan.Extract.
+func extractAt(fs FeatureSet, trace []Record, i int, dst []float64) bool {
+	p := fs.Compile()
+	var rows Rows
+	lo := p.RowsOf(trace, i, i+1, &rows)
+	return p.Extract(dst, &rows, i-lo)
+}
+
 func TestExtractChangeRates(t *testing.T) {
 	fs := FeatureSet{
 		{Attr: RawReadErrorRate, Kind: ChangeRate, IntervalHours: 6},
@@ -192,7 +201,7 @@ func TestExtractChangeRates(t *testing.T) {
 	dst := make([]float64, len(fs))
 
 	// Index 12 (hour 12) can look back exactly 6 hours.
-	if !fs.Extract(trace, 12, dst) {
+	if !extractAt(fs, trace, 12, dst) {
 		t.Fatal("Extract failed at i=12")
 	}
 	if dst[0] != 6 { // slope 1/h over 6h
@@ -210,10 +219,10 @@ func TestExtractTooEarly(t *testing.T) {
 	fs := FeatureSet{{Attr: RawReadErrorRate, Kind: ChangeRate, IntervalHours: 6}}
 	trace := traceWithHours(0, 1, 2, 3)
 	dst := make([]float64, 1)
-	if fs.Extract(trace, 3, dst) {
+	if extractAt(fs, trace, 3, dst) {
 		t.Error("Extract should fail when history is shallower than the interval")
 	}
-	if fs.Extract(trace, 0, dst) {
+	if extractAt(fs, trace, 0, dst) {
 		t.Error("Extract should fail at the first record")
 	}
 }
@@ -225,7 +234,7 @@ func TestExtractScalesAcrossGaps(t *testing.T) {
 	fs := FeatureSet{{Attr: RawReadErrorRate, Kind: ChangeRate, IntervalHours: 6}}
 	trace := traceWithHours(0, 8, 20)
 	dst := make([]float64, 1)
-	if !fs.Extract(trace, 2, dst) {
+	if !extractAt(fs, trace, 2, dst) {
 		t.Fatal("Extract failed")
 	}
 	if dst[0] != 6 { // true slope is 1/h, so the 6h-rate is 6 regardless of gap
@@ -240,7 +249,7 @@ func TestExtractPlainValues(t *testing.T) {
 	}
 	trace := traceWithHours(0, 1, 2)
 	dst := make([]float64, 2)
-	if !fs.Extract(trace, 2, dst) {
+	if !extractAt(fs, trace, 2, dst) {
 		t.Fatal("Extract failed")
 	}
 	if dst[0] != 102 || dst[1] != 6 {
@@ -251,7 +260,7 @@ func TestExtractPlainValues(t *testing.T) {
 func TestExtractShortDst(t *testing.T) {
 	fs := BasicFeatures()
 	trace := traceWithHours(0)
-	if fs.Extract(trace, 0, make([]float64, 3)) {
+	if extractAt(fs, trace, 0, make([]float64, 3)) {
 		t.Error("Extract should fail when dst is too short")
 	}
 }
