@@ -16,7 +16,6 @@ import (
 	"hddcart/internal/simulate"
 	"hddcart/internal/smart"
 	"hddcart/internal/storagesim"
-	"hddcart/internal/sweep"
 )
 
 // Core SMART and data types, re-exported for downstream users.
@@ -43,27 +42,10 @@ type (
 	Tree = cart.Tree
 	// TreeParams are the CART hyper-parameters.
 	TreeParams = cart.Params
-	// CompiledTree is a tree flattened into breadth-first arrays
-	// (Tree.Compile), the layout CompileBinned remaps onto a binned
-	// matrix. Its Predict is bit-identical to the pointer tree's.
-	CompiledTree = cart.CompiledTree
 	// Network is the BP ANN baseline model.
 	Network = ann.Network
 	// NetworkConfig are the BP ANN hyper-parameters.
 	NetworkConfig = ann.Config
-
-	// BinnedMatrix is the columnar quantized view of a feature matrix
-	// (≤ 255 uint8 bins per feature plus a reserved missing bin); it
-	// drives both histogram-binned training and binned-code inference.
-	BinnedMatrix = dataset.BinnedMatrix
-	// BinnedTree is a compiled tree remapped onto a BinnedMatrix's code
-	// space (CompiledTree.CompileBinned): it scores quantized uint8 rows
-	// with byte compares, one byte per feature.
-	BinnedTree = cart.BinnedTree
-	// BinnedForest is a compiled forest with every member binned.
-	BinnedForest = forest.Binned
-	// BinnedBoost is a compiled committee with every learner binned.
-	BinnedBoost = boost.Binned
 
 	// Detector scans a drive's chronological samples for an alarm.
 	Detector = detect.Detector
@@ -77,35 +59,6 @@ type (
 	Series = detect.Series
 	// Outcome is a drive-level detection result.
 	Outcome = detect.Outcome
-	// BinnedPredictor scores one quantized code row (binned trees,
-	// forests and committees qualify).
-	BinnedPredictor = detect.BinnedPredictor
-	// BinnedSeries is a drive's quantized sample sequence.
-	BinnedSeries = detect.BinnedSeries
-	// FleetCodes is the reusable backing QuantizeFleet fills, amortizing
-	// fleet quantization to zero steady-state allocations.
-	FleetCodes = detect.FleetCodes
-
-	// TiledMatrix is the feature-major tiled layout of a quantized code
-	// matrix: within each tile of TileRows rows one feature's codes are
-	// contiguous, so the sweep engine's partition kernels read straight
-	// byte runs.
-	TiledMatrix = dataset.TiledMatrix
-	// TiledPredictor scores row ranges of a TiledMatrix (binned trees,
-	// forests and committees qualify), bit-identical to per-row Predict.
-	TiledPredictor = sweep.TiledPredictor
-	// SweepConfig parameterizes a fleet sweep (window, threshold, mean
-	// or voting sweep, worker count).
-	SweepConfig = sweep.Config
-	// SweepStats counts one shard's (or a whole sweep's) scanned drives,
-	// alarms, samples, NaN exclusions and steals.
-	SweepStats = sweep.Stats
-	// SweepResult is a fleet sweep's outcomes plus per-shard stats.
-	SweepResult = sweep.Result
-	// PreparedFleet is a sharded, tiled fleet ready to sweep — prepare
-	// once, run per model or threshold.
-	PreparedFleet = sweep.Fleet
-
 	// Result aggregates FDR/FAR/TIA over an evaluation.
 	Result = eval.Result
 	// Counter accumulates drive outcomes concurrently.
@@ -272,81 +225,6 @@ func Scan(d Detector, s Series, failHour int) Outcome { return detect.Scan(d, s,
 // drive's own index, so results are identical for every worker count.
 func ScanBatch(d Detector, series []Series, failHours []int, workers int) []Outcome {
 	return detect.ScanBatch(d, series, failHours, workers)
-}
-
-// BinnedModel is a model compiled onto a binned matrix's code space: it
-// scores row ranges of a TiledMatrix (RunSweep) and one quantized row,
-// the per-row reference the sweep is checked against.
-type BinnedModel interface {
-	BinnedPredictor
-	TiledPredictor
-}
-
-// CompileModelBinned remaps a tree, forest or boosting model onto a
-// binned matrix's uint8 code space for binned-code inference (one byte
-// per feature, byte-compare kernels): RunSweep scores fleets through it,
-// and its per-row Predict is the reference scoring. Any other predictor
-// — including the BP ANN, whose dense layers have no binned form — is
-// rejected. Scores are bit-identical to the float model's for inputs
-// whose values the bins represent (see BinnedTree's equivalence
-// contract).
-func CompileModelBinned(p Predictor, bm *BinnedMatrix) (BinnedModel, error) {
-	switch m := p.(type) {
-	case *cart.Tree:
-		return m.Compile().CompileBinned(bm)
-	case *forest.Forest:
-		return m.Compile().CompileBinned(bm)
-	case *boost.Ensemble:
-		return m.Compile().CompileBinned(bm)
-	default:
-		return nil, fmt.Errorf("hddcart: %T has no binned-code form", p)
-	}
-}
-
-// BinFeatureMatrix quantizes a feature matrix into at most maxBins uint8
-// bins per feature (1 ≤ maxBins ≤ 255): the binning behind both
-// histogram-binned training and binned-code inference.
-func BinFeatureMatrix(x [][]float64, maxBins int) (*BinnedMatrix, error) {
-	return dataset.BinMatrix(x, maxBins)
-}
-
-// QuantizeSeries maps a drive's series onto a binned matrix's code space,
-// ready for PrepareSweepBinned.
-func QuantizeSeries(bm *BinnedMatrix, s Series) (BinnedSeries, error) {
-	return detect.QuantizeSeries(bm, s)
-}
-
-// QuantizeFleet maps every drive's series onto a binned matrix's code
-// space through one contiguous backing, reusing fc across calls so the
-// steady state allocates nothing. Codes equal QuantizeSeries' exactly;
-// the returned series alias fc and are invalidated by the next call.
-func QuantizeFleet(bm *BinnedMatrix, series []Series, fc *FleetCodes) ([]BinnedSeries, error) {
-	return detect.QuantizeFleet(bm, series, fc)
-}
-
-// PrepareSweep shards and tiles a float-series fleet for sweeping:
-// quantization is paid here, once, however many times the fleet is
-// swept. shards = 0 uses the engine default.
-func PrepareSweep(bm *BinnedMatrix, series []Series, shards int) (*PreparedFleet, error) {
-	return sweep.Prepare(bm, series, shards)
-}
-
-// PrepareSweepBinned shards and tiles an already-quantized fleet.
-func PrepareSweepBinned(series []BinnedSeries, shards int) (*PreparedFleet, error) {
-	return sweep.PrepareBinned(series, shards)
-}
-
-// RunSweep sweeps a prepared fleet with a tiled model: every sample of
-// every drive is scored through the feature-major kernels, then each
-// drive's scores replay the paper's window sweep. Outcomes equal scoring
-// each row with Predict and running the Voting (or, with cfg.Mean,
-// MeanThreshold) window over the scores, for every worker and shard
-// count. This is the code-space path for whole fleets; per-drive scans
-// (Scan, ScanBatch) stay on float rows. A fleet can be swept repeatedly
-// but not concurrently: each run resets the fleet's shared per-shard
-// cursors and stats, so overlapping runs would split each other's work.
-func RunSweep(model TiledPredictor, fleet *PreparedFleet, failHours []int, cfg SweepConfig) (*SweepResult, error) {
-	return sweep.Run(model, fleet, failHours, cfg)
 }
 
 // PersonalizedWindows derives per-drive deterioration windows from a

@@ -2,10 +2,7 @@ package hddcart
 
 import (
 	"math"
-	"reflect"
 	"testing"
-
-	"hddcart/internal/detect"
 )
 
 // buildSmallDataset assembles a training set from a tiny fleet.
@@ -181,78 +178,5 @@ func TestDetectorConstructors(t *testing.T) {
 		if _, err := NewMeanThresholdDetector(c.model, c.voters, c.threshold); err == nil {
 			t.Errorf("mean-threshold: %s accepted", c.name)
 		}
-	}
-}
-
-// TestFleetSweepFacade drives the sweep surface end to end through the
-// facade: quantize the evaluation fleet with QuantizeFleet, sweep it
-// from float and from code rows, and require outcomes identical to the
-// per-row binned reference (Predict, then the voting window) — the
-// invariant the sweep engine is built around.
-func TestFleetSweepFacade(t *testing.T) {
-	fleet, ds := buildSmallDataset(t, 8)
-	tree, err := TrainClassificationTree(ds, TreeParams{LossFA: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _, _ := ds.XMatrix()
-	bm, err := BinFeatureMatrix(x, 255)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := CompileModelBinned(tree, bm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var series []Series
-	var failHours []int
-	for _, d := range fleet.Drives() {
-		trace := fleet.Trace(d.Index)
-		series = append(series, ExtractSeries(CriticalFeatures(), trace, 0, len(trace)))
-		fh := -1
-		if d.Failed {
-			fh = d.FailHour
-		}
-		failHours = append(failHours, fh)
-	}
-	var fc FleetCodes
-	binned, err := QuantizeFleet(bm, series, &fc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]Outcome, len(binned))
-	for i, s := range binned {
-		scores := make([]float64, len(s.Codes))
-		for j, row := range s.Codes {
-			scores[j] = model.Predict(row)
-		}
-		idx, _ := detect.VoteAlarm(scores, 11, 0)
-		want[i] = detect.AlarmOutcome(s.Hours, idx, failHours[i])
-	}
-	pf, err := PrepareSweep(bm, series, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunSweep(model, pf, failHours, SweepConfig{Voters: 11, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Outcomes, want) {
-		t.Fatal("RunSweep outcomes over PrepareSweep diverged from the per-row reference")
-	}
-	if res.Total.Drives != int64(len(series)) {
-		t.Fatalf("sweep scanned %d drives, fleet has %d", res.Total.Drives, len(series))
-	}
-	// The already-quantized form must land on the same outcomes.
-	pf, err = PrepareSweepBinned(binned, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := RunSweep(model, pf, failHours, SweepConfig{Voters: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Outcomes, want) {
-		t.Fatal("RunSweep outcomes over PrepareSweepBinned diverged from the per-row reference")
 	}
 }

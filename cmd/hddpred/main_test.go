@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"hddcart/internal/cart"
@@ -18,32 +19,72 @@ import (
 	"hddcart/internal/trace"
 )
 
-// writeFixture generates a small CSV dataset for the CLI tests.
-func writeFixture(t *testing.T) string {
+// The tests share one fixture per test process: the writeFixture CSV
+// and a ct model trained on it with the default flags, built on first
+// use in a temporary directory that TestMain removes. Tests read them
+// and never write them. The serve child processes never ask for it, so
+// they build nothing.
+var (
+	fixtureOnce               sync.Once
+	fixtureDir                string
+	fixtureData, fixtureModel string
+	fixtureErr                error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if fixtureDir != "" {
+		os.RemoveAll(fixtureDir)
+	}
+	os.Exit(code)
+}
+
+// sharedFixture returns the shared CSV and default ct model paths.
+func sharedFixture(t *testing.T) (data, ctModel string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "traces.csv")
+	fixtureOnce.Do(func() {
+		if fixtureDir, fixtureErr = os.MkdirTemp("", "hddpred-test"); fixtureErr != nil {
+			return
+		}
+		fixtureData = filepath.Join(fixtureDir, "traces.csv")
+		if fixtureErr = writeFixture(fixtureData); fixtureErr != nil {
+			return
+		}
+		fixtureModel = filepath.Join(fixtureDir, "ct.json")
+		fixtureErr = run([]string{"train", "-data", fixtureData, "-model", "ct", "-o", fixtureModel})
+	})
+	if fixtureErr != nil {
+		t.Fatalf("shared fixture: %v", fixtureErr)
+	}
+	return fixtureData, fixtureModel
+}
+
+// writeFixture generates a small CSV dataset for the CLI tests at path.
+func writeFixture(path string) error {
 	fleet, err := simulate.New(simulate.Config{Seed: 9, GoodScale: 0.003, FailedScale: 0.12})
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	defer f.Close()
 	bw := bufio.NewWriter(f)
-	defer bw.Flush()
 	tw := trace.NewWriter(bw)
 	for _, d := range fleet.Drives() {
 		meta := trace.DriveMeta{Serial: d.Serial, Family: d.Family, Failed: d.Failed, FailHour: d.FailHour}
 		if err := tw.WriteDrive(meta, fleet.Trace(d.Index)); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
 	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
+		return err
 	}
-	return path
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // TestCLIGolden pins what hddpred prints and writes for the writeFixture
@@ -52,7 +93,7 @@ func writeFixture(t *testing.T) string {
 // come out the same under GOMAXPROCS 1, 2 and 4, so that neither the
 // parallel trace decoder nor a worker pool can move a result.
 func TestCLIGolden(t *testing.T) {
-	data := writeFixture(t)
+	data, _ := sharedFixture(t)
 	want := map[string]string{
 		"train ct":           "dc45df6b672cc36a1e4201b9561d1c62222fbc5829d9346e7578141a1361a552",
 		"train rt":           "789098934516df1bea51bd5cfceab4a16939e1b398f302c996c4cd5612f164d3",
@@ -116,7 +157,7 @@ func sha256Hex(b []byte) string {
 }
 
 func TestTrainEvaluatePredictInspectCT(t *testing.T) {
-	data := writeFixture(t)
+	data, _ := sharedFixture(t)
 	model := filepath.Join(t.TempDir(), "ct.json")
 	if err := run([]string{"train", "-data", data, "-model", "ct", "-o", model}); err != nil {
 		t.Fatal(err)
@@ -139,12 +180,8 @@ func TestTrainEvaluatePredictInspectCT(t *testing.T) {
 // both files must exist and be non-empty after an evaluate run, and a
 // bad profile path must fail before any scanning starts.
 func TestEvaluateProfileFlags(t *testing.T) {
-	data := writeFixture(t)
+	data, model := sharedFixture(t)
 	dir := t.TempDir()
-	model := filepath.Join(dir, "ct.json")
-	if err := run([]string{"train", "-data", data, "-model", "ct", "-o", model}); err != nil {
-		t.Fatal(err)
-	}
 	cpu := filepath.Join(dir, "cpu.prof")
 	mem := filepath.Join(dir, "mem.prof")
 	if err := run([]string{"evaluate", "-data", data, "-m", model, "-sweep",
@@ -167,7 +204,7 @@ func TestEvaluateProfileFlags(t *testing.T) {
 }
 
 func TestTrainRT(t *testing.T) {
-	data := writeFixture(t)
+	data, _ := sharedFixture(t)
 	model := filepath.Join(t.TempDir(), "rt.json")
 	if err := run([]string{"train", "-data", data, "-model", "rt", "-o", model}); err != nil {
 		t.Fatal(err)
@@ -178,7 +215,7 @@ func TestTrainRT(t *testing.T) {
 }
 
 func TestTrainANN(t *testing.T) {
-	data := writeFixture(t)
+	data, _ := sharedFixture(t)
 	model := filepath.Join(t.TempDir(), "ann.json")
 	if err := run([]string{"train", "-data", data, "-model", "ann", "-o", model, "-ann-epochs", "10"}); err != nil {
 		t.Fatal(err)
@@ -196,11 +233,7 @@ func TestTrainANN(t *testing.T) {
 // counts run cleanly (per-drive outcomes are index-addressed, so any count
 // yields identical results — the detect package's batch tests enforce it).
 func TestScanWorkersFlag(t *testing.T) {
-	data := writeFixture(t)
-	model := filepath.Join(t.TempDir(), "ct.json")
-	if err := run([]string{"train", "-data", data, "-model", "ct", "-o", model}); err != nil {
-		t.Fatal(err)
-	}
+	data, model := sharedFixture(t)
 	for _, sub := range []string{"evaluate", "predict"} {
 		err := run([]string{sub, "-data", data, "-m", model, "-workers", "-1"})
 		if err == nil || !strings.Contains(err.Error(), "negative Workers") {
@@ -216,7 +249,7 @@ func TestScanWorkersFlag(t *testing.T) {
 // valid bin budget trains a usable model through the histogram grower,
 // and out-of-range budgets surface cart's validation error.
 func TestTrainMaxBinsFlag(t *testing.T) {
-	data := writeFixture(t)
+	data, _ := sharedFixture(t)
 	model := filepath.Join(t.TempDir(), "ct.json")
 	if err := run([]string{"train", "-data", data, "-model", "ct", "-o", model, "-max-bins", "64"}); err != nil {
 		t.Fatalf("-max-bins 64: %v", err)
@@ -273,7 +306,7 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 }
 
 func TestFeatselSubcommand(t *testing.T) {
-	data := writeFixture(t)
+	data, _ := sharedFixture(t)
 	if err := run([]string{"featsel", "-data", data, "-top", "5"}); err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +335,14 @@ func TestBackblazeFormat(t *testing.T) {
 // the sharded fleet-sweep engine must evaluate cleanly, and non-tree
 // models are rejected up front.
 func TestEvaluateSweepFlag(t *testing.T) {
-	data := writeFixture(t)
-	for _, kind := range []string{"ct", "rt"} {
-		model := filepath.Join(t.TempDir(), kind+".json")
-		if err := run([]string{"train", "-data", data, "-model", kind, "-o", model}); err != nil {
-			t.Fatal(err)
-		}
+	data, ct := sharedFixture(t)
+	rt := filepath.Join(t.TempDir(), "rt.json")
+	if err := run([]string{"train", "-data", data, "-model", "rt", "-o", rt}); err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []string{ct, rt} {
 		if err := run([]string{"evaluate", "-data", data, "-m", model, "-sweep", "-workers", "2"}); err != nil {
-			t.Errorf("%s -sweep: %v", kind, err)
+			t.Errorf("%s -sweep: %v", filepath.Base(model), err)
 		}
 	}
 	ann := filepath.Join(t.TempDir(), "ann.json")

@@ -24,11 +24,7 @@ import (
 )
 
 func TestServeCLIErrors(t *testing.T) {
-	data := writeFixture(t)
-	model := filepath.Join(t.TempDir(), "ct.json")
-	if err := run([]string{"train", "-data", data, "-model", "ct", "-o", model}); err != nil {
-		t.Fatal(err)
-	}
+	_, model := sharedFixture(t)
 	cases := [][]string{
 		{"serve"},                                // missing -m
 		{"serve", "-m", "missing.json"},          // unreadable model
@@ -89,11 +85,7 @@ func startServe(t *testing.T, args ...string) (base string, stop func() error) {
 // tiny batch over HTTP, then shuts it down with SIGINT and checks the
 // final state snapshot landed.
 func TestServeSmoke(t *testing.T) {
-	data := writeFixture(t)
-	model := filepath.Join(t.TempDir(), "ct.json")
-	if err := run([]string{"train", "-data", data, "-model", "ct", "-o", model}); err != nil {
-		t.Fatal(err)
-	}
+	_, model := sharedFixture(t)
 	snap := filepath.Join(t.TempDir(), "state.snap")
 	base, stop := startServe(t, "-m", model, "-shards", "2", "-snapshot", snap)
 	zeros := strings.Repeat(",0", 22)
@@ -158,7 +150,7 @@ func TestServeHTTPTimeouts(t *testing.T) {
 // clean and in order, so every one of them is inside the online ≡
 // offline contract.
 func TestServeWarnsWherePredictAlarms(t *testing.T) {
-	data := writeFixture(t)
+	data, ct := sharedFixture(t)
 	f, err := os.Open(data)
 	if err != nil {
 		t.Fatal(err)
@@ -188,9 +180,10 @@ func TestServeWarnsWherePredictAlarms(t *testing.T) {
 		}
 		bodies = append(bodies, buf.Bytes())
 	}
-	for _, kind := range []string{"ct", "rt"} {
-		model := filepath.Join(t.TempDir(), kind+".json")
-		stdout(t, "train", "-data", data, "-model", kind, "-o", model)
+	rt := filepath.Join(t.TempDir(), "rt.json")
+	stdout(t, "train", "-data", data, "-model", "rt", "-o", rt)
+	for _, m := range []struct{ kind, model string }{{"ct", ct}, {"rt", rt}} {
+		kind, model := m.kind, m.model
 		var offline []string
 		for _, line := range strings.Split(stdout(t, "predict", "-data", data, "-m", model), "\n") {
 			if serial, hour, ok := strings.Cut(line, "\tWARNING at hour "); ok {

@@ -37,12 +37,8 @@ func TestServeChildProcess(t *testing.T) {
 // a readiness probe, 20 times: every run must exit 0 through the
 // graceful path and leave a snapshot the next start restores.
 func TestServeSignalAtReadiness(t *testing.T) {
-	data := writeFixture(t)
+	_, model := sharedFixture(t)
 	dir := t.TempDir()
-	model := filepath.Join(dir, "ct.json")
-	if err := run([]string{"train", "-data", data, "-model", "ct", "-o", model}); err != nil {
-		t.Fatal(err)
-	}
 	for i := range 20 {
 		snap := filepath.Join(dir, "state.snap")
 		os.Remove(snap)
@@ -63,11 +59,7 @@ func TestServeSignalAtReadiness(t *testing.T) {
 // listener already holds: it must exit 1 with the listen error and never
 // claim to be listening.
 func TestServeListenError(t *testing.T) {
-	data := writeFixture(t)
-	model := filepath.Join(t.TempDir(), "ct.json")
-	if err := run([]string{"train", "-data", data, "-model", "ct", "-o", model}); err != nil {
-		t.Fatal(err)
-	}
+	_, model := sharedFixture(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

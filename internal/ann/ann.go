@@ -233,9 +233,6 @@ func (n *Network) Predict(x []float64) float64 {
 	return n.forward(xi, hid)
 }
 
-// PredictFailed reports whether the network classifies x as failed.
-func (n *Network) PredictFailed(x []float64) bool { return n.Predict(x) < 0 }
-
 // Marshal serializes the network to JSON.
 func (n *Network) Marshal() ([]byte, error) { return json.Marshal(n) }
 

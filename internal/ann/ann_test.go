@@ -230,15 +230,3 @@ func TestUnmarshalRejectsBadNetworks(t *testing.T) {
 		}
 	}
 }
-
-func TestPredictFailed(t *testing.T) {
-	x := [][]float64{{-1}, {-0.9}, {0.9}, {1}}
-	y := []float64{-1, -1, 1, 1}
-	n, _ := Train(x, y, nil, Config{Hidden: 2, Epochs: 500, Seed: 14})
-	if !n.PredictFailed([]float64{-1}) {
-		t.Error("PredictFailed(-1) = false")
-	}
-	if n.PredictFailed([]float64{1}) {
-		t.Error("PredictFailed(1) = true")
-	}
-}

@@ -193,8 +193,5 @@ func (e *Ensemble) Predict(x []float64) float64 {
 	return score / total
 }
 
-// PredictFailed reports whether the ensemble classifies x as failed.
-func (e *Ensemble) PredictFailed(x []float64) bool { return e.Predict(x) < 0 }
-
 // Rounds returns the number of trained learners.
 func (e *Ensemble) Rounds() int { return len(e.Trees) }

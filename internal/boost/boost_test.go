@@ -155,8 +155,8 @@ func TestBoostScoresBounded(t *testing.T) {
 			t.Fatalf("score %v outside [-1,1]", s)
 		}
 	}
-	if !e.PredictFailed([]float64{-3}) || e.PredictFailed([]float64{3}) {
-		t.Error("PredictFailed direction wrong")
+	if e.Predict([]float64{-3}) >= 0 || e.Predict([]float64{3}) < 0 {
+		t.Error("score direction wrong")
 	}
 }
 

@@ -198,9 +198,6 @@ func TestMaxBinsValidation(t *testing.T) {
 	if _, err := TrainRegressor(x, y, nil, Params{MaxBins: 256}); err == nil {
 		t.Error("MaxBins 256 accepted by TrainRegressor (255 is the uint8 ceiling)")
 	}
-	if _, _, err := CrossValidateCP(x, y, nil, Params{MaxBins: 300}, Classification, 2, []float64{0.01}, 1); err == nil {
-		t.Error("MaxBins 300 accepted by CrossValidateCP")
-	}
 }
 
 // newTestHistGrower assembles a histGrower over a small classification

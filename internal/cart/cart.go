@@ -13,7 +13,6 @@ package cart
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 )
@@ -176,21 +175,6 @@ func (t *Tree) leaf(x []float64) *Node {
 // regression trees.
 func (t *Tree) Predict(x []float64) float64 {
 	return t.leaf(x).Value
-}
-
-// PredictFailed reports whether a classification tree labels x failed.
-// For regression trees it reports Predict(x) < 0.
-func (t *Tree) PredictFailed(x []float64) bool {
-	return t.Predict(x) < 0
-}
-
-// ProbFailed returns the weighted failed-class probability of x's leaf
-// (classification trees; regression trees return NaN).
-func (t *Tree) ProbFailed(x []float64) float64 {
-	if t.Kind != Classification {
-		return math.NaN()
-	}
-	return t.leaf(x).PFailed
 }
 
 // NumNodes returns the total node count.

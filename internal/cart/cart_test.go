@@ -355,30 +355,6 @@ func TestRegressorLeafIsWeightedMean(t *testing.T) {
 	}
 }
 
-func TestPredictFailedAndProb(t *testing.T) {
-	x, y := sepData(100)
-	tree, _ := TrainClassifier(x, y, nil, Params{MinSplit: 2, MinBucket: 1})
-	if !tree.PredictFailed([]float64{-5}) {
-		t.Error("PredictFailed(-5) = false")
-	}
-	if tree.PredictFailed([]float64{5}) {
-		t.Error("PredictFailed(5) = true")
-	}
-	if p := tree.ProbFailed([]float64{-5}); p != 1 {
-		t.Errorf("ProbFailed(-5) = %v, want 1", p)
-	}
-	if p := tree.ProbFailed([]float64{5}); p != 0 {
-		t.Errorf("ProbFailed(5) = %v, want 0", p)
-	}
-	reg, _ := TrainRegressor(x, y, nil, Params{MinSplit: 2, MinBucket: 1})
-	if !math.IsNaN(reg.ProbFailed([]float64{0})) {
-		t.Error("regression ProbFailed should be NaN")
-	}
-	if !reg.PredictFailed([]float64{-5}) {
-		t.Error("regression PredictFailed should report negative predictions")
-	}
-}
-
 func TestVariableImportance(t *testing.T) {
 	// Feature 1 is informative, features 0 and 2 are noise.
 	rng := rand.New(rand.NewSource(5))

@@ -3,7 +3,6 @@ package cart
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // CompiledTree is a Tree flattened breadth-first into parallel
@@ -15,9 +14,9 @@ import (
 //
 // Compilation never changes results: a CompiledTree evaluates exactly the
 // comparisons of the source tree (x[feature] < threshold, in the same
-// order) and returns the same leaf's Value/PFailed, so Predict and
-// ProbFailed are bit-identical to the pointer path for every input. The
-// equivalence tests and FuzzCompiledTreeEquivalence enforce this.
+// order) and returns the same leaf's Value, so Predict is bit-identical
+// to the pointer path for every input. The equivalence tests and
+// FuzzCompiledTreeEquivalence enforce this.
 //
 // CompiledTree is immutable after Compile and safe for concurrent use.
 type CompiledTree struct {
@@ -31,13 +30,12 @@ type CompiledTree struct {
 	// Node arrays, root at index 0, children after their parent
 	// (breadth-first). Feature[i] is the split feature of node i, or -1
 	// for a leaf; Left/Right are node indices (valid only for internal
-	// nodes); Threshold, Value and PFailed mirror the Node fields.
+	// nodes); Threshold and Value mirror the Node fields.
 	Feature   []int32
 	Left      []int32
 	Right     []int32
 	Threshold []float64
 	Value     []float64
-	PFailed   []float64
 }
 
 // Compile flattens the tree into its breadth-first array form.
@@ -52,7 +50,6 @@ func (t *Tree) Compile() *CompiledTree {
 		Right:        make([]int32, 0, n),
 		Threshold:    make([]float64, 0, n),
 		Value:        make([]float64, 0, n),
-		PFailed:      make([]float64, 0, n),
 	}
 	if t.Root == nil {
 		return c
@@ -72,7 +69,6 @@ func (t *Tree) Compile() *CompiledTree {
 		c.Right = append(c.Right, -1)
 		c.Threshold = append(c.Threshold, nd.Threshold)
 		c.Value = append(c.Value, nd.Value)
-		c.PFailed = append(c.PFailed, nd.PFailed)
 		if !nd.IsLeaf() {
 			c.Left[at] = int32(len(queue))
 			queue = append(queue, nd.Left)
@@ -112,19 +108,6 @@ func (c *CompiledTree) Predict(x []float64) float64 {
 	return c.Value[c.leaf(x)]
 }
 
-// PredictFailed reports whether the tree labels x failed.
-func (c *CompiledTree) PredictFailed(x []float64) bool { return c.Predict(x) < 0 }
-
-// ProbFailed returns the weighted failed-class probability of x's leaf
-// (classification trees; regression trees return NaN, as Tree.ProbFailed
-// does).
-func (c *CompiledTree) ProbFailed(x []float64) float64 {
-	if c.Kind != Classification {
-		return math.NaN()
-	}
-	return c.PFailed[c.leaf(x)]
-}
-
 // Validate checks the structural invariants a CompiledTree needs for safe
 // traversal (children in range and after their parent, feature indices
 // within NumFeatures). Compile always produces a valid tree; Validate
@@ -132,7 +115,7 @@ func (c *CompiledTree) ProbFailed(x []float64) float64 {
 func (c *CompiledTree) Validate() error {
 	n := len(c.Feature)
 	if len(c.Left) != n || len(c.Right) != n || len(c.Threshold) != n ||
-		len(c.Value) != n || len(c.PFailed) != n {
+		len(c.Value) != n {
 		return errors.New("cart: compiled tree has ragged node arrays")
 	}
 	if n == 0 {

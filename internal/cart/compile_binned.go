@@ -18,11 +18,11 @@ import (
 // Equivalence contract: for any input whose finite values lie inside
 // their bin's [Lower, Upper] value range ("binned data" — every row of
 // the matrix the binning was built from qualifies), a BinnedTree with
-// Exact set scores bit-identically to its source CompiledTree, verdicts
-// and probabilities alike. Trees trained with Params.MaxBins on the same
-// matrix score their whole training corpus bit-identically even when
-// Exact is false: a threshold only straddles bins no corpus sample
-// carries at that node, so the straddled comparison is never evaluated.
+// Exact set scores bit-identically to its source CompiledTree. Trees
+// trained with Params.MaxBins on the same matrix score their whole
+// training corpus bit-identically even when Exact is false: a threshold
+// only straddles bins no corpus sample carries at that node, so the
+// straddled comparison is never evaluated.
 // The internal/equiv harness and FuzzBinnedInferenceEquivalence enforce
 // both halves.
 //
@@ -42,7 +42,6 @@ type BinnedTree struct {
 	Right   []int32
 	Cut     []uint8
 	Value   []float64
-	PFailed []float64
 
 	// Exact reports whether every split threshold cleanly separated the
 	// matrix's bins (dataset.BinnedColumn.CutFor): when set, binned
@@ -90,7 +89,6 @@ func (c *CompiledTree) CompileBinned(bm *dataset.BinnedMatrix) (*BinnedTree, err
 		Right:       c.Right,
 		Cut:         make([]uint8, n),
 		Value:       c.Value,
-		PFailed:     c.PFailed,
 		Exact:       true,
 		nodes:       make([]binnedNode, n),
 	}
@@ -157,17 +155,4 @@ func (bt *BinnedTree) leaf(codes []uint8) int {
 // Predict returns the tree's output for one quantized row.
 func (bt *BinnedTree) Predict(codes []uint8) float64 {
 	return bt.Value[bt.leaf(codes)]
-}
-
-// PredictFailed reports whether the tree labels the row failed.
-func (bt *BinnedTree) PredictFailed(codes []uint8) bool { return bt.Predict(codes) < 0 }
-
-// ProbFailed returns the weighted failed-class probability of the row's
-// leaf (classification trees; regression trees return NaN, as the float
-// paths do).
-func (bt *BinnedTree) ProbFailed(codes []uint8) float64 {
-	if bt.Kind != Classification {
-		return math.NaN()
-	}
-	return bt.PFailed[bt.leaf(codes)]
 }

@@ -38,13 +38,6 @@ func requireBinnedBitIdentical(t *testing.T, ct *CompiledTree, bt *BinnedTree, x
 		if want != got && !(math.IsNaN(want) && math.IsNaN(got)) {
 			t.Fatalf("row %d: Predict diverged: float %v, binned %v", i, want, got)
 		}
-		if ct.PredictFailed(x[i]) != bt.PredictFailed(codes[i]) {
-			t.Fatalf("row %d: PredictFailed diverged", i)
-		}
-		pw, pg := ct.ProbFailed(x[i]), bt.ProbFailed(codes[i])
-		if pw != pg && !(math.IsNaN(pw) && math.IsNaN(pg)) {
-			t.Fatalf("row %d: ProbFailed diverged: %v vs %v", i, pw, pg)
-		}
 	}
 	tm, err := dataset.TileCodes(codes, bt.NumFeatures)
 	if err != nil {
@@ -192,7 +185,6 @@ func TestCompileBinnedErrors(t *testing.T) {
 		Right:     []int32{3, -1, -1, -1},
 		Threshold: []float64{1.5, 0, 0, 0},
 		Value:     []float64{0, -1, 0, 1},
-		PFailed:   []float64{0, 1, 0, 0},
 	}
 	if err := gapped.Validate(); err != nil {
 		t.Fatalf("gapped fixture invalid: %v", err)
@@ -208,7 +200,6 @@ func TestCompileBinnedErrors(t *testing.T) {
 		Right:     []int32{2, -1, -1},
 		Threshold: []float64{1.5, 0, 0},
 		Value:     []float64{0, -1, 1},
-		PFailed:   []float64{0, 1, 0},
 	}
 	if err := wide.Validate(); err != nil {
 		t.Fatalf("wide fixture invalid: %v", err)
@@ -251,9 +242,6 @@ func TestBinnedSingleLeaf(t *testing.T) {
 			t.Fatalf("single-leaf row %d predicted %v, want -1", i, got)
 		}
 	}
-	if bt.ProbFailed(codes[0]) != 0.9 {
-		t.Fatalf("ProbFailed = %v, want 0.9", bt.ProbFailed(codes[0]))
-	}
 }
 
 // TestBinnedBatchBoundaries sweeps batch sizes that straddle the
@@ -285,7 +273,7 @@ func TestBinnedBatchBoundaries(t *testing.T) {
 
 // TestBinnedBatchNoAlloc proves the //hddlint:noalloc contract of the
 // per-row code-space path the Monitor runs: QuantizeRow into a caller
-// buffer, then Predict and ProbFailed on the codes.
+// buffer, then Predict on the codes.
 func TestBinnedBatchNoAlloc(t *testing.T) {
 	tree, bm, _, _ := binnedFixture(t, 9, 400, 5, 32)
 	bt, err := tree.Compile().CompileBinned(bm)
@@ -296,7 +284,7 @@ func TestBinnedBatchNoAlloc(t *testing.T) {
 	var sink float64
 	allocs := testing.AllocsPerRun(20, func() {
 		bm.QuantizeRow([]float64{1, 2, 3, 4, 5}, row)
-		sink += bt.Predict(row) + bt.ProbFailed(row)
+		sink += bt.Predict(row)
 	})
 	if allocs != 0 {
 		t.Fatalf("QuantizeRow + Predict allocated %.0f times per run (sink %v)", allocs, sink)

@@ -52,13 +52,6 @@ func requireBitIdentical(t *testing.T, tree *Tree, probes [][]float64) {
 		if want != got {
 			t.Fatalf("Predict diverged at %v: pointer %v, compiled %v", p, want, got)
 		}
-		if tree.PredictFailed(p) != ct.PredictFailed(p) {
-			t.Fatalf("PredictFailed diverged at %v", p)
-		}
-		pw, pg := tree.ProbFailed(p), ct.ProbFailed(p)
-		if pw != pg && !(math.IsNaN(pw) && math.IsNaN(pg)) {
-			t.Fatalf("ProbFailed diverged at %v: %v vs %v", p, pw, pg)
-		}
 	}
 	// NaN probes: a missing value must route right at every split in
 	// both engines (x < threshold is false for NaN).
@@ -67,10 +60,6 @@ func requireBitIdentical(t *testing.T, tree *Tree, probes [][]float64) {
 		q[i%len(q)] = math.NaN()
 		if want, got := tree.Predict(q), ct.Predict(q); want != got {
 			t.Fatalf("Predict diverged at NaN probe %v: pointer %v, compiled %v", q, want, got)
-		}
-		pw, pg := tree.ProbFailed(q), ct.ProbFailed(q)
-		if pw != pg && !(math.IsNaN(pw) && math.IsNaN(pg)) {
-			t.Fatalf("ProbFailed diverged at NaN probe %v: %v vs %v", q, pw, pg)
 		}
 	}
 }
@@ -107,17 +96,17 @@ func TestCompiledValidate(t *testing.T) {
 		{}, // no nodes
 		{ // ragged arrays
 			Feature: []int32{-1}, Left: []int32{-1}, Right: []int32{-1},
-			Threshold: []float64{0}, Value: []float64{0}, PFailed: nil,
+			Threshold: []float64{0}, Value: nil,
 		},
 		{ // child pointing at itself
 			NumFeatures: 2,
 			Feature:     []int32{0, -1}, Left: []int32{0, -1}, Right: []int32{1, -1},
-			Threshold: []float64{0, 0}, Value: []float64{0, 0}, PFailed: []float64{0, 0},
+			Threshold: []float64{0, 0}, Value: []float64{0, 0},
 		},
 		{ // feature out of range
 			NumFeatures: 1,
 			Feature:     []int32{3, -1, -1}, Left: []int32{1, -1, -1}, Right: []int32{2, -1, -1},
-			Threshold: []float64{0, 0, 0}, Value: []float64{0, 0, 0}, PFailed: []float64{0, 0, 0},
+			Threshold: []float64{0, 0, 0}, Value: []float64{0, 0, 0},
 		},
 	}
 	for i, ct := range bad {
@@ -173,10 +162,6 @@ func FuzzCompiledTreeEquivalence(f *testing.F) {
 			want := tree.Predict(p)
 			if got := ct.Predict(p); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Fatalf("Predict diverged: %v vs %v at %v", got, want, p)
-			}
-			pw := tree.ProbFailed(p)
-			if pg := ct.ProbFailed(p); pg != pw && !(math.IsNaN(pg) && math.IsNaN(pw)) {
-				t.Fatalf("ProbFailed diverged: %v vs %v at %v", pg, pw, p)
 			}
 		}
 	})

@@ -103,11 +103,9 @@ func FuzzTreeJSONRoundTrip(f *testing.F) {
 			if a != b && !(math.IsNaN(a) && math.IsNaN(b)) {
 				t.Fatalf("prediction changed after round-trip: %v vs %v at %v", a, b, p)
 			}
-			if orig.Kind == Classification {
-				pa, pb := orig.ProbFailed(p), back.ProbFailed(p)
-				if pa != pb && !(math.IsNaN(pa) && math.IsNaN(pb)) {
-					t.Fatalf("ProbFailed changed after round-trip: %v vs %v", pa, pb)
-				}
+			pa, pb := orig.leaf(p).PFailed, back.leaf(p).PFailed
+			if pa != pb && !(math.IsNaN(pa) && math.IsNaN(pb)) {
+				t.Fatalf("leaf PFailed changed after round-trip: %v vs %v", pa, pb)
 			}
 		}
 		if orig.NumNodes() != back.NumNodes() || orig.NumLeaves() != back.NumLeaves() ||

@@ -237,39 +237,6 @@ func TestParallelDeterminismMTry(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminismCV proves cross-validation fold losses merge
-// identically for any worker count.
-func TestParallelDeterminismCV(t *testing.T) {
-	x, y, w := synthClassification(41, 1500, 6)
-	cps := []float64{1e-6, 1e-4, 1e-3, 1e-2, 0.1}
-	for _, maxBins := range maxBinsCases {
-		t.Run(fmt.Sprintf("maxbins=%d", maxBins), func(t *testing.T) {
-			var refResults []CVResult
-			var refBest float64
-			for _, workers := range workerCounts {
-				p := Params{MinSplit: 4, MinBucket: 2, LossFA: 10, Workers: workers, MaxBins: maxBins}
-				results, best, err := CrossValidateCP(x, y, w, p, Classification, 5, cps, 7)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if workers == 1 {
-					refResults, refBest = results, best
-					continue
-				}
-				if best != refBest {
-					t.Errorf("workers=%d best CP %v, serial %v", workers, best, refBest)
-				}
-				for i := range results {
-					if results[i] != refResults[i] {
-						t.Errorf("workers=%d CV result %d = %+v, serial %+v",
-							workers, i, results[i], refResults[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestParallelMatchesKnownSerial re-checks a structural invariant under
 // every worker count: parallel growth must still respect MinBucket (a
 // regression here would mean a worker saw stale stats).
@@ -303,9 +270,6 @@ func TestWorkersValidation(t *testing.T) {
 	x, y, _ := synthClassification(61, 100, 3)
 	if _, err := TrainClassifier(x, y, nil, Params{Workers: -1}); err == nil {
 		t.Error("negative Workers accepted by TrainClassifier")
-	}
-	if _, _, err := CrossValidateCP(x, y, nil, Params{Workers: -2}, Classification, 2, []float64{0.01}, 1); err == nil {
-		t.Error("negative Workers accepted by CrossValidateCP")
 	}
 }
 

@@ -1,10 +1,8 @@
 package detect
 
-import "hddcart/internal/dataset"
-
 // BinnedPredictor scores one quantized code row: positive values mean
-// healthy, negative values mean failing. cart.BinnedTree, forest.Binned
-// and boost.Binned satisfy it.
+// healthy, negative values mean failing. cart.BinnedTree and
+// forest.Binned satisfy it.
 type BinnedPredictor interface {
 	Predict(codes []uint8) float64
 }
@@ -16,21 +14,6 @@ type BinnedSeries struct {
 	Hours []int
 	// Dropped carries over the source series' dropped-record count.
 	Dropped int
-}
-
-// QuantizeSeries maps a drive's series onto bm's code space
-// (dataset.BinnedMatrix.Quantize): the rows land in one contiguous
-// allocation, Hours and Dropped carry over unchanged. ExtractSeries has
-// already excluded non-finite vectors, so quantization never manufactures
-// the reserved missing code from corrupt telemetry here — but the window
-// sweeps still exclude NaN scores defensively, exactly as the float
-// detectors do.
-func QuantizeSeries(bm *dataset.BinnedMatrix, s Series) (BinnedSeries, error) {
-	codes, err := bm.Quantize(s.X)
-	if err != nil {
-		return BinnedSeries{}, err
-	}
-	return BinnedSeries{Codes: codes, Hours: s.Hours, Dropped: s.Dropped}, nil
 }
 
 // AlarmOutcome converts an alarm index (-1 = none) into an Outcome

@@ -67,11 +67,11 @@ func quantizeAll(t *testing.T, bm *dataset.BinnedMatrix, series []Series) []Binn
 	t.Helper()
 	out := make([]BinnedSeries, len(series))
 	for i, s := range series {
-		bs, err := QuantizeSeries(bm, s)
+		codes, err := bm.Quantize(s.X)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[i] = bs
+		out[i] = BinnedSeries{Codes: codes, Hours: s.Hours, Dropped: s.Dropped}
 	}
 	return out
 }
@@ -183,25 +183,5 @@ func TestScanBatchBinnedMatchesFloat(t *testing.T) {
 		if o.Alarmed && o.LeadHours != -1 {
 			t.Fatalf("drive %d: good drive got lead hours %d", i, o.LeadHours)
 		}
-	}
-}
-
-// TestQuantizeSeries pins the metadata carry-over and the ragged-row
-// error path.
-func TestQuantizeSeries(t *testing.T) {
-	bm, err := dataset.BinMatrix([][]float64{{1, 2}, {3, 4}}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Series{X: [][]float64{{1, 2}, {3, 4}}, Hours: []int{8, 16}, Dropped: 3}
-	bs, err := QuantizeSeries(bm, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bs.Codes) != 2 || bs.Dropped != 3 || bs.Hours[1] != 16 {
-		t.Fatalf("QuantizeSeries lost metadata: %+v", bs)
-	}
-	if _, err := QuantizeSeries(bm, Series{X: [][]float64{{1}}}); err == nil {
-		t.Fatal("ragged row accepted")
 	}
 }

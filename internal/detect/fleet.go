@@ -9,11 +9,12 @@ import (
 
 // FleetCodes is the reusable backing QuantizeFleet fills: one contiguous
 // code allocation spanning every drive's rows, plus the per-row headers
-// and per-drive BinnedSeries views into it. Per-series QuantizeSeries
-// pays one allocation per drive — at fleet scale that is millions of
-// small allocations per sweep. Reusing one FleetCodes across sweeps
-// amortizes the backing to zero steady-state allocations (asserted by
-// test) while producing codes identical to QuantizeSeries row for row.
+// and per-drive BinnedSeries views into it. Quantizing series one by one
+// (dataset.BinnedMatrix.Quantize) pays one allocation per drive — at
+// fleet scale that is millions of small allocations per sweep. Reusing
+// one FleetCodes across sweeps amortizes the backing to zero
+// steady-state allocations (asserted by test) while producing codes
+// identical to the per-series Quantize row for row.
 //
 // The returned series alias the FleetCodes buffers: the next
 // QuantizeFleet call into the same FleetCodes invalidates them.
@@ -25,9 +26,9 @@ type FleetCodes struct {
 
 // QuantizeFleet maps every drive's series onto bm's code space in one
 // pass over one contiguous backing. Hours and Dropped carry over
-// unchanged; row codes equal QuantizeSeries' exactly. fc must be
-// non-nil; its buffers grow to the fleet's high-water size once and are
-// reused afterwards.
+// unchanged; row codes equal dataset.BinnedMatrix.Quantize's exactly. fc
+// must be non-nil; its buffers grow to the fleet's high-water size once
+// and are reused afterwards.
 //
 //hddlint:noalloc
 func QuantizeFleet(bm *dataset.BinnedMatrix, series []Series, fc *FleetCodes) ([]BinnedSeries, error) {

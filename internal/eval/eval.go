@@ -7,7 +7,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -92,18 +91,6 @@ func (c *Counter) AddFailed(out detect.Outcome) {
 	}
 }
 
-// Merge folds another counter's totals into c.
-func (c *Counter) Merge(other *Counter) {
-	o := other.Result()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.res.GoodTotal += o.GoodTotal
-	c.res.GoodAlarmed += o.GoodAlarmed
-	c.res.FailedTotal += o.FailedTotal
-	c.res.FailedDetected += o.FailedDetected
-	c.res.TIAs = append(c.res.TIAs, o.TIAs...)
-}
-
 // Result returns a snapshot of the accumulated metrics.
 func (c *Counter) Result() Result {
 	c.mu.Lock()
@@ -165,58 +152,4 @@ func (c Curve) String() string {
 // SortByFAR orders the curve by increasing false alarm rate.
 func (c Curve) SortByFAR() {
 	sort.Slice(c, func(i, j int) bool { return c[i].Result.FAR() < c[j].Result.FAR() })
-}
-
-// AUC returns the area under the (FAR, FDR) curve via the trapezoid rule
-// over the observed FAR span, normalized by that span; it returns 0 for
-// curves with fewer than two distinct FAR values. It is a coarse summary
-// for comparing models on the same sweep.
-func (c Curve) AUC() float64 {
-	pts := append(Curve(nil), c...)
-	pts.SortByFAR()
-	var area, span float64
-	for i := 1; i < len(pts); i++ {
-		dx := pts[i].Result.FAR() - pts[i-1].Result.FAR()
-		area += dx * (pts[i].Result.FDR() + pts[i-1].Result.FDR()) / 2
-		span += dx
-	}
-	if exactZero(span) {
-		return 0
-	}
-	return area / span
-}
-
-// WilsonInterval returns the Wilson score interval for a binomial
-// proportion of k successes in n trials at the given z (1.96 ≈ 95%). It is
-// well-behaved at the extreme proportions drive-level FAR estimates live
-// at (k = 0 or tiny k over thousands of drives), where the normal
-// approximation fails.
-func WilsonInterval(k, n int, z float64) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	p := float64(k) / float64(n)
-	fn := float64(n)
-	denom := 1 + z*z/fn
-	center := (p + z*z/(2*fn)) / denom
-	half := z / denom * math.Sqrt(p*(1-p)/fn+z*z/(4*fn*fn))
-	lo = center - half
-	hi = center + half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
-}
-
-// FARInterval returns the 95% Wilson interval of the false alarm rate.
-func (r Result) FARInterval() (lo, hi float64) {
-	return WilsonInterval(r.GoodAlarmed, r.GoodTotal, 1.96)
-}
-
-// FDRInterval returns the 95% Wilson interval of the detection rate.
-func (r Result) FDRInterval() (lo, hi float64) {
-	return WilsonInterval(r.FailedDetected, r.FailedTotal, 1.96)
 }

@@ -78,18 +78,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	var a, b Counter
-	a.AddGood(true)
-	b.AddGood(false)
-	b.AddFailed(detect.Outcome{Alarmed: true, LeadHours: 7})
-	a.Merge(&b)
-	r := a.Result()
-	if r.GoodTotal != 2 || r.GoodAlarmed != 1 || r.FailedDetected != 1 || len(r.TIAs) != 1 {
-		t.Errorf("merged = %+v", r)
-	}
-}
-
 func TestTIAHistogram(t *testing.T) {
 	tias := []int{0, 24, 25, 72, 100, 336, 337, 450, 500}
 	got := TIAHistogram(tias)
@@ -130,15 +118,6 @@ func TestCurveSortAndAUC(t *testing.T) {
 	if c[0].Param != 1 || c[2].Param != 3 {
 		t.Errorf("sort order wrong: %+v", c)
 	}
-	auc := c.AUC()
-	// Trapezoids (FDR as fractions): [0,0.05]: (0.5+0.9)/2=0.7,
-	// [0.05,0.10]: (0.9+0.95)/2=0.925 → weighted mean = 0.8125.
-	if math.Abs(auc-0.8125) > 1e-9 {
-		t.Errorf("AUC = %v, want 0.8125", auc)
-	}
-	if (Curve{}).AUC() != 0 {
-		t.Error("empty curve AUC should be 0")
-	}
 }
 
 func TestResultString(t *testing.T) {
@@ -148,40 +127,5 @@ func TestResultString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("Result.String() = %q missing %q", s, want)
 		}
-	}
-}
-
-func TestWilsonInterval(t *testing.T) {
-	// Known value: 8/10 at z=1.96 → approximately (0.490, 0.943).
-	lo, hi := WilsonInterval(8, 10, 1.96)
-	if math.Abs(lo-0.490) > 0.01 || math.Abs(hi-0.943) > 0.01 {
-		t.Errorf("Wilson(8,10) = (%.3f, %.3f), want ≈ (0.490, 0.943)", lo, hi)
-	}
-	// Zero successes still give a non-degenerate upper bound.
-	lo, hi = WilsonInterval(0, 1000, 1.96)
-	if lo != 0 || hi <= 0 || hi > 0.01 {
-		t.Errorf("Wilson(0,1000) = (%v, %v)", lo, hi)
-	}
-	// Degenerate n.
-	lo, hi = WilsonInterval(0, 0, 1.96)
-	if lo != 0 || hi != 1 {
-		t.Errorf("Wilson(0,0) = (%v, %v)", lo, hi)
-	}
-	// Bounds stay within [0,1].
-	lo, hi = WilsonInterval(10, 10, 1.96)
-	if lo < 0 || hi > 1 {
-		t.Errorf("Wilson(10,10) = (%v, %v)", lo, hi)
-	}
-}
-
-func TestResultIntervals(t *testing.T) {
-	r := Result{GoodTotal: 1000, GoodAlarmed: 1, FailedTotal: 50, FailedDetected: 47}
-	lo, hi := r.FARInterval()
-	if !(lo <= r.FAR() && r.FAR() <= hi) {
-		t.Errorf("FAR %v outside its interval (%v,%v)", r.FAR(), lo, hi)
-	}
-	lo, hi = r.FDRInterval()
-	if !(lo <= r.FDR() && r.FDR() <= hi) {
-		t.Errorf("FDR %v outside its interval (%v,%v)", r.FDR(), lo, hi)
 	}
 }

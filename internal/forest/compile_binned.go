@@ -2,7 +2,6 @@ package forest
 
 import (
 	"fmt"
-	"math"
 
 	"hddcart/internal/cart"
 	"hddcart/internal/dataset"
@@ -53,23 +52,6 @@ func (b *Binned) Predict(codes []uint8) float64 {
 		sum += t.Predict(codes)
 	}
 	return sum / float64(len(b.Trees))
-}
-
-// PredictFailed reports whether the ensemble classifies the row as failed.
-func (b *Binned) PredictFailed(codes []uint8) bool { return b.Predict(codes) < 0 }
-
-// ProbFailed returns the fraction of trees voting failed.
-func (b *Binned) ProbFailed(codes []uint8) float64 {
-	if len(b.Trees) == 0 {
-		return math.NaN()
-	}
-	failed := 0
-	for _, t := range b.Trees {
-		if t.Predict(codes) < 0 {
-			failed++
-		}
-	}
-	return float64(failed) / float64(len(b.Trees))
 }
 
 // PredictTiledRange scores rows [lo, hi) of a feature-major tiled code

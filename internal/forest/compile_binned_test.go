@@ -78,13 +78,6 @@ func TestBinnedForestBitIdentical(t *testing.T) {
 			if preds[i] != f.Predict(p) {
 				t.Fatalf("%s: PredictTiledRange diverged at %d", kind, i)
 			}
-			if f.PredictFailed(p) != b.PredictFailed(codes[i]) {
-				t.Fatalf("%s: PredictFailed diverged at %d", kind, i)
-			}
-			pw, pg := f.ProbFailed(p), b.ProbFailed(codes[i])
-			if pw != pg && !(math.IsNaN(pw) && math.IsNaN(pg)) {
-				t.Fatalf("%s: ProbFailed diverged at %d: %v vs %v", kind, i, pw, pg)
-			}
 		}
 	}
 }
@@ -112,10 +105,10 @@ func TestBinnedForestBatchNoAlloc(t *testing.T) {
 	var sink float64
 	if allocs := testing.AllocsPerRun(10, func() {
 		for _, row := range codes {
-			sink += b.Predict(row) + b.ProbFailed(row)
+			sink += b.Predict(row)
 		}
 	}); allocs != 0 {
-		t.Fatalf("per-row Predict/ProbFailed allocated %.0f times per run (sink %v)", allocs, sink)
+		t.Fatalf("per-row Predict allocated %.0f times per run (sink %v)", allocs, sink)
 	}
 }
 
@@ -130,8 +123,5 @@ func TestBinnedForestEmpty(t *testing.T) {
 	}
 	if got := b.Predict([]uint8{0}); got != 0 {
 		t.Fatalf("empty binned forest Predict = %v, want 0", got)
-	}
-	if got := b.ProbFailed([]uint8{0}); !math.IsNaN(got) {
-		t.Fatalf("empty binned forest ProbFailed = %v, want NaN", got)
 	}
 }

@@ -58,8 +58,8 @@ func compiledProbe(x [][]float64, seed int64) [][]float64 {
 
 // TestCompiledForestBitIdentical checks that Compile keeps every member
 // tree in training order: the compiled members' per-row Predict, folded
-// as Forest.Predict and Forest.ProbFailed fold them, reproduce the
-// forest's outputs bit for bit.
+// as Forest.Predict folds them, reproduce the forest's outputs bit for
+// bit.
 func TestCompiledForestBitIdentical(t *testing.T) {
 	for _, kind := range []string{"classification", "regression"} {
 		x, y, w := trainingData(401, 600, 6, kind == "classification")
@@ -80,19 +80,12 @@ func TestCompiledForestBitIdentical(t *testing.T) {
 			t.Fatalf("%s: compiled %v with %d trees, want %v with %d", kind, c.Kind, len(c.Trees), f.Kind, len(f.Trees))
 		}
 		for i, p := range compiledProbe(x, 99) {
-			sum, failed := 0.0, 0
+			sum := 0.0
 			for _, ct := range c.Trees {
-				v := ct.Predict(p)
-				sum += v
-				if v < 0 {
-					failed++
-				}
+				sum += ct.Predict(p)
 			}
 			if want, got := f.Predict(p), sum/float64(len(c.Trees)); want != got {
 				t.Fatalf("%s: Predict diverged at %d: %v vs %v", kind, i, want, got)
-			}
-			if want, got := f.ProbFailed(p), float64(failed)/float64(len(c.Trees)); want != got {
-				t.Fatalf("%s: ProbFailed diverged at %d: %v vs %v", kind, i, want, got)
 			}
 		}
 	}
@@ -123,8 +116,5 @@ func TestCompiledForestEmpty(t *testing.T) {
 	}
 	if got := f.Predict([]float64{1}); got != 0 {
 		t.Fatalf("empty forest Predict = %v, want 0", got)
-	}
-	if got := f.ProbFailed([]float64{1}); !math.IsNaN(got) {
-		t.Fatalf("empty forest ProbFailed = %v, want NaN", got)
 	}
 }

@@ -236,23 +236,6 @@ func (f *Forest) Predict(x []float64) float64 {
 	return sum / float64(len(f.Trees))
 }
 
-// PredictFailed reports whether the ensemble classifies x as failed.
-func (f *Forest) PredictFailed(x []float64) bool { return f.Predict(x) < 0 }
-
-// ProbFailed returns the fraction of trees voting failed (classification).
-func (f *Forest) ProbFailed(x []float64) float64 {
-	if len(f.Trees) == 0 {
-		return math.NaN()
-	}
-	failed := 0
-	for _, t := range f.Trees {
-		if t.Predict(x) < 0 {
-			failed++
-		}
-	}
-	return float64(failed) / float64(len(f.Trees))
-}
-
 // VariableImportance averages the member trees' importances.
 func (f *Forest) VariableImportance() []float64 {
 	if len(f.Trees) == 0 {

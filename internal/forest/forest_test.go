@@ -98,10 +98,13 @@ func TestForestScoresAreVoteFractions(t *testing.T) {
 		if s < -1 || s > 1 {
 			t.Fatalf("score %v outside [-1,1]", s)
 		}
-		p := f.ProbFailed(row)
-		if p < 0 || p > 1 {
-			t.Fatalf("ProbFailed %v outside [0,1]", p)
+		failed := 0
+		for _, tree := range f.Trees {
+			if tree.Predict(row) < 0 {
+				failed++
+			}
 		}
+		p := float64(failed) / float64(len(f.Trees))
 		// score = 1 − 2·probFailed for ±1 trees.
 		if math.Abs(s-(1-2*p)) > 1e-9 {
 			t.Fatalf("score %v inconsistent with vote fraction %v", s, p)

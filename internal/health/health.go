@@ -1,16 +1,14 @@
 // Package health implements the paper's health-degree machinery (§III-B,
 // §V-C): personalized deterioration windows derived from a first-pass CT
-// model, a priority queue that orders warnings by predicted health (worst
-// first), and a triage simulation over that queue quantifying why
-// ordering warnings by health degree reduces processing cost. It is the
-// repository's one health ordering: callers of the online Monitor triage
-// by pushing the warnings Observe returns into a Queue.
+// model, and a priority queue that orders warnings by predicted health
+// (worst first) so operators handle the drives closest to failure first.
+// It is the repository's one health ordering: callers of the online
+// Monitor triage by pushing the warnings Observe returns into a Queue.
 package health
 
 import (
 	"container/heap"
 	"errors"
-	"sort"
 
 	"hddcart/internal/detect"
 )
@@ -58,9 +56,9 @@ type Warning struct {
 
 // Queue is a priority queue of warnings ordered by health degree, worst
 // (lowest) first; ties break on older warnings. It holds a fixed set of
-// warnings to work through, as Triage does: warnings are pushed and
-// popped, never re-scored or withdrawn in place. The zero value is ready
-// to use. Queue is not safe for concurrent use.
+// warnings to work through: warnings are pushed and popped, never
+// re-scored or withdrawn in place. The zero value is ready to use. Queue
+// is not safe for concurrent use.
 type Queue struct {
 	h warningHeap
 }
@@ -105,97 +103,4 @@ func (h *warningHeap) Pop() any {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// TriageWarning is one warning fed to the triage simulation, together with
-// ground truth for scoring.
-type TriageWarning struct {
-	Warning
-	// WillFail reports whether the drive really fails (false alarm
-	// otherwise).
-	WillFail bool
-	// FailHour is the true failure instant (ignored unless WillFail).
-	FailHour int
-}
-
-// TriageResult summarizes a triage simulation run.
-type TriageResult struct {
-	// Processed counts warnings handled before their deadline.
-	Processed int
-	// SavedFailures counts truly failing drives migrated before failure.
-	SavedFailures int
-	// LostFailures counts truly failing drives that failed before being
-	// handled.
-	LostFailures int
-	// WastedWork counts false alarms processed.
-	WastedWork int
-}
-
-// Triage simulates an operations team working through warnings with a
-// fixed processing capacity (drives per hour). Policy "health" pops the
-// priority queue (worst health first); policy "fifo" processes in arrival
-// order. Handling a truly failing drive before its failure hour saves it.
-//
-// The simulation is the quantitative backing for the paper's claim that a
-// health-degree ordering lets a storage system "deal with warnings in
-// order of their health degrees to reduce processing overhead": with tight
-// capacity the health policy saves more drives from the same warning
-// stream.
-func Triage(warnings []TriageWarning, perHour int, healthPolicy bool) (TriageResult, error) {
-	if perHour <= 0 {
-		return TriageResult{}, errors.New("health: capacity must be positive")
-	}
-	sorted := append([]TriageWarning(nil), warnings...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Hour < sorted[j].Hour })
-
-	var res TriageResult
-	var q Queue
-	fifo := make([]TriageWarning, 0, len(sorted))
-	byDrive := make(map[int]TriageWarning, len(sorted))
-	next := 0
-	hour := 0
-	if len(sorted) > 0 {
-		hour = sorted[0].Hour
-	}
-	pending := func() int { return len(fifo) + q.Len() }
-	for next < len(sorted) || pending() > 0 {
-		// Admit warnings that have arrived by this hour.
-		for next < len(sorted) && sorted[next].Hour <= hour {
-			w := sorted[next]
-			byDrive[w.Drive] = w
-			if healthPolicy {
-				q.Push(w.Warning)
-			} else {
-				fifo = append(fifo, w)
-			}
-			next++
-		}
-		// Process up to perHour warnings this hour.
-		for c := 0; c < perHour && pending() > 0; c++ {
-			var tw TriageWarning
-			if healthPolicy {
-				w, _ := q.Pop()
-				tw = byDrive[w.Drive]
-			} else {
-				tw = fifo[0]
-				fifo = fifo[1:]
-			}
-			if tw.WillFail && hour >= tw.FailHour {
-				res.LostFailures++
-				continue
-			}
-			res.Processed++
-			if tw.WillFail {
-				res.SavedFailures++
-			} else {
-				res.WastedWork++
-			}
-		}
-		hour++
-		// Drives that failed while still queued are lost; account for
-		// them lazily when popped (above) — but if the queue drains
-		// only after all arrivals, the loop still terminates because
-		// every element is popped exactly once.
-	}
-	return res, nil
 }

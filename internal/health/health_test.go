@@ -100,64 +100,3 @@ func TestQueueHeapProperty(t *testing.T) {
 		prev = w.Health
 	}
 }
-
-func TestTriageHealthBeatsFIFOUnderPressure(t *testing.T) {
-	// A burst of warnings: most are mild false alarms raised first; the
-	// genuinely dying drives (worse health) arrive slightly later with
-	// tight deadlines. FIFO wastes its capacity on the false alarms.
-	var ws []TriageWarning
-	for i := 0; i < 30; i++ {
-		ws = append(ws, TriageWarning{
-			Warning:  Warning{Drive: i, Health: -0.05, Hour: 0},
-			WillFail: false,
-		})
-	}
-	for i := 30; i < 40; i++ {
-		ws = append(ws, TriageWarning{
-			Warning:  Warning{Drive: i, Health: -0.95, Hour: 1},
-			WillFail: true,
-			FailHour: 8,
-		})
-	}
-	fifo, err := Triage(ws, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prio, err := Triage(ws, 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prio.SavedFailures <= fifo.SavedFailures {
-		t.Errorf("health policy saved %d, FIFO saved %d; want strict improvement",
-			prio.SavedFailures, fifo.SavedFailures)
-	}
-	if prio.SavedFailures+prio.LostFailures != 10 {
-		t.Errorf("failing drives accounted = %d, want 10", prio.SavedFailures+prio.LostFailures)
-	}
-}
-
-func TestTriageAmpleCapacity(t *testing.T) {
-	ws := []TriageWarning{
-		{Warning: Warning{Drive: 1, Health: -0.5, Hour: 0}, WillFail: true, FailHour: 100},
-		{Warning: Warning{Drive: 2, Health: -0.1, Hour: 0}, WillFail: false},
-	}
-	for _, policy := range []bool{false, true} {
-		res, err := Triage(ws, 10, policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.SavedFailures != 1 || res.LostFailures != 0 || res.WastedWork != 1 {
-			t.Errorf("policy %v: %+v", policy, res)
-		}
-	}
-}
-
-func TestTriageValidation(t *testing.T) {
-	if _, err := Triage(nil, 0, true); err == nil {
-		t.Error("zero capacity should error")
-	}
-	res, err := Triage(nil, 1, true)
-	if err != nil || res.Processed != 0 {
-		t.Errorf("empty triage = %+v, %v", res, err)
-	}
-}

@@ -12,11 +12,11 @@ import (
 // appear). A goroutine spawned without a Wait in the same function
 // outlives its spawner, which is how result buffers get written after
 // they were read and how "deterministic" merges end up racing their
-// consumers. par.For replaced the hand-rolled fork/join pools of
-// detect.ScanBatch, cart.CrossValidateCP, forest training,
-// boost.parallelChunks, equiv.forEachShard and six experiments loops;
-// the goroutines left elsewhere (the cart grower, the sweep scheduler,
-// the trace pipeline, the serve shards) are not fork/join loops.
+// consumers. par.For runs the fork/join pools of detect.ScanBatch,
+// forest training, boost.parallelChunks, equiv.forEachShard and six
+// experiments loops; the goroutines left elsewhere (the cart grower, the
+// sweep scheduler, the trace pipeline, the serve shards) are not
+// fork/join loops.
 var NakedGo = &Analyzer{
 	Name: "nakedgo",
 	Doc:  "flags go statements whose spawning function never Waits on a WaitGroup/errgroup",

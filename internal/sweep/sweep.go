@@ -42,9 +42,9 @@ import (
 )
 
 // TiledPredictor scores rows [lo, hi) of a feature-major tiled code
-// matrix into dst[:hi-lo]. cart.BinnedTree, forest.Binned and
-// boost.Binned implement it, each bit-identical to its per-row Predict —
-// the contract that makes sweep outcomes equal a per-row scan's.
+// matrix into dst[:hi-lo]. cart.BinnedTree and forest.Binned implement
+// it, each bit-identical to its per-row Predict — the contract that
+// makes sweep outcomes equal a per-row scan's.
 type TiledPredictor interface {
 	PredictTiledRange(tm *dataset.TiledMatrix, lo, hi int, dst []float64)
 }
@@ -266,9 +266,9 @@ func Prepare(bm *dataset.BinnedMatrix, series []detect.Series, shards int) (*Fle
 	return fleet, err
 }
 
-// PrepareBinned packs an already-quantized fleet (detect.QuantizeSeries
-// or detect.QuantizeFleet output) into per-shard tiled matrices. Every
-// code row must have the same width.
+// PrepareBinned packs an already-quantized fleet (detect.QuantizeFleet
+// output) into per-shard tiled matrices. Every code row must have the
+// same width.
 func PrepareBinned(series []detect.BinnedSeries, shards int) (*Fleet, error) {
 	p, err := resolveShards(shards)
 	if err != nil {

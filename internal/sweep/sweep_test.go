@@ -67,11 +67,11 @@ func sweepFixture(t testing.TB, seed int64, drives, maxSamples int) (*cart.Binne
 		if m > 0 && rng.Float64() < 0.25 {
 			failHours[d] = (m - 1) * 8
 		}
-		bs, err := detect.QuantizeSeries(bm, s)
+		codes, err := bm.Quantize(s.X)
 		if err != nil {
 			t.Fatal(err)
 		}
-		binned[d] = bs
+		binned[d] = detect.BinnedSeries{Codes: codes, Hours: s.Hours, Dropped: s.Dropped}
 	}
 	return bt, bm, series, binned, failHours
 }

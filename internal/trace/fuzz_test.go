@@ -72,34 +72,6 @@ func FuzzBackblazeCSV(f *testing.F) {
 	})
 }
 
-func FuzzSmartctlParse(f *testing.F) {
-	f.Add([]byte(smartctlSample), 42)
-	f.Add([]byte("ID# ATTRIBUTE_NAME FLAG VALUE WORST THRESH TYPE UPDATED WHEN_FAILED RAW_VALUE\n"+
-		"  5 Reallocated_Sector_Ct 0x0033 100 100 010 Pre-fail Always - 24\n"), 0)
-	// Truncated row, NaN value, huge raw.
-	f.Add([]byte("ID# ...\n"+
-		"  5 Reallocated_Sector_Ct 0x0033 100\n"+
-		"  1 Raw_Read_Error_Rate 0x000f NaN 099 006 Pre-fail Always - 170\n"+
-		"194 Temperature_Celsius 0x0022 062 045 000 Old_age Always - 1e30\n"), 7)
-	f.Fuzz(func(t *testing.T, data []byte, hour int) {
-		rec, stats, err := ParseSmartctlStats(bytes.NewReader(data), hour)
-		if err != nil {
-			return
-		}
-		if rec.Hour != hour {
-			t.Fatalf("hour = %d, want %d", rec.Hour, hour)
-		}
-		if n := rec.CorruptValues(); n != 0 {
-			t.Fatalf("accepted record carries %d corrupt values", n)
-		}
-		for _, re := range stats.Errors {
-			if re.Line <= 0 {
-				t.Fatalf("row error without a line number: %v", re)
-			}
-		}
-	})
-}
-
 // FuzzTraceReader holds the native reader to encoding/csv, the decoder
 // it must agree with on every input. Row by row it must give the same
 // fields, the same record line and the same error text, across the

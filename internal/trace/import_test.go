@@ -96,54 +96,6 @@ func TestReadBackblazeErrors(t *testing.T) {
 	}
 }
 
-const smartctlSample = `smartctl 7.2 2020-12-30 r5155 [x86_64-linux-5.10.0] (local build)
-=== START OF READ SMART DATA SECTION ===
-SMART Attributes Data Structure revision number: 10
-Vendor Specific SMART Attributes with Thresholds:
-ID# ATTRIBUTE_NAME          FLAG     VALUE WORST THRESH TYPE      UPDATED  WHEN_FAILED RAW_VALUE
-  1 Raw_Read_Error_Rate     0x000f   118   099   006    Pre-fail  Always       -       170589480
-  3 Spin_Up_Time            0x0003   096   096   000    Pre-fail  Always       -       0
-  5 Reallocated_Sector_Ct   0x0033   100   100   010    Pre-fail  Always       -       24
-  9 Power_On_Hours          0x0032   092   092   000    Old_age   Always       -       7000
-194 Temperature_Celsius     0x0022   062   045   000    Old_age   Always       -       38 (Min/Max 22/45)
-240 Head_Flying_Hours       0x0000   100   253   000    Old_age   Offline      -       6805h+57m+22.310s
-
-SMART Error Log Version: 1
-No Errors Logged
-`
-
-func TestParseSmartctl(t *testing.T) {
-	rec, err := ParseSmartctl(strings.NewReader(smartctlSample), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Hour != 42 {
-		t.Errorf("hour = %d", rec.Hour)
-	}
-	if got := rec.NormalizedOf(smart.RawReadErrorRate); got != 118 {
-		t.Errorf("RRER norm = %v, want 118", got)
-	}
-	if got := rec.RawOf(smart.RawReadErrorRate); got != 170589480 {
-		t.Errorf("RRER raw = %v", got)
-	}
-	if got := rec.RawOf(smart.ReallocatedSectors); got != 24 {
-		t.Errorf("RSC raw = %v, want 24", got)
-	}
-	// Annotated raw value parses to the leading integer.
-	if got := rec.RawOf(smart.TemperatureCelsius); got != 38 {
-		t.Errorf("temp raw = %v, want 38", got)
-	}
-	if got := rec.NormalizedOf(smart.SpinUpTime); got != 96 {
-		t.Errorf("SUT norm = %v, want 96", got)
-	}
-}
-
-func TestParseSmartctlNoTable(t *testing.T) {
-	if _, err := ParseSmartctl(strings.NewReader("smartctl version\nno table here\n"), 0); err == nil {
-		t.Error("input without attribute table accepted")
-	}
-}
-
 func TestReadBackblazeStatsAccounting(t *testing.T) {
 	// Line 2: clean. Line 3: NaN normalized (repaired). Line 4: duplicate
 	// snapshot of line 2's date carrying the failure marker (dropped, but
@@ -231,35 +183,6 @@ func TestReadBackblazeErrorCap(t *testing.T) {
 	}
 	if len(stats.Errors) != maxRowErrors || stats.Truncated != 20 {
 		t.Errorf("errors = %d truncated = %d", len(stats.Errors), stats.Truncated)
-	}
-}
-
-func TestParseSmartctlStatsSkipsCorruptRows(t *testing.T) {
-	in := `ID# ATTRIBUTE_NAME FLAG VALUE WORST THRESH TYPE UPDATED WHEN_FAILED RAW_VALUE
-  1 Raw_Read_Error_Rate 0x000f NaN 099 006 Pre-fail Always - 170589480
-  5 Reallocated_Sector_Ct 0x0033 100
-194 Temperature_Celsius 0x0022 062 045 000 Old_age Always - 1e30
-  9 Power_On_Hours 0x0032 092 092 000 Old_age Always - 7000
-`
-	rec, stats, err := ParseSmartctlStats(strings.NewReader(in), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only Power_On_Hours survives: NaN value, truncated row and
-	// out-of-domain raw are all skipped without aborting the parse.
-	if got := rec.RawOf(smart.PowerOnHours); got != 7000 {
-		t.Errorf("POH raw = %v, want 7000", got)
-	}
-	if got := rec.NormalizedOf(smart.RawReadErrorRate); got != 0 {
-		t.Errorf("NaN attribute imported as %v", got)
-	}
-	if stats.Dropped != 3 || len(stats.Errors) != 3 {
-		t.Fatalf("stats = %+v, want 3 dropped", stats)
-	}
-	for i, wantLine := range []int{2, 3, 4} {
-		if stats.Errors[i].Line != wantLine {
-			t.Errorf("error %d at line %d, want %d (%v)", i, stats.Errors[i].Line, wantLine, stats.Errors[i])
-		}
 	}
 }
 

@@ -144,7 +144,16 @@ func (m *Monitor) EncodeSnapshot(w io.Writer) error {
 	if !ok {
 		buf = new(bytes.Buffer)
 	}
-	buf.Grow(c.size())
+	if need := c.size(); buf.Available() < need {
+		// Re-allocate with an eighth of headroom rather than let Grow
+		// double the buffer: a caller reusing one buffer across monitors
+		// of similar size (serve's hash-balanced shards differ by a few
+		// percent) then allocates it once, and its peak is about one
+		// snapshot, not the old buffer plus a doubled one.
+		grown := make([]byte, buf.Len(), buf.Len()+need+need/8)
+		copy(grown, buf.Bytes())
+		*buf = *bytes.NewBuffer(grown)
+	}
 	if _, err := w.Write(c.append(buf.AvailableBuffer())); err != nil {
 		return fmt.Errorf("hddcart: encode monitor snapshot: %w", err)
 	}

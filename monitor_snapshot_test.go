@@ -60,6 +60,36 @@ func TestMonitorSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeSnapshotReusedBuffer pins the growth of a buffer reused
+// across monitors, as serve reuses one across its shards: the first
+// encode leaves room for a snapshot a few percent larger, so the second
+// encode re-allocates nothing, and its bytes equal a fresh encode.
+func TestEncodeSnapshotReusedBuffer(t *testing.T) {
+	small, large := newTestMonitor(t, 3, false), newTestMonitor(t, 3, false)
+	for d := range 3200 {
+		if d < 3000 {
+			feedRamp(small, fmt.Sprintf("drive-%04d", d), 12, 100)
+		}
+		feedRamp(large, fmt.Sprintf("drive-%04d", d), 12, 100)
+	}
+	var buf bytes.Buffer
+	if err := small.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	first, capFirst := buf.Len(), buf.Cap()
+	buf.Reset()
+	if err := large.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Cap() != capFirst {
+		t.Errorf("encoding %d bytes after %d re-allocated the reused buffer: cap %d → %d",
+			buf.Len(), first, capFirst, buf.Cap())
+	}
+	if !bytes.Equal(buf.Bytes(), encodeBytes(t, large)) {
+		t.Error("encoding into a reused buffer changed the snapshot bytes")
+	}
+}
+
 // TestMonitorSnapshotEmptySerial checks that a drive Observe accepted
 // under the empty serial survives a round trip: a snapshot refusing it
 // would cold-start every drive of the monitor at each restart.
