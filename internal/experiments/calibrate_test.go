@@ -3,8 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"hddcart/internal/detect"
-	"hddcart/internal/eval"
 	"hddcart/internal/simulate"
 	"hddcart/internal/smart"
 )
@@ -41,12 +39,8 @@ func TestCalibrationCT(t *testing.T) {
 	t.Logf("tree: %d nodes, depth %d", tree.NumNodes(), tree.Depth())
 	t.Logf("\n%s", tree.String())
 
-	for _, n := range []int{1, 11, 27} {
-		var c eval.Counter
-		det := &detect.Voting{Model: tree, Voters: n}
-		env.scanDrives(env.Fleet().DrivesOf("W"), features, det,
-			0, simulate.HoursPerWeek, 0.7, env.Config().Seed, &c)
-		res := c.Result()
+	for _, p := range env.votingCurve(env.criticalSet("W"), tree, []int{1, 11, 27}) {
+		n, res := int(p.Param), p.Result
 		t.Logf("N=%2d: %s", n, res.String())
 		if n == 1 {
 			if res.FDR() < 0.80 {

@@ -232,47 +232,83 @@ func testSeries(features smart.FeatureSet, d simulate.Drive, trace []smart.Recor
 	return detect.ExtractSeries(features, trace, from, to), -1, true
 }
 
-// scanDrives runs a detector over the given drives in parallel: good
-// drives are scanned over the test portion of [periodStart, periodEnd)
-// (after the trainFrac cutoff), failed drives over their whole recorded
-// trace. Outcomes accumulate into counter. Only failed drives in the test
-// split (per splitSeed) are scanned; good drives are all scanned.
-//
-// Workers scan drives concurrently but each drive's outcome is recorded at
-// its own index and folded into counter serially in drive order, so the
-// counter's contents (including the order of its time-in-advance samples)
-// are identical for every worker count.
-func (e *Env) scanDrives(
-	drives []simulate.Drive,
-	features smart.FeatureSet,
-	det detect.Detector,
-	periodStart, periodEnd int,
-	trainFrac float64,
-	splitSeed int64,
-	counter *eval.Counter,
-) {
-	scan := testDrives(drives, splitSeed)
-	type result struct {
-		scanned bool
-		out     detect.Outcome
-	}
-	results := make([]result, len(scan))
-	par.For(len(scan), e.cfg.Workers, func(i int) {
-		d := scan[i]
-		s, failHour, ok := testSeries(features, d, e.fleet.Trace(d.Index), periodStart, periodEnd, trainFrac)
-		if ok {
-			results[i] = result{scanned: true, out: detect.Scan(det, s, failHour)}
-		}
+// testSet is one family's test split under the paper's protocol (§V-A),
+// in drive order: the failed drives outside the training split, each over
+// its whole recorded trace, and every good drive's samples after the 0.7
+// cut of week one. A good drive with no sample after the cut is left out.
+// Only the detector changes between runs, so a set is built once and
+// every run scans it; filtered sets share their parent's series.
+type testSet struct {
+	drives    []simulate.Drive
+	failHours []int // each failed drive's FailHour, -1 for a good one
+	series    []detect.Series
+}
+
+// newTestSet cuts a family's test series for features, simulating each
+// tested drive's trace once on the worker pool.
+func (e *Env) newTestSet(family string, features smart.FeatureSet) *testSet {
+	drives := testDrives(e.fleet.DrivesOf(family), e.cfg.Seed)
+	series := make([]detect.Series, len(drives))
+	failHours := make([]int, len(drives))
+	ok := make([]bool, len(drives))
+	par.For(len(drives), e.cfg.Workers, func(i int) {
+		d := drives[i]
+		series[i], failHours[i], ok[i] = testSeries(features, d, e.fleet.Trace(d.Index),
+			0, simulate.HoursPerWeek, 0.7)
 	})
-	for i, r := range results {
-		switch {
-		case !r.scanned:
-		case scan[i].Failed:
-			counter.AddFailed(r.out)
-		default:
-			counter.AddGood(r.out.Alarmed)
+	ts := &testSet{}
+	for i, d := range drives {
+		if ok[i] {
+			ts.drives = append(ts.drives, d)
+			ts.failHours = append(ts.failHours, failHours[i])
+			ts.series = append(ts.series, series[i])
 		}
 	}
+	return ts
+}
+
+// criticalSet returns (memoized) a family's test set over the 13 critical
+// features, the set every experiment but Table III scans.
+func (e *Env) criticalSet(family string) *testSet {
+	v, _ := e.memoize("criticalSet/"+family, func() (any, error) { // cannot fail
+		return e.newTestSet(family, smart.CriticalFeatures()), nil
+	})
+	return v.(*testSet)
+}
+
+// filter returns the drives of ts for which keep holds, in drive order.
+func (ts *testSet) filter(keep func(d simulate.Drive) bool) *testSet {
+	out := &testSet{}
+	for i, d := range ts.drives {
+		if keep(d) {
+			out.drives = append(out.drives, d)
+			out.failHours = append(out.failHours, ts.failHours[i])
+			out.series = append(out.series, ts.series[i])
+		}
+	}
+	return out
+}
+
+// add folds drive i's outcome into c: a failed drive's detection and
+// time in advance, or a good drive's false alarm.
+func (ts *testSet) add(c *eval.Counter, i int, out detect.Outcome) {
+	if ts.drives[i].Failed {
+		c.AddFailed(out)
+	} else {
+		c.AddGood(out.Alarmed)
+	}
+}
+
+// scan runs det over every drive of ts. Drives are scanned in parallel,
+// but the outcomes fold into the result serially in drive order, so the
+// result (including the order of its time-in-advance samples) is
+// identical for every worker count.
+func (e *Env) scan(ts *testSet, det detect.Detector) eval.Result {
+	var c eval.Counter
+	for i, out := range detect.ScanBatch(det, ts.series, ts.failHours, e.cfg.Workers) {
+		ts.add(&c, i, out)
+	}
+	return c.Result()
 }
 
 // trainingSet assembles the paper's standard training set for one family:

@@ -5,7 +5,6 @@ import (
 
 	"hddcart/internal/baselines"
 	"hddcart/internal/detect"
-	"hddcart/internal/eval"
 	"hddcart/internal/simulate"
 	"hddcart/internal/smart"
 )
@@ -60,10 +59,7 @@ func (e *Env) Baselines() (*Report, error) {
 
 	r.addf("%-28s %9s %9s %11s", "method", "FAR(%)", "FDR(%)", "TIA(hours)")
 	row := func(name string, det detect.Detector) {
-		var c eval.Counter
-		e.scanDrives(e.fleet.DrivesOf("W"), features, det,
-			0, simulate.HoursPerWeek, 0.7, e.cfg.Seed, &c)
-		res := c.Result()
+		res := e.scan(e.criticalSet("W"), det)
 		r.addf("%-28s %9.3f %9.2f %11.1f", name, res.FAR()*100, res.FDR()*100, res.MeanTIA())
 	}
 	row("SMART thresholds (in-drive)", &detect.Voting{Model: smartTh, Voters: 1})

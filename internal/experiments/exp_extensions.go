@@ -43,11 +43,11 @@ func (e *Env) Forest() (*Report, error) {
 
 	voters := []int{1, 5, 11, 27}
 	r.addf("CT model:")
-	for _, line := range curveLines(e.votingCurve("W", tree, voters)) {
+	for _, line := range curveLines(e.votingCurve(e.criticalSet("W"), tree, voters)) {
 		r.addf("%s", line)
 	}
 	r.addf("random forest (vote-balance threshold 0):")
-	for _, line := range curveLines(e.votingCurve("W", rf, voters)) {
+	for _, line := range curveLines(e.votingCurve(e.criticalSet("W"), rf, voters)) {
 		r.addf("%s", line)
 	}
 	return r, nil
@@ -89,11 +89,11 @@ func (e *Env) Boost() (*Report, error) {
 
 	voters := []int{1, 11, 27}
 	r.addf("CT model:")
-	for _, line := range curveLines(e.votingCurve("W", tree, voters)) {
+	for _, line := range curveLines(e.votingCurve(e.criticalSet("W"), tree, voters)) {
 		r.addf("%s", line)
 	}
 	r.addf("AdaBoost ensemble:")
-	for _, line := range curveLines(e.votingCurve("W", ens, voters)) {
+	for _, line := range curveLines(e.votingCurve(e.criticalSet("W"), ens, voters)) {
 		r.addf("%s", line)
 	}
 	return r, nil

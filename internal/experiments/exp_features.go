@@ -5,7 +5,6 @@ import (
 
 	"hddcart/internal/dataset"
 	"hddcart/internal/detect"
-	"hddcart/internal/eval"
 	"hddcart/internal/featsel"
 	"hddcart/internal/simulate"
 	"hddcart/internal/smart"
@@ -52,39 +51,11 @@ func (e *Env) featureScores() ([]featsel.Score, error) {
 	return featsel.Evaluate(data)
 }
 
-// table3Row evaluates one (model, feature set) cell of Table III with the
-// paper's setup: 12-hour failed time window, sequential (N = 1) detection.
-func (e *Env) table3Row(model string, features smart.FeatureSet) (eval.Result, error) {
-	ds, err := e.trainingSet("W", features, 0, simulate.HoursPerWeek, 12)
-	if err != nil {
-		return eval.Result{}, err
-	}
-	var predictor detect.Predictor
-	switch model {
-	case "CT":
-		tree, err := e.trainCT(ds)
-		if err != nil {
-			return eval.Result{}, err
-		}
-		predictor = tree
-	case "BP ANN":
-		net, err := e.trainANN(ds)
-		if err != nil {
-			return eval.Result{}, err
-		}
-		predictor = net
-	default:
-		return eval.Result{}, fmt.Errorf("experiments: unknown model %q", model)
-	}
-	var c eval.Counter
-	e.scanDrives(e.fleet.DrivesOf("W"), features, &detect.Voting{Model: predictor, Voters: 1},
-		0, simulate.HoursPerWeek, 0.7, e.cfg.Seed, &c)
-	return c.Result(), nil
-}
-
 // Table3 reproduces Table III: the effectiveness of the three feature sets
 // (12 basic, 19 expert-selected, 13 statistically selected) under both the
-// BP ANN and CT models.
+// BP ANN and CT models, with the paper's setup: 12-hour failed time
+// window, sequential (N = 1) detection. Each feature set's test set is
+// built once, scored by both models and dropped before the next set.
 func (e *Env) Table3() (*Report, error) {
 	r := &Report{ID: "table3", Title: "Effectiveness of three feature sets (paper Table III)"}
 	r.addf("%-8s %-13s %9s %9s %11s", "Model", "Features", "FAR(%)", "FDR(%)", "TIA(hours)")
@@ -96,16 +67,31 @@ func (e *Env) Table3() (*Report, error) {
 		{"19 features", smart.ExpertFeatures()},
 		{"13 features", smart.CriticalFeatures()},
 	}
-	for _, model := range []string{"BP ANN", "CT"} {
-		for _, set := range sets {
-			res, err := e.table3Row(model, set.features)
-			if err != nil {
-				return nil, fmt.Errorf("table3 %s/%s: %w", model, set.name, err)
-			}
-			r.addf("%-8s %-13s %9.2f %9.2f %11.1f",
-				model, set.name, res.FAR()*100, res.FDR()*100, res.MeanTIA())
+	var rows [2][]string // the BP ANN rows, then the CT rows
+	for _, set := range sets {
+		ds, err := e.trainingSet("W", set.features, 0, simulate.HoursPerWeek, 12)
+		if err != nil {
+			return nil, fmt.Errorf("table3 %s: %w", set.name, err)
+		}
+		net, err := e.trainANN(ds)
+		if err != nil {
+			return nil, fmt.Errorf("table3 BP ANN/%s: %w", set.name, err)
+		}
+		tree, err := e.trainCT(ds)
+		if err != nil {
+			return nil, fmt.Errorf("table3 CT/%s: %w", set.name, err)
+		}
+		ts := e.newTestSet("W", set.features)
+		for m, model := range []struct {
+			name string
+			p    detect.Predictor
+		}{{"BP ANN", net}, {"CT", tree}} {
+			res := e.scan(ts, &detect.Voting{Model: model.p, Voters: 1})
+			rows[m] = append(rows[m], fmt.Sprintf("%-8s %-13s %9.2f %9.2f %11.1f",
+				model.name, set.name, res.FAR()*100, res.FDR()*100, res.MeanTIA()))
 		}
 	}
+	r.Lines = append(append(r.Lines, rows[0]...), rows[1]...)
 	return r, nil
 }
 
@@ -124,10 +110,7 @@ func (e *Env) Table4() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		var c eval.Counter
-		e.scanDrives(e.fleet.DrivesOf("W"), features, &detect.Voting{Model: tree, Voters: 1},
-			0, simulate.HoursPerWeek, 0.7, e.cfg.Seed, &c)
-		res := c.Result()
+		res := e.scan(e.criticalSet("W"), &detect.Voting{Model: tree, Voters: 1})
 		r.addf("%-12s %9.2f %9.2f %11.1f",
 			fmt.Sprintf("%d hours", window), res.FAR()*100, res.FDR()*100, res.MeanTIA())
 	}

@@ -130,16 +130,13 @@ func (e *Env) rtModels() (rtPair, error) {
 	return v.(rtPair), nil
 }
 
-// thresholdCurve sweeps the mean-threshold detector over the given cuts.
+// thresholdCurve sweeps the mean-threshold detector over the given cuts
+// on family "W".
 func (e *Env) thresholdCurve(model detect.Predictor, thresholds []float64) eval.Curve {
-	features := smart.CriticalFeatures()
-	var curve eval.Curve
-	for _, th := range thresholds {
-		var c eval.Counter
+	curve := make(eval.Curve, len(thresholds))
+	for i, th := range thresholds {
 		det := &detect.MeanThreshold{Model: model, Voters: 11, Threshold: th}
-		e.scanDrives(e.fleet.DrivesOf("W"), features, det,
-			0, simulate.HoursPerWeek, 0.7, e.cfg.Seed, &c)
-		curve = append(curve, eval.Point{Param: th, Result: c.Result()})
+		curve[i] = eval.Point{Param: th, Result: e.scan(e.criticalSet("W"), det)}
 	}
 	return curve
 }

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"hddcart/internal/detect"
-	"hddcart/internal/eval"
 	"hddcart/internal/plot"
 	"hddcart/internal/reliability"
-	"hddcart/internal/simulate"
-	"hddcart/internal/smart"
 )
 
 // paperCT are the CT operating parameters the paper plugs into its
@@ -29,7 +26,6 @@ func (e *Env) measuredPredictions() (map[string]reliability.Prediction, error) {
 		if err != nil {
 			return nil, err
 		}
-		features := smart.CriticalFeatures()
 		out := make(map[string]reliability.Prediction, 3)
 		dets := map[string]detect.Detector{
 			"CT":     &detect.Voting{Model: tree, Voters: 11},
@@ -38,10 +34,7 @@ func (e *Env) measuredPredictions() (map[string]reliability.Prediction, error) {
 		}
 		for _, name := range sortedKeys(dets) {
 			det := dets[name]
-			var c eval.Counter
-			e.scanDrives(e.fleet.DrivesOf("W"), features, det,
-				0, simulate.HoursPerWeek, 0.7, e.cfg.Seed, &c)
-			res := c.Result()
+			res := e.scan(e.criticalSet("W"), det)
 			out[name] = reliability.Prediction{FDR: res.FDR(), TIAHours: res.MeanTIA()}
 		}
 		return out, nil

@@ -67,14 +67,17 @@ func (e *Env) Table5() (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table5 ANN %s: %w", names[i], err)
 		}
+		in := make(map[int]bool, len(drives))
+		for _, d := range drives {
+			in[d.Index] = true
+		}
+		ts := e.criticalSet("W").filter(func(d simulate.Drive) bool { return in[d.Index] })
 		for _, m := range []struct {
 			name  string
 			model detect.Predictor
 		}{{"BP ANN", net}, {"CT", tree}} {
-			var c eval.Counter
-			e.scanDrives(drives, features, &detect.Voting{Model: m.model, Voters: 11},
-				0, simulate.HoursPerWeek, 0.7, e.cfg.Seed, &c)
-			cells = append(cells, cell{m.name, names[i], c.Result(), good, bad})
+			res := e.scan(ts, &detect.Voting{Model: m.model, Voters: 11})
+			cells = append(cells, cell{m.name, names[i], res, good, bad})
 		}
 	}
 	// Print grouped by model like the paper.

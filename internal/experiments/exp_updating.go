@@ -138,11 +138,18 @@ func (e *Env) updatingModels(family string) (*updatingModelSet, error) {
 	return v.(*updatingModelSet), nil
 }
 
+// farKey names one FAR cell: a model kind ("CT"/"BP ANN") under one plan
+// in one prediction week (2..8).
+type farKey struct {
+	kind string
+	plan update.Plan
+	week int
+}
+
 // updatingResults holds FAR-per-week for each plan and the FDR summary per
 // model kind.
 type updatingResults struct {
-	// far[kind][plan][week] with kind "CT"/"BP ANN", week 2..8.
-	far map[string]map[update.Plan]map[int]eval.Result
+	far map[farKey]eval.Result
 	// fdr[kind][range] is the failed-drive detection rate of each
 	// trained model instance.
 	fdr map[string]map[weekRange]eval.Result
@@ -158,30 +165,38 @@ func (e *Env) runUpdating(family string) (*updatingResults, error) {
 		}
 		features := smart.CriticalFeatures()
 		plans := update.Plans()
-		// Fixed kind order keeps the evaluation schedule (and any future
-		// order-sensitive fold) deterministic; maps iterate randomly.
-		kindNames := []string{"CT", "BP ANN"}
-		kinds := map[string]map[weekRange]detect.Predictor{"CT": models.ct, "BP ANN": models.net}
+		kinds := []struct {
+			name    string
+			byRange map[weekRange]detect.Predictor
+		}{{"CT", models.ct}, {"BP ANN", models.net}}
 
-		res := &updatingResults{
-			far: make(map[string]map[update.Plan]map[int]eval.Result),
-			fdr: make(map[string]map[weekRange]eval.Result),
+		// One detector per (week, kind, plan), in that order, resolved
+		// before the pass.
+		type weekDet struct {
+			farKey
+			det *detect.Voting
 		}
-		counters := make(map[string]map[update.Plan]map[int]*eval.Counter)
-		for _, kind := range kindNames {
-			counters[kind] = make(map[update.Plan]map[int]*eval.Counter)
-			for _, p := range plans {
-				counters[kind][p] = make(map[int]*eval.Counter)
-				for w := 2; w <= lastWeek; w++ {
-					counters[kind][p][w] = &eval.Counter{}
+		var dets []weekDet
+		for w := 2; w <= lastWeek; w++ {
+			for _, kind := range kinds {
+				for _, p := range plans {
+					s, en, _, err := p.TrainWeeks(w)
+					if err != nil {
+						return nil, err
+					}
+					model, ok := kind.byRange[weekRange{s, en}]
+					if !ok {
+						return nil, fmt.Errorf("updating %s %s week %d: no model for weeks %d-%d", kind.name, p, w, s, en)
+					}
+					dets = append(dets, weekDet{farKey{kind.name, p, w}, &detect.Voting{Model: model, Voters: 11}})
 				}
 			}
 		}
 
 		// FAR: one parallel pass over good drives, scanning each week's
-		// test samples with every (kind, plan) model for that week. Each
-		// drive's verdicts land at its own index; the fold into the
-		// counters runs serially in drive order.
+		// test samples with that week's detectors. Each drive's verdicts
+		// land at its own index; the fold into the counters runs serially
+		// in drive order.
 		var good []simulate.Drive
 		for _, d := range e.fleet.DrivesOf(family) {
 			if !d.Failed {
@@ -189,9 +204,7 @@ func (e *Env) runUpdating(family string) (*updatingResults, error) {
 			}
 		}
 		type verdict struct {
-			kind    string
-			plan    update.Plan
-			week    int
+			det     int // index into dets
 			alarmed bool
 		}
 		verdicts := make([][]verdict, len(good))
@@ -205,50 +218,40 @@ func (e *Env) runUpdating(family string) (*updatingResults, error) {
 				if !ok {
 					continue
 				}
-				for _, kind := range kindNames {
-					byRange := kinds[kind]
-					for _, p := range plans {
-						s, en, _, err := p.TrainWeeks(w)
-						if err != nil {
-							continue
-						}
-						det := &detect.Voting{Model: byRange[weekRange{s, en}], Voters: 11}
-						out := detect.Scan(det, series, -1)
-						vs = append(vs, verdict{kind, p, w, out.Alarmed})
+				for j, wd := range dets {
+					if wd.week == w {
+						vs = append(vs, verdict{j, detect.Scan(wd.det, series, -1).Alarmed})
 					}
 				}
 			}
 			verdicts[di] = vs
 		})
+		counters := make([]eval.Counter, len(dets))
 		for _, vs := range verdicts {
 			for _, v := range vs {
-				counters[v.kind][v.plan][v.week].AddGood(v.alarmed)
+				counters[v.det].AddGood(v.alarmed)
 			}
 		}
 
-		for _, kind := range kindNames {
-			res.far[kind] = make(map[update.Plan]map[int]eval.Result)
-			for _, p := range plans {
-				res.far[kind][p] = make(map[int]eval.Result)
-				for w := 2; w <= lastWeek; w++ {
-					res.far[kind][p][w] = counters[kind][p][w].Result()
-				}
-			}
+		res := &updatingResults{
+			far: make(map[farKey]eval.Result, len(dets)),
+			fdr: make(map[string]map[weekRange]eval.Result),
+		}
+		for j, wd := range dets {
+			res.far[wd.farKey] = counters[j].Result()
 		}
 
-		// FDR: scan failed test drives once per trained model instance.
+		// FDR: scan the failed test drives once per trained model
+		// instance.
 		ranges, err := updatingRanges()
 		if err != nil {
 			return nil, err
 		}
-		for _, kind := range kindNames {
-			byRange := kinds[kind]
-			res.fdr[kind] = make(map[weekRange]eval.Result)
+		failed := e.criticalSet(family).filter(func(d simulate.Drive) bool { return d.Failed })
+		for _, kind := range kinds {
+			res.fdr[kind.name] = make(map[weekRange]eval.Result)
 			for _, wr := range ranges {
-				var c eval.Counter
-				det := &detect.Voting{Model: byRange[wr], Voters: 11}
-				e.scanFailedOnly(family, features, det, &c)
-				res.fdr[kind][wr] = c.Result()
+				res.fdr[kind.name][wr] = e.scan(failed, &detect.Voting{Model: kind.byRange[wr], Voters: 11})
 			}
 		}
 		return res, nil
@@ -257,28 +260,6 @@ func (e *Env) runUpdating(family string) (*updatingResults, error) {
 		return nil, err
 	}
 	return v.(*updatingResults), nil
-}
-
-// scanFailedOnly scans only the failed test drives of a family. Drives are
-// scanned in parallel; outcomes fold into the counter serially in drive
-// order, so its time-in-advance samples are identically ordered for every
-// worker count.
-func (e *Env) scanFailedOnly(family string, features smart.FeatureSet, det detect.Detector, c *eval.Counter) {
-	var failed []simulate.Drive
-	for _, d := range testDrives(e.fleet.DrivesOf(family), e.cfg.Seed) {
-		if d.Failed {
-			failed = append(failed, d)
-		}
-	}
-	outs := make([]detect.Outcome, len(failed))
-	par.For(len(failed), e.cfg.Workers, func(i int) {
-		d := failed[i]
-		s, failHour, _ := testSeries(features, d, e.fleet.Trace(d.Index), 0, simulate.HoursPerWeek, 0.7)
-		outs[i] = detect.Scan(det, s, failHour)
-	})
-	for _, out := range outs {
-		c.AddFailed(out)
-	}
 }
 
 // updatingReport renders one of Figs. 6–9.
@@ -306,7 +287,7 @@ func (e *Env) updatingReport(id, kind, family string) (*Report, error) {
 		line := fmt.Sprintf("%-20s", p.String())
 		s := plot.Series{Name: p.String()}
 		for w := 2; w <= lastWeek; w++ {
-			far := res.far[kind][p][w].FAR() * 100
+			far := res.far[farKey{kind, p, w}].FAR() * 100
 			line += fmt.Sprintf(" %8.3f", far)
 			s.X = append(s.X, float64(w))
 			s.Y = append(s.Y, far)

@@ -49,45 +49,26 @@ func (e *Env) standardModels(family string) (*cart.Tree, *ann.Network, error) {
 	return pair.tree, pair.net, nil
 }
 
-// votingCurve sweeps the voter count for one model on one family. All
-// window sizes are evaluated in a single pass over the fleet (each trace
-// generated and scored once) via detect.MultiVoting. Drives are scanned in
-// parallel but each drive's outcomes land at its own index and fold into
-// the counters serially in drive order, so the curve is identical for
-// every worker count.
-func (e *Env) votingCurve(family string, model detect.Predictor, voters []int) eval.Curve {
-	features := smart.CriticalFeatures()
-	counters := make([]*eval.Counter, len(voters))
-	for i := range counters {
-		counters[i] = &eval.Counter{}
-	}
+// votingCurve sweeps the voter count for one model over a test set. Each
+// sample is scored once for every window size via detect.MultiVoting.
+// Drives are scanned in parallel but each drive's outcomes land at its own
+// index and fold into the counters serially in drive order, so the curve
+// is identical for every worker count.
+func (e *Env) votingCurve(ts *testSet, model detect.Predictor, voters []int) eval.Curve {
 	multi := &detect.MultiVoting{Model: model, Voters: voters}
-
-	scan := testDrives(e.fleet.DrivesOf(family), e.cfg.Seed)
-	outs := make([][]detect.Outcome, len(scan))
-	par.For(len(scan), e.cfg.Workers, func(i int) {
-		d := scan[i]
-		s, failHour, ok := testSeries(features, d, e.fleet.Trace(d.Index), 0, simulate.HoursPerWeek, 0.7)
-		if ok {
-			outs[i] = multi.ScanAll(s, failHour)
-		}
+	outs := make([][]detect.Outcome, len(ts.series))
+	par.For(len(ts.series), e.cfg.Workers, func(i int) {
+		outs[i] = multi.ScanAll(ts.series[i], ts.failHours[i])
 	})
+	counters := make([]eval.Counter, len(voters))
 	for di, dOuts := range outs {
-		if dOuts == nil {
-			continue
-		}
 		for i, out := range dOuts {
-			if scan[di].Failed {
-				counters[i].AddFailed(out)
-			} else {
-				counters[i].AddGood(out.Alarmed)
-			}
+			ts.add(&counters[i], di, out)
 		}
 	}
-
-	var curve eval.Curve
+	curve := make(eval.Curve, len(voters))
 	for i, n := range voters {
-		curve = append(curve, eval.Point{Param: float64(n), Result: counters[i].Result()})
+		curve[i] = eval.Point{Param: float64(n), Result: counters[i].Result()}
 	}
 	return curve
 }
@@ -101,8 +82,8 @@ func (e *Env) Figure2() (*Report, error) {
 		return nil, err
 	}
 	voters := []int{1, 3, 5, 7, 9, 11, 15, 17, 27}
-	ctCurve := e.votingCurve("W", tree, voters)
-	annCurve := e.votingCurve("W", net, voters)
+	ctCurve := e.votingCurve(e.criticalSet("W"), tree, voters)
+	annCurve := e.votingCurve(e.criticalSet("W"), net, voters)
 	r.addf("CT model:")
 	for _, line := range curveLines(ctCurve) {
 		r.addf("%s", line)
@@ -144,7 +125,7 @@ func (e *Env) Figure3() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	curve := e.votingCurve("W", net, []int{11})
+	curve := e.votingCurve(e.criticalSet("W"), net, []int{11})
 	tiaHistogramReport(r, curve[0].Result)
 	return r, nil
 }
@@ -157,7 +138,7 @@ func (e *Env) Figure4() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	curve := e.votingCurve("W", tree, []int{27})
+	curve := e.votingCurve(e.criticalSet("W"), tree, []int{27})
 	tiaHistogramReport(r, curve[0].Result)
 	return r, nil
 }
@@ -172,8 +153,8 @@ func (e *Env) Figure5() (*Report, error) {
 		return nil, err
 	}
 	voters := []int{1, 3, 5, 11, 17}
-	ctCurve := e.votingCurve("Q", tree, voters)
-	annCurve := e.votingCurve("Q", net, voters)
+	ctCurve := e.votingCurve(e.criticalSet("Q"), tree, voters)
+	annCurve := e.votingCurve(e.criticalSet("Q"), net, voters)
 	r.addf("CT model:")
 	for _, line := range curveLines(ctCurve) {
 		r.addf("%s", line)

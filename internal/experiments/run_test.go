@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"hddcart/internal/detect"
 )
 
 // smallConfig is a fleet small enough for CI but large enough that every
@@ -69,13 +72,14 @@ func TestRunAllExperimentsSmall(t *testing.T) {
 	if raceDetectorEnabled {
 		// Race instrumentation makes the full 21-experiment sweep blow the
 		// default go test timeout, so run a subset that still drives every
-		// par.For loop the experiments reach: the trace fan-out
-		// (table1/figure5), dataset assembly (table2), parallel CT
-		// training, scanDrives and votingCurve (table3), the updating FAR
-		// pass and scanFailedOnly (figure8), forest tree training and
-		// boosting's scoring chunks, the storage simulator, and chart
-		// assembly (figure12). Each report is still compared with its
-		// section of smallGolden.
+		// par.For loop the experiments reach: Table1's trace fan-out
+		// (table1); forEachTrace's dataset assembly, parallel CT training,
+		// the test-set build and scan's detect.ScanBatch (table3);
+		// votingCurve (figure5); the updating FAR pass and the failed-only
+		// FDR scan (figure8); forest tree training and boosting's scoring
+		// chunks; the storage simulator; and the serial reports table2
+		// and figure12. Each report is still compared with its section
+		// of smallGolden.
 		ids = []string{
 			"table1", "table2", "table3", "figure5", "figure8",
 			"figure12", "forest", "boost", "storagesim",
@@ -207,6 +211,32 @@ func TestUpdatingRanges(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdatingMissingModelIsError checks that a training range with no
+// trained model fails runUpdating with an error before any drive is
+// scanned, instead of handing the FAR pass a detector without a model.
+func TestUpdatingMissingModelIsError(t *testing.T) {
+	e := &Env{cfg: Config{Seed: 1}.withDefaults()}
+	ranges, err := updatingRanges()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := &updatingModelSet{ct: map[weekRange]detect.Predictor{}, net: map[weekRange]detect.Predictor{}}
+	for _, wr := range ranges[1:] { // every range but the first has models
+		set.ct[wr], set.net[wr] = constModel(1), constModel(1)
+	}
+	e.memo = map[string]any{"updatingModels/W": set}
+	_, err = e.runUpdating("W")
+	if missing := ranges[0]; err == nil || !strings.Contains(err.Error(),
+		fmt.Sprintf("no model for weeks %d-%d", missing.start, missing.end)) {
+		t.Errorf("err = %v, want a missing-model error for %+v", err, missing)
+	}
+}
+
+// constModel scores every sample with the same value.
+type constModel float64
+
+func (m constModel) Predict([]float64) float64 { return float64(m) }
 
 func TestSubsetDrivesFraction(t *testing.T) {
 	env, err := NewEnv(Config{Seed: 5, GoodScale: 0.05, FailedScale: 0.5})

@@ -13,7 +13,7 @@ import (
 // outlives its spawner, which is how result buffers get written after
 // they were read and how "deterministic" merges end up racing their
 // consumers. par.For runs the fork/join pools of detect.ScanBatch,
-// forest training, boost.parallelChunks, equiv.forEachShard and six
+// forest training, boost.parallelChunks, equiv.forEachShard and five
 // experiments loops; the goroutines left elsewhere (the cart grower, the
 // sweep scheduler, the trace pipeline, the serve shards) are not
 // fork/join loops.
