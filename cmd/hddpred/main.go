@@ -405,7 +405,7 @@ func cmdEvaluate(args []string) (err error) {
 	periodStart := fs.Int("period-start", 0, "good test window start hour")
 	periodEnd := fs.Int("period-end", 168, "good test window end hour")
 	seed := fs.Int64("seed", 1, "failed-drive split seed (must match training)")
-	workers := fs.Int("workers", 0, "scan worker-pool size (0 = all cores); results are identical for any value. Trace decode runs on GOMAXPROCS goroutines whatever this is")
+	workers := fs.Int("workers", 0, "scan worker-pool size (0 = all cores); results are identical for any value. Trace decode and, with -sweep, binning and tile packing run on GOMAXPROCS goroutines whatever this is")
 	useSweep := fs.Bool("sweep", false, "scan through the sharded fleet-sweep engine (tree models): quantize once, score feature-major tiles")
 	cpuProf, memProf := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -486,7 +486,10 @@ func cmdEvaluate(args []string) (err error) {
 // space, and the whole fleet sweeps through the feature-major tiled
 // kernels. Scores are quantized where ScanBatch's are float, so
 // straddled thresholds may verdict individual samples differently; the
-// -sweep flag trades that for fleet-scale throughput.
+// -sweep flag trades that for fleet-scale throughput. workers sizes only
+// the sweep's scan: like trace decode, binning (dataset.BinMatrix) and
+// tile packing (sweep.Prepare) run on GOMAXPROCS goroutines whatever it
+// is, and their output is the same for any GOMAXPROCS.
 func sweepEvaluate(mf *modelFile, series []detect.Series, failHours []int,
 	voters int, threshold float64, workers int) ([]detect.Outcome, error) {
 	if mf.Type != "ct" && mf.Type != "rt" {

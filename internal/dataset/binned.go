@@ -3,7 +3,10 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"runtime"
+
+	"hddcart/internal/par"
 )
 
 // MaxBinsLimit is the largest usable finite-bin count per feature: bin
@@ -34,6 +37,9 @@ type BinnedColumn struct {
 	NumBins int
 	// Missing reports whether any sample carried the reserved code.
 	Missing bool
+	// keys holds searchKey(Upper[b]) for every finite bin: the integer
+	// image of the bounds that CodeOf searches.
+	keys []uint64
 }
 
 // MissingCode returns the reserved bin code for NaN/missing values.
@@ -79,7 +85,9 @@ type BinnedMatrix struct {
 
 // BinMatrix quantizes every column of x to at most maxBins finite bins
 // (see BinColumn for the rule). The matrix must be non-empty and
-// rectangular; maxBins must lie in [1, MaxBinsLimit].
+// rectangular; maxBins must lie in [1, MaxBinsLimit]. Columns are binned
+// concurrently on GOMAXPROCS goroutines; each column depends only on its
+// own values, so the matrix is identical for every worker count.
 func BinMatrix(x [][]float64, maxBins int) (*BinnedMatrix, error) {
 	if maxBins < 1 || maxBins > MaxBinsLimit {
 		return nil, fmt.Errorf("dataset: maxBins %d outside [1,%d]", maxBins, MaxBinsLimit)
@@ -94,9 +102,20 @@ func BinMatrix(x [][]float64, maxBins int) (*BinnedMatrix, error) {
 		}
 	}
 	bm := &BinnedMatrix{NumSamples: len(x), NumFeatures: nf, MaxBins: maxBins, Cols: make([]BinnedColumn, nf)}
-	for f := 0; f < nf; f++ {
-		bm.Cols[f] = BinColumn(x, f, maxBins)
-	}
+	// Each in-flight column borrows one sort scratch, so scratch memory
+	// grows with the worker count, not the feature count.
+	workers := runtime.GOMAXPROCS(0)
+	free := make(chan *binScratch, workers)
+	par.For(nf, workers, func(f int) {
+		var s *binScratch
+		select {
+		case s = <-free:
+		default:
+			s = new(binScratch)
+		}
+		bm.Cols[f] = s.binColumn(x, f, maxBins)
+		free <- s
+	})
 	return bm, nil
 }
 
@@ -113,34 +132,110 @@ func BinMatrix(x [][]float64, maxBins int) (*BinnedMatrix, error) {
 // Callers that parallelize across features may invoke BinColumn
 // concurrently for different f; it only reads x.
 func BinColumn(x [][]float64, f, maxBins int) BinnedColumn {
+	return new(binScratch).binColumn(x, f, maxBins)
+}
+
+// binScratch is one column's sort workspace: the finite values and their
+// row indexes, plus the radix sort's second buffer of each. It is reused
+// across columns, so binning a matrix allocates it once per worker.
+type binScratch struct {
+	vals, valsTmp []float64
+	rows, rowsTmp []uint32
+}
+
+// sortKey maps a non-NaN float64 onto a uint64 whose unsigned order is
+// the float order: negative values have every bit flipped, the rest only
+// the sign bit. −0 orders just below +0.
+func sortKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// binColumn is BinColumn on s's workspace. It sorts the finite values
+// once, each carrying its row index, by an LSD radix sort over sortKey;
+// binBounds cuts the sorted run into bins, and one walk of the sorted
+// order gives every row its code — the smallest bin whose upper bound
+// covers the value, as CodeOf computes it.
+func (s *binScratch) binColumn(x [][]float64, f, maxBins int) BinnedColumn {
 	n := len(x)
 	col := BinnedColumn{Codes: make([]uint8, n)}
-	// Sort the finite values (±Inf included: they order normally; only
-	// NaN is unordered and goes to the reserved bin).
-	vals := make([]float64, 0, n)
-	for i := range x {
-		if v := x[i][f]; !math.IsNaN(v) {
-			vals = append(vals, v)
-		}
+	if cap(s.vals) < n {
+		s.vals, s.valsTmp = make([]float64, n), make([]float64, n)
+		s.rows, s.rowsTmp = make([]uint32, n), make([]uint32, n)
 	}
-	sort.Float64s(vals)
-
-	if len(vals) > 0 {
-		col.Lower, col.Upper = binBounds(vals, maxBins)
-		col.NumBins = len(col.Upper)
-	}
-	missing := uint8(col.NumBins)
+	// Gather the finite values (±Inf included: they order normally; only
+	// NaN is unordered and goes to the reserved bin), noting which key
+	// bits differ between them.
+	vals, rows := s.vals[:n], s.rows[:n]
+	m := 0
+	anyBits, allBits := uint64(0), ^uint64(0)
 	for i := range x {
 		v := x[i][f]
 		if math.IsNaN(v) {
-			col.Codes[i] = missing
 			col.Missing = true
 			continue
 		}
-		// The smallest bin whose upper bound covers v.
-		col.Codes[i] = uint8(sort.SearchFloat64s(col.Upper, v))
+		k := sortKey(v)
+		anyBits |= k
+		allBits &= k
+		vals[m], rows[m] = v, uint32(i)
+		m++
+	}
+	vals, rows = s.radixSort(vals[:m], rows[:m], anyBits^allBits)
+
+	if m > 0 {
+		col.Lower, col.Upper = binBounds(vals, maxBins)
+		col.NumBins = len(col.Upper)
+		col.keys = upperKeys(col.Upper)
+	}
+	if col.Missing {
+		missing := uint8(col.NumBins)
+		for i := range col.Codes {
+			col.Codes[i] = missing
+		}
+	}
+	b := 0
+	for j, v := range vals {
+		for v > col.Upper[b] {
+			b++
+		}
+		col.Codes[rows[j]] = uint8(b)
 	}
 	return col
+}
+
+// radixSort sorts vals ascending by sortKey, permuting rows alongside,
+// and returns the sorted slices (which may be s's second buffers). Only
+// the key bytes that some bit of varying touches get a pass, so a column
+// of whole numbers below 2^16 takes three or four passes instead of
+// eight. Equal keys keep their row order; the result depends only on
+// the multiset of (value, row) pairs.
+func (s *binScratch) radixSort(vals []float64, rows []uint32, varying uint64) ([]float64, []uint32) {
+	m := len(vals)
+	dstVals, dstRows := s.valsTmp[:m], s.rowsTmp[:m]
+	for shift := 0; shift < 64; shift += 8 {
+		if uint8(varying>>shift) == 0 {
+			continue
+		}
+		var off [256]uint32
+		for _, v := range vals {
+			off[uint8(sortKey(v)>>shift)]++
+		}
+		var sum uint32
+		for b, c := range off {
+			off[b] = sum
+			sum += c
+		}
+		for i, v := range vals {
+			b := uint8(sortKey(v) >> shift)
+			j := off[b]
+			off[b]++
+			dstVals[j], dstRows[j] = v, rows[i]
+		}
+		vals, dstVals = dstVals, vals
+		rows, dstRows = dstRows, rows
+	}
+	return vals, rows
 }
 
 // binBounds derives the per-bin [lower, upper] value bounds from a sorted
@@ -204,10 +299,48 @@ func distinct(a, b float64) bool { return a != b }
 // lies at or below the corpus's largest value (every threshold a trained
 // tree produces).
 func (c *BinnedColumn) CodeOf(v float64) uint8 {
-	if math.IsNaN(v) {
-		return uint8(c.NumBins)
+	return uint8(c.search(v))
+}
+
+// searchKey is sortKey with the two zeros merged (−0 + 0 = +0), so that
+// for non-NaN floats searchKey(a) < searchKey(b) exactly when a < b.
+func searchKey(v float64) uint64 { return sortKey(v + 0) }
+
+// upperKeys maps bin upper bounds onto their search keys.
+func upperKeys(upper []float64) []uint64 {
+	keys := make([]uint64, len(upper))
+	for b, u := range upper {
+		keys[b] = searchKey(u)
 	}
-	return uint8(sort.SearchFloat64s(c.Upper, v))
+	return keys
+}
+
+// search returns the smallest b with Upper[b] >= v, or NumBins when
+// there is none (v is NaN or above the top bin): sort.SearchFloat64s
+// over Upper, without a closure call per probe. It compares integer keys
+// and advances with a borrow mask instead of a branch: a quantile-binned
+// column's probes are a coin flip each, so a branch would mispredict
+// every other step, and Go never turns a step that feeds the next
+// probe's address into a conditional move.
+func (c *BinnedColumn) search(v float64) int {
+	keys := c.keys
+	if len(keys) != len(c.Upper) {
+		keys = upperKeys(c.Upper) // a column assembled by hand, not by BinColumn
+	}
+	n := len(keys)
+	if n == 0 || math.IsNaN(v) {
+		return n
+	}
+	kv := searchKey(v)
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		_, less := bits.Sub64(keys[base+half-1], kv, 0)
+		base += half & -int(less)
+		n -= half
+	}
+	_, less := bits.Sub64(keys[base], kv, 0)
+	return base + int(less)
 }
 
 // CutFor remaps a split threshold onto the column's code space: the cut
@@ -219,7 +352,7 @@ func (c *BinnedColumn) CodeOf(v float64) uint8 {
 // bin's [Lower, Upper] value range, where corpus values on both sides of
 // t share a code and no cut can reproduce the float comparison.
 func (c *BinnedColumn) CutFor(t float64) (cut uint8, exact bool) {
-	i := sort.SearchFloat64s(c.Upper, t)
+	i := c.search(t)
 	return uint8(i), i == c.NumBins || t <= c.Lower[i]
 }
 

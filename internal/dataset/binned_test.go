@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -71,6 +73,149 @@ func checkColumnInvariants(t testing.TB, x [][]float64, f, maxBins int, col Binn
 				t.Fatalf("%d distinct values ≤ maxBins %d but bin %d spans [%v, %v]",
 					len(codeOf), maxBins, b, col.Lower[b], col.Upper[b])
 			}
+		}
+	}
+}
+
+// oracleBinColumn is the reference binning: a comparison sort of the
+// finite values, binBounds, then one binary search of the upper bounds
+// per sample. BinColumn's radix sort and sorted-order code walk must
+// reproduce it.
+func oracleBinColumn(x [][]float64, f, maxBins int) BinnedColumn {
+	col := BinnedColumn{Codes: make([]uint8, len(x))}
+	vals := make([]float64, 0, len(x))
+	for i := range x {
+		if v := x[i][f]; !math.IsNaN(v) {
+			vals = append(vals, v)
+		}
+	}
+	sort.Float64s(vals)
+	if len(vals) > 0 {
+		col.Lower, col.Upper = binBounds(vals, maxBins)
+		col.NumBins = len(col.Upper)
+	}
+	for i := range x {
+		v := x[i][f]
+		if math.IsNaN(v) {
+			col.Codes[i] = uint8(col.NumBins)
+			col.Missing = true
+			continue
+		}
+		col.Codes[i] = uint8(sort.SearchFloat64s(col.Upper, v))
+	}
+	return col
+}
+
+// sameBound reports whether two bin bounds are the same float64 bit for
+// bit. A signed zero is the one exception: the oracle's comparison sort
+// leaves −0 and +0 in unspecified order, and both route every value
+// alike, so there the bounds need only be ==.
+func sameBound(a, b float64) bool {
+	if a == 0 && b == 0 {
+		return true
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// checkAgainstOracle asserts BinColumn(x, f, maxBins) equals the oracle:
+// codes, bin count and missing flag exactly, bounds by sameBound. It also
+// holds CodeOf and CutFor to sort.SearchFloat64s over every corpus value,
+// its neighbours one ulp away, both zeros, NaN and values beyond both
+// ends — on the built column and on the oracle's, which is assembled by
+// hand and so takes CodeOf's path for columns BinColumn did not build.
+func checkAgainstOracle(t testing.TB, x [][]float64, f, maxBins int) {
+	t.Helper()
+	got, want := BinColumn(x, f, maxBins), oracleBinColumn(x, f, maxBins)
+	if got.NumBins != want.NumBins || got.Missing != want.Missing {
+		t.Fatalf("maxBins %d: NumBins %d Missing %v, oracle %d %v",
+			maxBins, got.NumBins, got.Missing, want.NumBins, want.Missing)
+	}
+	for b := 0; b < want.NumBins; b++ {
+		if !sameBound(got.Lower[b], want.Lower[b]) || !sameBound(got.Upper[b], want.Upper[b]) {
+			t.Fatalf("maxBins %d: bin %d is [%v, %v], oracle [%v, %v]",
+				maxBins, b, got.Lower[b], got.Upper[b], want.Lower[b], want.Upper[b])
+		}
+	}
+	for i := range x {
+		if got.Codes[i] != want.Codes[i] {
+			t.Fatalf("maxBins %d: row %d (%v) code %d, oracle %d",
+				maxBins, i, x[i][f], got.Codes[i], want.Codes[i])
+		}
+	}
+	probes := []float64{math.NaN(), math.Inf(-1), math.Inf(1), -math.MaxFloat64, math.MaxFloat64,
+		0, math.Copysign(0, -1)}
+	for i := range x {
+		v := x[i][f]
+		probes = append(probes, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+	}
+	for _, v := range probes {
+		w := uint8(sort.SearchFloat64s(got.Upper, v))
+		if c := got.CodeOf(v); c != w {
+			t.Fatalf("maxBins %d: CodeOf(%v) = %d, SearchFloat64s %d", maxBins, v, c, w)
+		}
+		if c, w := want.CodeOf(v), uint8(sort.SearchFloat64s(want.Upper, v)); c != w {
+			t.Fatalf("maxBins %d: hand-assembled CodeOf(%v) = %d, SearchFloat64s %d", maxBins, v, c, w)
+		}
+		if got.NumBins == 0 || math.IsNaN(v) {
+			continue
+		}
+		i := sort.SearchFloat64s(got.Upper, v)
+		wantExact := i == got.NumBins || v <= got.Lower[i]
+		if cut, exact := got.CutFor(v); int(cut) != i || exact != wantExact {
+			t.Fatalf("maxBins %d: CutFor(%v) = (%d, %v), want (%d, %v)", maxBins, v, cut, exact, i, wantExact)
+		}
+	}
+}
+
+// TestBinColumnMatchesOracle runs the differential check over columns
+// shaped like SMART data and like the corner cases: heavy ties, signed
+// zeros, infinities and NaN mixed in, all-equal columns, n = 1, and
+// exactly 255 and 256 distinct values around the bin budget.
+func TestBinColumnMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64}
+	distinctN := func(k int) []float64 {
+		vals := make([]float64, 0, 2*k)
+		for i := 0; i < k; i++ {
+			vals = append(vals, float64(i)*0.75-40, float64(i)*0.75-40)
+		}
+		rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		return vals
+	}
+	var mixed, ties, smartLike, normal []float64
+	for i := 0; i < 3000; i++ {
+		mixed = append(mixed, specials[rng.Intn(len(specials))], float64(rng.Intn(7)-3))
+		v := 7.0
+		if rng.Intn(10) == 0 {
+			v = float64(rng.Intn(400))
+		}
+		ties = append(ties, v)
+		smartLike = append(smartLike, math.Round(rng.ExpFloat64()*1e4)/100)
+		normal = append(normal, rng.NormFloat64())
+	}
+	cases := []struct {
+		name string
+		vals []float64
+	}{
+		{"n=1", []float64{3.5}},
+		{"negative-zero", []float64{math.Copysign(0, -1), 1, math.Copysign(0, -1), -1}},
+		{"all-equal", []float64{2, 2, 2, 2, 2, 2, 2, 2}},
+		{"all-NaN", []float64{math.NaN(), math.NaN(), math.NaN()}},
+		{"255-distinct", distinctN(255)},
+		{"256-distinct", distinctN(256)},
+		{"257-distinct", distinctN(257)},
+		{"mixed-specials", mixed},
+		{"heavy-ties", ties},
+		{"smart-like", smartLike},
+		{"normal", normal},
+	}
+	for _, c := range cases {
+		x := column(c.vals...)
+		for _, maxBins := range []int{1, 2, 3, 16, 254, 255} {
+			t.Run(fmt.Sprintf("%s/maxBins=%d", c.name, maxBins), func(t *testing.T) {
+				checkAgainstOracle(t, x, 0, maxBins)
+			})
 		}
 	}
 }
@@ -233,6 +378,25 @@ func FuzzBinColumn(f *testing.F) {
 	add(3, 1, math.Nextafter(1, 2), math.Nextafter(1, 0), 1)
 	add(255, 0.5, 0.25, 0.75)
 	add(1, 5, 4, 3, 2, 1, 0)
+	negZero := math.Copysign(0, -1)
+	add(3, negZero, 0, math.Inf(1), math.NaN(), negZero, math.Inf(-1), 0, math.NaN(), 1, -1)
+	add(4, 9, 9, 9, 9, 9)
+	add(255, 42)
+	ramp := func(k int) []float64 {
+		vals := make([]float64, k)
+		for i := range vals {
+			vals[i] = float64(k - i)
+		}
+		return vals
+	}
+	add(254, ramp(255)...) // maxBins 255, 255 distinct: singleton bins
+	add(254, ramp(256)...) // one distinct value past the budget: quantile bins
+	add(254, append(ramp(256), 1, 1, 1)...)
+	ties := make([]float64, 300)
+	for i := range ties {
+		ties[i] = float64(i % 3)
+	}
+	add(2, ties...)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 9 {
 			t.Skip()
@@ -252,6 +416,7 @@ func FuzzBinColumn(f *testing.F) {
 		}
 		col := BinColumn(x, 0, maxBins)
 		checkColumnInvariants(t, x, 0, maxBins, col)
+		checkAgainstOracle(t, x, 0, maxBins)
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"hddcart/internal/baselines"
 	"hddcart/internal/detect"
-	"hddcart/internal/simulate"
 	"hddcart/internal/smart"
 )
 
@@ -16,11 +15,11 @@ import (
 func (e *Env) Baselines() (*Report, error) {
 	r := &Report{ID: "baselines", Title: "Extension: prior-work methods of §II vs the CT model"}
 	features := smart.CriticalFeatures()
-	ds, err := e.trainingSet("W", features, 0, simulate.HoursPerWeek, 168)
+	ds, err := e.ctTrainingSet("W")
 	if err != nil {
 		return nil, err
 	}
-	tree, err := e.trainCT(ds)
+	tree, err := e.standardCT("W")
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"hddcart/internal/cart"
 	"hddcart/internal/dataset"
 	"hddcart/internal/detect"
 	"hddcart/internal/featsel"
@@ -100,13 +101,8 @@ func (e *Env) Table3() (*Report, error) {
 func (e *Env) Table4() (*Report, error) {
 	r := &Report{ID: "table4", Title: "Impact of time window on CT model (paper Table IV)"}
 	r.addf("%-12s %9s %9s %11s", "Window", "FAR(%)", "FDR(%)", "TIA(hours)")
-	features := smart.CriticalFeatures()
 	for _, window := range []int{12, 24, 48, 96, 168, 240} {
-		ds, err := e.trainingSet("W", features, 0, simulate.HoursPerWeek, window)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := e.trainCT(ds)
+		tree, err := e.windowCT(window)
 		if err != nil {
 			return nil, err
 		}
@@ -115,4 +111,17 @@ func (e *Env) Table4() (*Report, error) {
 			fmt.Sprintf("%d hours", window), res.FAR()*100, res.FDR()*100, res.MeanTIA())
 	}
 	return r, nil
+}
+
+// windowCT trains Table IV's CT model on family W's critical features
+// for one failed time window; the 168 h window is the standard CT.
+func (e *Env) windowCT(window int) (*cart.Tree, error) {
+	if window == 168 {
+		return e.standardCT("W")
+	}
+	ds, err := e.trainingSet("W", smart.CriticalFeatures(), 0, simulate.HoursPerWeek, window)
+	if err != nil {
+		return nil, err
+	}
+	return e.trainCT(ds)
 }

@@ -32,7 +32,7 @@ func (e *Env) rtModels() (rtPair, error) {
 		// First pass: the CT model determines each failed training
 		// drive's achievable time in advance, which becomes its
 		// personalized deterioration window w_d (§III-B, Eq. 6).
-		tree, _, err := e.standardModels("W")
+		tree, err := e.standardCT("W")
 		if err != nil {
 			return nil, err
 		}

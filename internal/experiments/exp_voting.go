@@ -5,6 +5,7 @@ import (
 
 	"hddcart/internal/ann"
 	"hddcart/internal/cart"
+	"hddcart/internal/dataset"
 	"hddcart/internal/detect"
 	"hddcart/internal/eval"
 	"hddcart/internal/par"
@@ -12,41 +13,57 @@ import (
 	"hddcart/internal/smart"
 )
 
-// modelPair bundles the two standard models of one family.
-type modelPair struct {
-	tree *cart.Tree
-	net  *ann.Network
-}
-
 // standardModels trains (once per family, memoized) the paper's standard
-// CT (168 h window) and BP ANN (12 h window) models on week-1 data with
-// the 13 critical features.
+// CT (168 h window, see standardCT) and BP ANN (12 h window) models on
+// week-1 data with the 13 critical features.
 func (e *Env) standardModels(family string) (*cart.Tree, *ann.Network, error) {
-	v, err := e.memoize("standardModels/"+family, func() (any, error) {
-		features := smart.CriticalFeatures()
-		ctDS, err := e.trainingSet(family, features, 0, simulate.HoursPerWeek, 168)
+	tree, err := e.standardCT(family)
+	if err != nil {
+		return nil, nil, err
+	}
+	v, err := e.memoize("standardANN/"+family, func() (any, error) {
+		annDS, err := e.trainingSet(family, smart.CriticalFeatures(), 0, simulate.HoursPerWeek, 12)
 		if err != nil {
 			return nil, err
 		}
-		tree, err := e.trainCT(ctDS)
-		if err != nil {
-			return nil, err
-		}
-		annDS, err := e.trainingSet(family, features, 0, simulate.HoursPerWeek, 12)
-		if err != nil {
-			return nil, err
-		}
-		net, err := e.trainANN(annDS)
-		if err != nil {
-			return nil, err
-		}
-		return modelPair{tree, net}, nil
+		return e.trainANN(annDS)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	pair := v.(modelPair)
-	return pair.tree, pair.net, nil
+	return tree, v.(*ann.Network), nil
+}
+
+// standardCT trains (once per family, memoized) the paper's standard CT
+// model on ctTrainingSet. Table IV's 168 h row, Baselines and Forest
+// score this same tree.
+func (e *Env) standardCT(family string) (*cart.Tree, error) {
+	v, err := e.memoize("standardCT/"+family, func() (any, error) {
+		ds, err := e.ctTrainingSet(family)
+		if err != nil {
+			return nil, err
+		}
+		return e.trainCT(ds)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*cart.Tree), nil
+}
+
+// ctTrainingSet builds (once per family, memoized) the standard CT
+// training set: week-1 data, 13 critical features, 168 h failed window.
+// Baselines, Forest and Boost train their models on it too; none of them
+// mutates it (dataset.XMatrix copies targets and weights, and no trainer
+// writes to the shared feature rows).
+func (e *Env) ctTrainingSet(family string) (*dataset.Dataset, error) {
+	v, err := e.memoize("ctTrainingSet/"+family, func() (any, error) {
+		return e.trainingSet(family, smart.CriticalFeatures(), 0, simulate.HoursPerWeek, 168)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*dataset.Dataset), nil
 }
 
 // votingCurve sweeps the voter count for one model over a test set. Each
@@ -134,7 +151,7 @@ func (e *Env) Figure3() (*Report, error) {
 // lowest-FAR operating point (N = 27).
 func (e *Env) Figure4() (*Report, error) {
 	r := &Report{ID: "figure4", Title: "Time-in-advance distribution, CT (paper Fig. 4)"}
-	tree, _, err := e.standardModels("W")
+	tree, err := e.standardCT("W")
 	if err != nil {
 		return nil, err
 	}

@@ -88,12 +88,65 @@ func buildBenchFleet(b *testing.B) *benchFleet {
 	return f
 }
 
-// BenchmarkFleetSweep measures the 1M-drive sweep. tiled/workers=W is the
-// sharded engine over a prepared fleet, so the timed region is pure scan:
-// partition kernels plus alarm replay, quantization and tiling already
-// paid. prepare prices that one-time packing. Msamples/s is fleet-scan
-// throughput; outcomes are byte-identical across every worker count.
+// floatBenchFleet is a float fleet shaped like a monitoring scan of
+// hddpred evaluate -sweep: 2500 drives of 31 samples (~78k samples) over
+// 13 features. Counter-like features are whole numbers with heavy ties;
+// rate-like ones carry two decimals, so columns range from a few dozen
+// distinct values to thousands.
+func floatBenchFleet() []detect.Series {
+	const drives, rows, nf = 2500, 31, 13
+	rng := rand.New(rand.NewSource(3))
+	hours := make([]int, rows)
+	for i := range hours {
+		hours[i] = 130 + i
+	}
+	series := make([]detect.Series, drives)
+	for d := range series {
+		x := make([][]float64, rows)
+		for i := range x {
+			row := make([]float64, nf)
+			for f := range row {
+				scale := math.Pow(4, float64(f%7))
+				if f%2 == 0 {
+					row[f] = math.Floor(rng.ExpFloat64() * scale)
+				} else {
+					row[f] = math.Round(rng.NormFloat64()*scale) / 100
+				}
+			}
+			x[i] = row
+		}
+		series[d] = detect.Series{X: x, Hours: hours}
+	}
+	return series
+}
+
+// BenchmarkFleetSweep measures the fleet sweep's stages. quantize is the
+// float path's set-up as hddpred evaluate -sweep runs it — BinMatrix over
+// every sample, then Prepare — on floatBenchFleet. The rest use the
+// 1M-drive binned fleet: tiled/workers=W is the sharded engine over a
+// prepared fleet, so the timed region is pure scan (partition kernels
+// plus alarm replay, quantization and tiling already paid), and prepare
+// prices that one-time packing. Msamples/s is throughput; outcomes are
+// byte-identical across every worker count.
 func BenchmarkFleetSweep(b *testing.B) {
+	b.Run("quantize", func(b *testing.B) {
+		series := floatBenchFleet()
+		var rows [][]float64
+		for i := range series {
+			rows = append(rows, series[i].X...)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bm, err := dataset.BinMatrix(rows, dataset.MaxBinsLimit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Prepare(bm, series, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(rows))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msamples/s")
+	})
 	f := buildBenchFleet(b)
 	throughput := func(b *testing.B) {
 		b.ReportMetric(float64(f.samples)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Msamples/s")

@@ -39,6 +39,7 @@ import (
 	"hddcart/internal/cpu"
 	"hddcart/internal/dataset"
 	"hddcart/internal/detect"
+	"hddcart/internal/par"
 )
 
 // TiledPredictor scores rows [lo, hi) of a feature-major tiled code
@@ -309,8 +310,13 @@ func PrepareBinned(series []detect.BinnedSeries, shards int) (*Fleet, error) {
 
 // assemble builds the sharded fleet: shard membership by serial hash,
 // rows packed in fleet order within each shard, work items cut at drive
-// boundaries every ~itemTiles tiles. Deterministic: a pure function of
-// the fleet and P.
+// boundaries every ~itemTiles tiles. The drive lists, and so every
+// drive's rows in its shard's tiles, are laid out serially first; the
+// rows are then filled on GOMAXPROCS goroutines, each taking a run of
+// consecutive drives with its own scratch row. A run walks the fleet in
+// drive order, the order its series sit in memory (a walk shard by shard
+// would visit them 1/P apart). Every drive owns its rows, so the packed
+// bytes are a pure function of the fleet and P, whatever the schedule.
 func assemble(p, nf, n int,
 	rowsOf func(i int) int,
 	meta func(i int) (hours []int, dropped int),
@@ -332,21 +338,29 @@ func assemble(p, nf, n int,
 		}
 		f.shards[s] = &shard{tiles: tm, drives: make([]driveRef, 0, drives[s])}
 	}
-	scratch := make([]uint8, nf)
 	cursor := make([]int, p)
+	rowAt := make([]int32, n) // drive i's first row in its shard
 	for i := 0; i < n; i++ {
 		si := shardOf(i, p)
 		s := f.shards[si]
 		nr := rowsOf(i)
 		lo := cursor[si]
-		fill(i, s.tiles, lo, scratch)
 		cursor[si] = lo + nr
+		rowAt[i] = int32(lo)
 		hours, dropped := meta(i)
 		s.drives = append(s.drives, driveRef{
 			index: int32(i), rowLo: int32(lo), rowHi: int32(lo + nr),
 			dropped: int32(dropped), hours: hours,
 		})
 	}
+	workers := runtime.GOMAXPROCS(0)
+	runs := min(n, 4*workers)
+	par.For(runs, workers, func(r int) {
+		scratch := make([]uint8, nf)
+		for i := r * n / runs; i < (r+1)*n/runs; i++ {
+			fill(i, f.shards[shardOf(i, p)].tiles, int(rowAt[i]), scratch)
+		}
+	})
 	target := itemTiles * dataset.TileRows
 	for _, s := range f.shards {
 		dlo := 0

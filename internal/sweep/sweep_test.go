@@ -1,10 +1,13 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hddcart/internal/cart"
@@ -449,4 +452,96 @@ func TestSweepErrors(t *testing.T) {
 	if _, err := Run(bt, fleet, failHours, Config{Workers: -2}); err == nil {
 		t.Error("Run accepted negative workers")
 	}
+}
+
+// TestPrepareWorkerIndependent: BinMatrix bins columns and Prepare and
+// PrepareBinned fill shard tiles on GOMAXPROCS goroutines, so the bins,
+// codes, tile bytes and drive refs must come out byte-identical under
+// every GOMAXPROCS.
+func TestPrepareWorkerIndependent(t *testing.T) {
+	_, _, series, binned, _ := sweepFixture(t, 5, 200, 300)
+	// Spread the fixture's values so columns need quantile bins, and mix
+	// in the values binning treats specially.
+	rng := rand.New(rand.NewSource(6))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	var rows [][]float64
+	for d := range series {
+		xs := make([][]float64, len(series[d].X))
+		for i, x := range series[d].X {
+			row := make([]float64, len(x))
+			for f, v := range x {
+				row[f] = math.Round(v*1000 + rng.NormFloat64()*50)
+				if rng.Intn(40) == 0 {
+					row[f] = specials[rng.Intn(len(specials))]
+				}
+			}
+			xs[i] = row
+		}
+		series[d].X = xs
+		rows = append(rows, xs...)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref [3][]byte
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		bm, err := dataset.BinMatrix(rows, dataset.MaxBinsLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet, err := Prepare(bm, series, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bfleet, err := PrepareBinned(binned, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [3][]byte{matrixBytes(bm), fleetBytes(fleet), fleetBytes(bfleet)}
+		if ref[0] == nil {
+			ref = got
+			continue
+		}
+		for k, name := range []string{"BinMatrix", "Prepare", "PrepareBinned"} {
+			if !bytes.Equal(got[k], ref[k]) {
+				t.Fatalf("GOMAXPROCS=%d: %s output differs from GOMAXPROCS=1", procs, name)
+			}
+		}
+	}
+}
+
+// matrixBytes serializes every column of bm: codes, bin count, missing
+// flag and the bounds' exact bits.
+func matrixBytes(bm *dataset.BinnedMatrix) []byte {
+	var out []byte
+	for _, c := range bm.Cols {
+		out = append(out, c.Codes...)
+		out = binary.AppendUvarint(out, uint64(c.NumBins))
+		if c.Missing {
+			out = append(out, 1)
+		}
+		for b := range c.Upper {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(c.Lower[b]))
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(c.Upper[b]))
+		}
+	}
+	return out
+}
+
+// fleetBytes serializes a prepared fleet: each shard's tile bytes and
+// drive refs, in shard order.
+func fleetBytes(f *Fleet) []byte {
+	var out []byte
+	for _, s := range f.shards {
+		out = binary.AppendUvarint(out, uint64(s.tiles.NumRows))
+		out = append(out, s.tiles.Data...)
+		for _, d := range s.drives {
+			for _, v := range []int32{d.index, d.rowLo, d.rowHi, d.dropped, int32(len(d.hours))} {
+				out = binary.AppendVarint(out, int64(v))
+			}
+			for _, h := range d.hours {
+				out = binary.AppendVarint(out, int64(h))
+			}
+		}
+	}
+	return out
 }
