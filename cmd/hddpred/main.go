@@ -106,7 +106,9 @@ func loadModel(path string) (detect.Predictor, *modelFile, error) {
 // ("hddcart") or Backblaze drive-stats snapshots ("backblaze"). Native
 // traces stream drive by drive, so a caller that keeps only what it
 // extracts holds one drive's records at a time; Backblaze rows must be
-// grouped and sorted first, so that format is read whole.
+// grouped and sorted first, so that format is read whole. fn borrows
+// d.Records only until it returns: the next native drive reuses their
+// storage (trace.Reader.Next), so fn copies whatever it keeps.
 func eachDrive(path, format string, fn func(i int, d trace.DriveTrace)) error {
 	f, err := os.Open(path)
 	if err != nil {

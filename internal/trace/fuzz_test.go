@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -162,7 +163,26 @@ func traceSeeds(tb testing.TB) []string {
 		header + "\n" + row("d0", 0) + strings.Replace(row("d0", 1), ",1,", ",x,", 1) + many[len(header)+1:] + "d0,W\n",
 		// A drive whose rows are not contiguous.
 		header + "\n" + row("d0", 0) + row("d1", 0) + row("d0", 1),
+		// Rows the fast path declines but strconv reads, among canonical
+		// rows: mid-drive (a leading +, an exponent, 16 digits, a + on
+		// the hour) and on the first row of a drive (True).
+		header + "\n" + row("d0", 0) + withField(row("d0", 1), 5, "+1") + withField(row("d0", 2), 6, "1.2345678e-05") +
+			withField(row("d0", 3), 50, "1234567890123456") + withField(row("d0", 4), 4, "+5") +
+			withField(withField(row("d1", 0), 2, "True"), 3, "7") + row("d1", 1),
+		// The same after several 512-byte blocks of canonical rows.
+		many + withField(row("d0", 12), 7, "1e5") + withField(row("d1", 0), 2, "TRUE") + row("d1", 1),
+		// Declined rows strconv rejects: an hour past int64 mid-drive and
+		// a value out of range on the first row of a drive.
+		header + "\n" + row("d0", 0) + withField(row("d0", 1), 4, "9223372036854775808") +
+			withField(row("d1", 0), 5, "1e999") + row("d2", 0),
 	}
+}
+
+// withField replaces field i of the CSV line row.
+func withField(row string, i int, field string) string {
+	fields := strings.Split(strings.TrimSuffix(row, "\n"), ",")
+	fields[i] = field
+	return strings.Join(fields, ",") + "\n"
 }
 
 // checkRows is the row-level differential: readRow at block size size
@@ -206,7 +226,8 @@ type nextResult struct {
 type nextSeq []nextResult
 
 // nextAll opens src at block size size and calls Next until io.EOF,
-// going on past errors.
+// going on past errors. It keeps a copy of each drive's records, which
+// Next only lends until its next call.
 func nextAll(t *testing.T, src io.Reader, size int) nextSeq {
 	t.Helper()
 	r, err := openReader(src, size)
@@ -220,6 +241,7 @@ func nextAll(t *testing.T, src io.Reader, size int) nextSeq {
 		if errors.Is(err, io.EOF) {
 			return seq
 		}
+		dt.Records = slices.Clone(dt.Records)
 		seq = append(seq, nextResult{dt, err})
 	}
 }

@@ -192,10 +192,11 @@ func (p *pipeline) parse() {
 	}
 }
 
-// parseBlock splits and parses the lines of b.data[:b.cut] into b.rows,
-// declining from the first line that holds a quote or a CR. parseRow
-// reads each line's fields as string views of the block, which it never
-// keeps, so no field is copied.
+// parseBlock parses the lines of b.data[:b.cut] into b.rows, declining
+// from the first line that holds a quote or a CR. A canonical line is
+// parsed by scanRow in one pass; any other is split by splitRow and
+// parsed by parseRow, which reads its fields as string views of the
+// block that it never keeps, so no field is copied.
 func parseBlock(b *block, fields [][]byte, views []string) {
 	data := b.data[:b.cut]
 	if i := indexQuoteOrCR(data); i >= 0 {
@@ -218,6 +219,10 @@ func parseBlock(b *block, fields [][]byte, views []string) {
 		rw := &b.rows[len(b.rows)-1]
 		*rw = row{} // in place: appending a row literal copies ~500 bytes
 		rw.raw, rw.end, rw.line = raw, off, line
+		if scanRow(rw, raw) {
+			continue
+		}
+		rw.meta, rw.rec = DriveMeta{}, smart.Record{} // a declined line starts over
 		if !splitRow(fields, raw) {
 			rw.err = &csv.ParseError{StartLine: line, Line: line, Column: 1, Err: csv.ErrFieldCount}
 			continue

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -146,6 +147,7 @@ type Reader struct {
 	held    bool     // the current row is the first row of the next drive
 	eof     bool
 	seen    map[string]struct{} // serials of the drives already started
+	recs    []smart.Record      // the storage Next lends its drives' records
 }
 
 // numColumns is the width of the native layout, len(Header()).
@@ -325,8 +327,15 @@ func (r *Reader) inDrive(serial string) bool {
 // Next returns the next drive's trace; io.EOF when the file is exhausted.
 // A malformed first row of a drive is reported by the Next call that
 // returns that drive, not by the one that ends the drive before it.
+//
+// The returned Records are borrowed, as bufio.Scanner.Bytes is: they
+// stay valid until the next call to Next, which reuses their storage. A
+// caller that keeps records past that copies them (ReadAll does).
 func (r *Reader) Next() (DriveTrace, error) {
-	dt, err := r.nextDrive()
+	dt, err := r.nextDrive(r.recs[:0])
+	if cap(dt.Records) > cap(r.recs) {
+		r.recs = dt.Records[:0]
+	}
 	if err != nil && err != io.EOF && r.p != nil {
 		// The current row is the one in error; the stream after it goes
 		// to encoding/csv, which decodes it as the blocks would have.
@@ -335,8 +344,9 @@ func (r *Reader) Next() (DriveTrace, error) {
 	return dt, err
 }
 
-// nextDrive is Next's row-by-row state machine.
-func (r *Reader) nextDrive() (DriveTrace, error) {
+// nextDrive is Next's row-by-row state machine. It appends the drive's
+// records to recs.
+func (r *Reader) nextDrive(recs []smart.Record) (DriveTrace, error) {
 	var dt DriveTrace
 	if !r.held {
 		if r.eof {
@@ -359,7 +369,7 @@ func (r *Reader) nextDrive() (DriveTrace, error) {
 	}
 	r.seen[dt.Meta.Serial] = struct{}{}
 	dt.Meta.Failed, dt.Meta.FailHour = cur.meta.Failed, cur.meta.FailHour
-	dt.Records = append(dt.Records, cur.rec)
+	dt.Records = append(recs, cur.rec)
 	if cur.perr != nil {
 		return dt, cur.perr
 	}
@@ -388,7 +398,8 @@ func (r *Reader) nextDrive() (DriveTrace, error) {
 	}
 }
 
-// ReadAll consumes every drive in the stream.
+// ReadAll consumes every drive in the stream. Each drive owns its
+// records.
 func (r *Reader) ReadAll() ([]DriveTrace, error) {
 	var out []DriveTrace
 	for {
@@ -399,6 +410,7 @@ func (r *Reader) ReadAll() ([]DriveTrace, error) {
 		if err != nil {
 			return nil, err
 		}
+		dt.Records = slices.Clone(dt.Records)
 		out = append(out, dt)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -289,26 +291,51 @@ func gendataCSV(tb testing.TB, good, failed int) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkTraceReader decodes a gendata-shaped trace file end to end.
+// BenchmarkTraceReader decodes a gendata-shaped trace file end to end:
+// readall through ReadAll, which owns every drive's records, and next
+// through a Next loop that, as hddpred's eachDrive does, holds one
+// drive's borrowed records at a time.
 func BenchmarkTraceReader(b *testing.B) {
 	data := gendataCSV(b, 8, 4)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.ReadAll(); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		read func(*Reader) error
+	}{
+		{"readall", func(r *Reader) error {
+			_, err := r.ReadAll()
+			return err
+		}},
+		{"next", func(r *Reader) error {
+			for {
+				_, err := r.Next()
+				if errors.Is(err, io.EOF) {
+					return nil
+				}
+				if err != nil {
+					return err
+				}
+			}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := NewReader(bytes.NewReader(data))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := bc.read(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func TestReadAllAllocsPerDrive(t *testing.T) {
-	// Decoding allocates per drive (serial, family, the record slice's
-	// growth, the contiguity set), never per row.
+	// Decoding allocates per drive (serial, family, the clone of its
+	// records that ReadAll keeps, the contiguity set), never per row.
 	const drives, rows = 4, 2000
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -336,11 +363,79 @@ func TestReadAllAllocsPerDrive(t *testing.T) {
 		}
 	})
 	// NewReader's Header call, the pipeline's blocks, row slices and
-	// goroutines, and ReadAll's slice are the fixed part (~150
-	// allocations); a drive costs its serial, its family and the dozen
-	// growths of its record slice (~17), whatever its row count.
+	// goroutines, the growth of Next's record buffer and ReadAll's slice
+	// are the fixed part (~150 allocations); a drive costs its serial, its
+	// family and one clone of its records, whatever its row count.
 	const fixed, perDrive = 200, 24
 	if allocs > fixed+perDrive*drives {
 		t.Fatalf("ReadAll of %d drives × %d rows: %.0f allocs, want ≤ %d", drives, rows, allocs, fixed+perDrive*drives)
+	}
+}
+
+func TestNextReusesRecords(t *testing.T) {
+	// Next lends each drive's records from one buffer: once the largest
+	// drive has grown it, a drive costs its serial and family (and a
+	// share of the contiguity set's growth), never a row, and its
+	// records stay put until the following Next overwrites them.
+	const drives, largest = 40, 2000
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for d := 0; d < drives; d++ {
+		n, hour0 := 100+25*d, 2000
+		if d == 0 {
+			n, hour0 = largest, 0
+		}
+		hours := make([]int, n)
+		for i := range hours {
+			hours[i] = hour0 + i
+		}
+		dt := sampleTrace(fmt.Sprintf("D-%d", d), d%2 == 1, hours...)
+		if err := w.WriteDrive(dt.Meta, dt.Records); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	first, err := r.Next()
+	if err != nil || len(first.Records) != largest {
+		t.Fatalf("first drive: %d records, %v", len(first.Records), err)
+	}
+	want := slices.Clone(first.Records)
+	store, capacity := &first.Records[0], cap(first.Records)
+	// The decode goroutines go on parsing ahead; they write only their
+	// blocks, never the lent records (under -race, a write would be
+	// reported here).
+	runtime.Gosched()
+	if !slices.Equal(first.Records, want) {
+		t.Fatal("the first drive's records changed before the next call to Next")
+	}
+	read := 1
+	allocs := testing.AllocsPerRun(drives-2, func() {
+		dt, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &dt.Records[0] != store || cap(dt.Records) != capacity {
+			t.Fatalf("drive %d: records moved to new storage after the largest drive", read)
+		}
+		if first.Records[0].Hour != 2000 {
+			t.Fatalf("drive %d did not overwrite the lent records", read)
+		}
+		read++
+	})
+	if read != drives {
+		t.Fatalf("read %d drives, want %d", read, drives)
+	}
+	if _, err := r.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the last drive: %v, want io.EOF", err)
+	}
+	if allocs > 4 {
+		t.Fatalf("Next allocates %.0f times per drive of ≥ 100 rows, want ≤ 4", allocs)
 	}
 }
