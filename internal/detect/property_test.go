@@ -391,3 +391,46 @@ func TestExtractSeriesDropsNonFiniteVectors(t *testing.T) {
 		t.Errorf("surviving hours = %v", s.Hours)
 	}
 }
+
+// TestVoteReplayMatchesScores: VoteAlarm over the proxies DecodeVotes
+// expands from EncodeVotes' classes must return the (idx, excluded) it
+// returns over the raw scores, for every N in 1..17 and thresholds across
+// [-1, 1]. Scores mix NaN, ±Inf, ±0, values exactly at and one ulp either
+// side of the threshold, and long healthy runs that take the bulk skip.
+func TestVoteReplayMatchesScores(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	negZero := math.Copysign(0, -1)
+	thresholds := []float64{-1, -0.5, -0.1, negZero, 0, 0.1, 0.5, 1}
+	for len(thresholds) < 40 {
+		thresholds = append(thresholds, 2*rng.Float64()-1)
+	}
+	for _, th := range thresholds {
+		pool := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, negZero, -1, 1, th,
+			math.Nextafter(th, math.Inf(1)), math.Nextafter(th, math.Inf(-1))}
+		for trial := 0; trial < 60; trial++ {
+			scores := make([]float64, rng.Intn(90))
+			for i := range scores {
+				switch {
+				case rng.Intn(3) == 0:
+					scores[i] = pool[rng.Intn(len(pool))]
+				case rng.Intn(4) == 0:
+					scores[i] = 2*rng.Float64() - 1
+				default:
+					scores[i] = 1 // healthy stretches, as fleets are
+				}
+			}
+			votes := make([]uint8, len(scores))
+			EncodeVotes(votes, scores, th)
+			proxies := make([]float64, len(votes))
+			for n := 1; n <= 17; n++ {
+				DecodeVotes(proxies, votes)
+				gotIdx, gotExcl := VoteAlarm(proxies, n, th)
+				wantIdx, wantExcl := VoteAlarm(append([]float64(nil), scores...), n, th)
+				if gotIdx != wantIdx || gotExcl != wantExcl {
+					t.Fatalf("threshold %v trial %d N=%d: replay (%d, %d), scores (%d, %d); scores=%v",
+						th, trial, n, gotIdx, gotExcl, wantIdx, wantExcl, scores)
+				}
+			}
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package detect
 
+import "math"
+
 // The paper's two detection rules are implemented once each, here, as
 // whole-series sweeps over scores the caller has already produced. Every
 // path alarms through them: the float detectors (Voting, MeanThreshold,
@@ -80,6 +82,54 @@ func VoteAlarm(scores []float64, voters int, threshold float64) (idx, excluded i
 		}
 	}
 	return -1, len(scores) - m
+}
+
+// VoteAlarm reads a score only through s < threshold, s >= threshold and
+// s != s, so at a fixed threshold each score is fully described by one
+// of three vote classes. EncodeVotes records them one byte per score;
+// DecodeVotes expands them into proxy scores (+Inf for a pass, -Inf for a
+// fail, NaN for an invalid prediction) that answer all three comparisons
+// as the original scores did at any threshold in [-1, 1], so VoteAlarm
+// over the proxies returns the original (idx, excluded) exactly, for
+// every voters. The fleet sweep (internal/sweep) keeps the classes to
+// replay a scored fleet at other window sizes without scoring it again.
+// The mean rule reads score values, so it has no such encoding.
+const (
+	voteNaN  = 0 // invalid prediction: s != s
+	votePass = 1 // valid, s >= threshold
+	voteFail = 2 // valid, s < threshold
+)
+
+// voteProxy maps a vote class to its proxy score; the fourth entry lets
+// DecodeVotes index by class&3 without a bounds check.
+var voteProxy = [4]float64{voteNaN: math.NaN(), votePass: math.Inf(1), voteFail: math.Inf(-1), 3: math.NaN()}
+
+// EncodeVotes writes the vote class of each score at threshold into
+// dst[:len(scores)]. It must run before VoteAlarm compacts scores.
+//
+//hddlint:noalloc
+func EncodeVotes(dst []uint8, scores []float64, threshold float64) {
+	dst = dst[:len(scores)]
+	for i, s := range scores {
+		c := uint8(voteNaN)
+		if s >= threshold {
+			c = votePass
+		} else if s < threshold {
+			c = voteFail
+		}
+		dst[i] = c
+	}
+}
+
+// DecodeVotes writes the proxy score of each vote class into
+// dst[:len(votes)], ready for VoteAlarm at the encoding threshold.
+//
+//hddlint:noalloc
+func DecodeVotes(dst []float64, votes []uint8) {
+	dst = dst[:len(votes)]
+	for i, c := range votes {
+		dst[i] = voteProxy[c&3]
+	}
 }
 
 // MeanAlarm is VoteAlarm for the health-degree rule (§V-C): alarm at the

@@ -389,7 +389,9 @@ func (c *Case) PerturbWithinBin(seed int64) [][]float64 {
 // count. The corpus is the exact-bin domain: the bins were built from
 // these very rows, so float and binned scores agree on each of them.
 // It is split into several series so the sweep sees more than one drive
-// and more than one shard.
+// and more than one shard. Every worker count sweeps its own copy of
+// the binned tree, so each one scores through the tiled kernels instead
+// of replaying the vote column an earlier count recorded.
 func CheckDetect(c *Case, voters []int, workers []int) error {
 	series, binned := c.splitSeries(4)
 	failHours := make([]int, len(series))
@@ -411,6 +413,7 @@ func CheckDetect(c *Case, voters []int, workers []int) error {
 	}
 	for k, n := range voters {
 		for _, w := range workers {
+			model := *c.Binned
 			for _, mean := range []bool{false, true} {
 				var det detect.Detector = &detect.Voting{Model: c.Tree, Voters: n}
 				cfg := sweep.Config{Voters: n, Workers: w}
@@ -419,7 +422,7 @@ func CheckDetect(c *Case, voters []int, workers []int) error {
 					cfg.Threshold, cfg.Mean = meanThreshold, true
 				}
 				want := detect.ScanBatch(det, series, failHours, w)
-				res, err := sweep.Run(c.Binned, fleet, failHours, cfg)
+				res, err := sweep.Run(&model, fleet, failHours, cfg)
 				if err != nil {
 					return fmt.Errorf("equiv: sweep N=%d workers=%d mean=%v: %w", n, w, mean, err)
 				}

@@ -125,9 +125,13 @@ func floatBenchFleet() []detect.Series {
 // every sample, then Prepare — on floatBenchFleet. The rest use the
 // 1M-drive binned fleet: tiled/workers=W is the sharded engine over a
 // prepared fleet, so the timed region is pure scan (partition kernels
-// plus alarm replay, quantization and tiling already paid), and prepare
-// prices that one-time packing. Msamples/s is throughput; outcomes are
-// byte-identical across every worker count.
+// plus the window sweep, quantization and tiling already paid), and
+// prepare prices that one-time packing. Each tiled iteration sweeps a
+// fresh copy of the model, so it scores (and records the vote column)
+// rather than replaying the previous iteration's; replay times the Run
+// that follows at the same model and threshold, which expands the vote
+// column and runs the window sweep on GOMAXPROCS workers. Msamples/s is
+// throughput; outcomes are byte-identical across every worker count.
 func BenchmarkFleetSweep(b *testing.B) {
 	b.Run("quantize", func(b *testing.B) {
 		series := floatBenchFleet()
@@ -166,11 +170,28 @@ func BenchmarkFleetSweep(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("tiled/workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(f.bt, fleet, f.failHours, Config{Voters: 3, Workers: workers}); err != nil {
+				model := *f.bt
+				if _, err := Run(&model, fleet, f.failHours, Config{Voters: 3, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
 			throughput(b)
 		})
 	}
+	b.Run("replay", func(b *testing.B) {
+		if _, err := Run(f.bt, fleet, f.failHours, Config{Voters: 3}); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := Run(f.bt, fleet, f.failHours, Config{Voters: 3})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Kernel != "" {
+				b.Fatal("replay row scored the fleet")
+			}
+		}
+		throughput(b)
+	})
 }

@@ -24,6 +24,11 @@
 // which yields exactly the same alarm indexes. Fleets are overwhelmingly
 // healthy, so the work lost to scoring past an alarm is tiny next to the
 // locality won by never leaving a tile.
+//
+// A Fleet also keeps one vote class per sample from its last voting Run
+// (detect.EncodeVotes), so sweeping one model over one fleet at several
+// window sizes — the paper's Figure 2 sweep of N — scores the fleet once
+// and replays the classes through detect.VoteAlarm after that.
 package sweep
 
 import (
@@ -31,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -88,8 +94,9 @@ type Stats struct {
 	Drives int64
 	// Alarms is the number of drives whose outcome alarmed.
 	Alarms int64
-	// Samples is the number of samples scored (a sweep scores whole
-	// series; there is no early exit).
+	// Samples is the number of samples swept: every sample of every
+	// drive, as a sweep has no early exit. A replayed Run (see Run)
+	// counts the samples it swept, though none was scored again.
 	Samples int64
 	// NaNExcluded counts samples excluded from window arithmetic: rows
 	// dropped upstream of the series (BinnedSeries.Dropped) plus NaN
@@ -131,7 +138,7 @@ type Result struct {
 	// Kernel names the partition-kernel tier the sweep's scoring ran on
 	// ("scalar" or "avx2") — diagnostic only; both tiers are
 	// bit-identical, so Outcomes and the deterministic stats never vary
-	// with it.
+	// with it. It is empty on a replayed Run, where no kernel ran.
 	Kernel string
 }
 
@@ -177,23 +184,34 @@ func (s *shardStats) reset() {
 }
 
 // shard owns one partition of the fleet: its tiled code matrix, its
-// drives in fleet order, and its bounded work queue (a fixed item array
-// drained by the atomic cursor).
+// drives in fleet order, its bounded work queue (a fixed item array
+// drained by the atomic cursor), and its part of the fleet's vote
+// column: one detect.EncodeVotes class per row, allocated by the first
+// voting Run that records one.
 type shard struct {
 	tiles  *dataset.TiledMatrix
 	drives []driveRef
 	items  []workItem
 	next   atomic.Int64
 	stats  shardStats
+	votes  []uint8
 }
 
 // Fleet is a prepared (sharded, tiled) fleet, reusable across Run calls
-// — prepare once, sweep per model or per threshold.
+// — prepare once, sweep per model or per threshold. It also remembers
+// the vote classes of its last recorded voting Run, so a later voting
+// Run of the same model at the same threshold replays them instead of
+// scoring the fleet again (see Run). The column costs one byte per
+// sample, and the Fleet keeps the model that scored it reachable.
 type Fleet struct {
 	shards      []*shard
 	numDrives   int
 	numFeatures int
 	numRows     int
+	// voteModel and voteThreshold key the shards' vote columns: the
+	// model and threshold whose classes they hold (nil model: none).
+	voteModel     TiledPredictor
+	voteThreshold float64
 }
 
 // NumDrives returns the fleet size.
@@ -390,14 +408,48 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
+// passMode is how a Run obtains its vote classes or scores.
+type passMode uint8
+
+const (
+	// scoreOnly scores every item and keeps nothing: mean-rule runs and
+	// models that cannot key the vote column.
+	scoreOnly passMode = iota
+	// record scores every item and writes its vote classes to the column.
+	record
+	// replay expands the column into proxy scores; nothing is scored.
+	replay
+)
+
+// pass is one Run's read-only state, shared by its workers.
+type pass struct {
+	model     TiledPredictor
+	out       []detect.Outcome
+	failHours []int
+	voters    int
+	threshold float64
+	mean      bool
+	mode      passMode
+}
+
 // Run sweeps a prepared fleet with the given model and returns outcomes
 // plus per-shard stats. failHours[i] is drive i's failure instant (-1 or
 // a nil slice for good drives). The same Fleet can be Run repeatedly;
 // per-run state lives in the Result and in the shard cursors, which
 // Run resets up front.
 //
-// Run must not be invoked concurrently on one Fleet (the cursors are
-// shared); sweeps of different Fleets are independent.
+// A voting Run with a pointer model records every sample's vote class
+// (detect.EncodeVotes) in the fleet; a later voting Run with the same
+// pointer and bit-identical threshold replays those classes through
+// detect.VoteAlarm instead of scoring, at any Voters and Workers, with
+// identical outcomes and stats. A model must therefore not change while
+// a Fleet holds it: to sweep a changed model, pass a new pointer. Mean
+// runs (Config.Mean) always score, as the mean rule reads score values,
+// and leave the recorded classes as they were; so do models that are
+// not pointers.
+//
+// Run must not be invoked concurrently on one Fleet (the cursors and the
+// vote column are shared); sweeps of different Fleets are independent.
 func Run(model TiledPredictor, fleet *Fleet, failHours []int, cfg Config) (*Result, error) {
 	if model == nil {
 		return nil, errors.New("sweep: Run needs a model")
@@ -418,31 +470,50 @@ func Run(model TiledPredictor, fleet *Fleet, failHours []int, cfg Config) (*Resu
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	voters := cfg.Voters
-	if voters < 1 {
-		voters = 1
+	ps := &pass{
+		model: model, out: make([]detect.Outcome, fleet.numDrives), failHours: failHours,
+		voters: max(cfg.Voters, 1), threshold: cfg.Threshold, mean: cfg.Mean,
+		mode: fleet.voteMode(model, cfg),
+	}
+	if ps.mode == record {
+		// Unkey the column first: a Run that stops part way leaves no key
+		// naming half-written classes.
+		fleet.voteModel = nil
 	}
 	for _, s := range fleet.shards {
 		s.next.Store(0)
 		s.stats.reset()
+		if ps.mode == record && s.votes == nil {
+			s.votes = make([]uint8, s.tiles.NumRows)
+		}
 	}
-	out := make([]detect.Outcome, fleet.numDrives)
 	// The kernel label distinguishes profiles of the same phase taken
-	// under different dispatch tiers (AVX2 hosts vs scalar ones).
+	// under different dispatch tiers (AVX2 hosts vs scalar ones); a replay
+	// runs no kernel.
 	kern := cpu.Active().String()
+	sweepLabels := pprof.Labels("sweep_phase", "partition", "kernel", kern)
+	mergeLabels := pprof.Labels("sweep_phase", "alarm-merge", "kernel", kern)
+	if ps.mode == replay {
+		kern = ""
+		sweepLabels = pprof.Labels("sweep_phase", "replay")
+		mergeLabels = pprof.Labels("sweep_phase", "alarm-merge")
+	}
 	var wg sync.WaitGroup
-	pprof.Do(context.Background(), pprof.Labels("sweep_phase", "partition", "kernel", kern), func(context.Context) {
+	pprof.Do(context.Background(), sweepLabels, func(context.Context) {
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(home int) {
 				defer wg.Done()
-				runWorker(fleet, home, model, out, failHours, voters, cfg.Threshold, cfg.Mean)
+				runWorker(fleet, home, ps)
 			}(w)
 		}
 		wg.Wait()
 	})
-	res := &Result{Outcomes: out, Shards: make([]Stats, len(fleet.shards)), Kernel: kern}
-	pprof.Do(context.Background(), pprof.Labels("sweep_phase", "alarm-merge", "kernel", kern), func(context.Context) {
+	if ps.mode == record {
+		fleet.voteModel, fleet.voteThreshold = model, cfg.Threshold
+	}
+	res := &Result{Outcomes: ps.out, Shards: make([]Stats, len(fleet.shards)), Kernel: kern}
+	pprof.Do(context.Background(), mergeLabels, func(context.Context) {
 		for i, s := range fleet.shards {
 			res.Shards[i] = s.stats.snapshot()
 			res.Total.add(res.Shards[i])
@@ -451,10 +522,26 @@ func Run(model TiledPredictor, fleet *Fleet, failHours []int, cfg Config) (*Resu
 	return res, nil
 }
 
+// voteMode picks how a Run of model under cfg gets its vote classes. The
+// column is keyed on pointer models only: comparing interface values
+// panics when their dynamic type is not comparable, and even a
+// comparable struct panics if an interface field holds such a value.
+// The threshold is compared by its bits, so -0 and 0 key different
+// columns (they would hold the same classes; the second scores once
+// more).
+func (f *Fleet) voteMode(model TiledPredictor, cfg Config) passMode {
+	if cfg.Mean || reflect.TypeOf(model).Kind() != reflect.Pointer {
+		return scoreOnly
+	}
+	if f.voteModel == model && math.Float64bits(f.voteThreshold) == math.Float64bits(cfg.Threshold) {
+		return replay
+	}
+	return record
+}
+
 // runWorker drains the worker's home shard, then steals from the other
 // shards in rotation until no items remain anywhere.
-func runWorker(f *Fleet, w int, model TiledPredictor, out []detect.Outcome,
-	failHours []int, voters int, threshold float64, mean bool) {
+func runWorker(f *Fleet, w int, ps *pass) {
 	sc := scratchPool.Get().(*scratch)
 	p := len(f.shards)
 	home := w % p
@@ -468,46 +555,53 @@ func runWorker(f *Fleet, w int, model TiledPredictor, out []detect.Outcome,
 			if k > 0 {
 				s.stats.steals.Add(1)
 			}
-			runItem(model, s, &s.items[i], sc, out, failHours, voters, threshold, mean)
+			runItem(ps, s, &s.items[i], sc)
 		}
 	}
 	scratchPool.Put(sc)
 }
 
-// runItem scores one work item's row range through the tiled kernels,
-// then replays the shared window sweep over each drive's score segment
-// and writes the outcome at the drive's own index. Stats accumulate
-// locally and land on the item's (deterministic) shard in one batch of
-// atomic adds.
+// runItem fills the worker's scratch with one work item's scores — from
+// the tiled kernels, or as proxies expanded from the vote column on a
+// replay — then runs the shared window sweep over each drive's segment
+// and writes the outcome at the drive's own index. The window sweeps
+// compact their input in place, so they only ever see the scratch, never
+// the column. Stats accumulate locally and land on the item's
+// (deterministic) shard in one batch of atomic adds.
 //
 //hddlint:noalloc
-func runItem(model TiledPredictor, s *shard, it *workItem, sc *scratch,
-	out []detect.Outcome, failHours []int, voters int, threshold float64, mean bool) {
+func runItem(ps *pass, s *shard, it *workItem, sc *scratch) {
 	n := int(it.rowHi - it.rowLo)
 	if cap(sc.scores) < n {
 		//hddlint:ignore hotalloc cold path: pooled worker scratch grows to the largest item once, then every item reuses it
 		sc.scores = make([]float64, n)
 	}
 	scores := sc.scores[:n]
-	if n > 0 {
-		model.PredictTiledRange(s.tiles, int(it.rowLo), int(it.rowHi), scores)
+	switch {
+	case ps.mode == replay:
+		detect.DecodeVotes(scores, s.votes[it.rowLo:it.rowHi])
+	case n > 0:
+		ps.model.PredictTiledRange(s.tiles, int(it.rowLo), int(it.rowHi), scores)
+		if ps.mode == record {
+			detect.EncodeVotes(s.votes[it.rowLo:it.rowHi], scores, ps.threshold)
+		}
 	}
 	var drives, alarms, samples, nan int64
 	for di := it.driveLo; di < it.driveHi; di++ {
 		d := &s.drives[di]
 		seg := scores[d.rowLo-it.rowLo : d.rowHi-it.rowLo]
 		var idx, excl int
-		if mean {
-			idx, excl = detect.MeanAlarm(seg, voters, threshold)
+		if ps.mean {
+			idx, excl = detect.MeanAlarm(seg, ps.voters, ps.threshold)
 		} else {
-			idx, excl = detect.VoteAlarm(seg, voters, threshold)
+			idx, excl = detect.VoteAlarm(seg, ps.voters, ps.threshold)
 		}
 		fh := -1
-		if failHours != nil {
-			fh = failHours[d.index]
+		if ps.failHours != nil {
+			fh = ps.failHours[d.index]
 		}
 		o := detect.AlarmOutcome(d.hours, idx, fh)
-		out[d.index] = o
+		ps.out[d.index] = o
 		drives++
 		samples += int64(len(seg))
 		nan += int64(excl) + int64(d.dropped)

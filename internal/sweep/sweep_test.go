@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"hddcart/internal/cart"
@@ -248,7 +249,9 @@ func TestSweepDelegationEndToEnd(t *testing.T) {
 // TestSweepDeterminismMatrix pins the collection contract: outcomes and
 // merged stats (Steals aside) are byte-identical for every worker count
 // and, outcomes-wise, every shard count; per-shard stats are identical
-// for every worker count at a fixed shard count.
+// for every worker count at a fixed shard count. Each cell sweeps its own
+// copy of the model, so every cell scores through the tiled kernels
+// rather than replaying the previous cell's vote column.
 func TestSweepDeterminismMatrix(t *testing.T) {
 	bt, _, _, binned, failHours := sweepFixture(t, 11, 80, 700)
 	var refOut []detect.Outcome
@@ -260,9 +263,13 @@ func TestSweepDeterminismMatrix(t *testing.T) {
 		}
 		var refShards []Stats
 		for _, workers := range []int{1, 2, 4, 8} {
-			res, err := Run(bt, fleet, failHours, Config{Voters: 3, Workers: workers})
+			model := *bt
+			res, err := Run(&model, fleet, failHours, Config{Voters: 3, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if res.Kernel == "" {
+				t.Fatalf("shards=%d workers=%d: a fresh model replayed instead of scoring", shards, workers)
 			}
 			if len(res.Shards) != shards {
 				t.Fatalf("shards=%d: got %d stat groups", shards, len(res.Shards))
@@ -410,6 +417,111 @@ func TestFleetReuse(t *testing.T) {
 	if !reflect.DeepEqual(again.Outcomes, first.Outcomes) || again.Total.Canon() != first.Total.Canon() {
 		t.Fatal("repeat Run on a reused Fleet diverged from the first")
 	}
+}
+
+// gradedLeaves returns a copy of bt whose leaves cycle through scores
+// between the class labels, one of them exactly -0.1, so vote classes at
+// thresholds 0 and -0.1 differ (a classifier's own leaves score ±1 and
+// vote alike at both).
+func gradedLeaves(bt *cart.BinnedTree) *cart.BinnedTree {
+	nt := *bt
+	nt.Value = append([]float64(nil), bt.Value...)
+	grades := []float64{-1, -0.1, -0.05, 0.05, 1}
+	leaves := 0
+	for i, f := range nt.Feature {
+		if f < 0 {
+			nt.Value[i] = grades[leaves%len(grades)]
+			leaves++
+		}
+	}
+	return &nt
+}
+
+// valueModel is a TiledPredictor held by value whose type is not
+// comparable, so Run cannot key a vote column on it. It counts its
+// kernel calls.
+type valueModel struct {
+	bt    *cart.BinnedTree
+	calls *atomic.Int64
+	_     [0]func() // makes the type not comparable
+}
+
+func (m valueModel) PredictTiledRange(tm *dataset.TiledMatrix, lo, hi int, dst []float64) {
+	m.calls.Add(1)
+	m.bt.PredictTiledRange(tm, lo, hi, dst)
+}
+
+// TestVoteReplayMatchesFreshFleet pins the vote-column contract: on one
+// Fleet, every Run — replayed or scored — must return the outcomes and
+// per-shard stats of the same Run on a freshly prepared fleet, across
+// N = 1..17 at two thresholds, after a mean run, and across model
+// switches. Result.Kernel shows which Runs replayed: exactly the voting
+// Runs whose pointer model and threshold match the last recorded ones.
+func TestVoteReplayMatchesFreshFleet(t *testing.T) {
+	bt, _, _, binned, failHours := sweepFixture(t, 37, 300, 120)
+	graded := gradedLeaves(bt)
+	nan := nanLeaves(graded)
+	fleet, err := PrepareBinned(binned, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, model TiledPredictor, cfg Config, wantReplay bool) {
+		t.Helper()
+		got, err := Run(model, fleet, failHours, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := PrepareBinned(binned, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(model, fresh, failHours, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Outcomes, want.Outcomes) {
+			t.Fatalf("%s: outcomes differ from a fresh fleet's", name)
+		}
+		for i := range want.Shards {
+			if got.Shards[i].Canon() != want.Shards[i].Canon() {
+				t.Fatalf("%s: shard %d stats %+v, fresh fleet %+v", name, i, got.Shards[i].Canon(), want.Shards[i].Canon())
+			}
+		}
+		if replayed := got.Kernel == ""; replayed != wantReplay {
+			t.Fatalf("%s: replayed=%v, want %v", name, replayed, wantReplay)
+		}
+	}
+	sweepN := func(label string, model TiledPredictor, th float64, firstScores bool) {
+		t.Helper()
+		for n := 1; n <= 17; n++ {
+			cfg := Config{Voters: n, Threshold: th, Workers: 1 + n%3}
+			check(fmt.Sprintf("%s N=%d threshold=%v", label, n, th), model, cfg, n > 1 || !firstScores)
+		}
+	}
+	sweepN("graded", graded, 0, true)
+	sweepN("graded", graded, -0.1, true)
+	check("graded mean", graded, Config{Voters: 5, Threshold: -0.1, Mean: true}, false)
+	sweepN("graded after mean", graded, -0.1, false)
+	sweepN("nan", nan, -0.1, true)
+	check("nan mean", nan, Config{Voters: 3, Threshold: -0.1, Mean: true}, false)
+	sweepN("graded again", graded, -0.1, true)
+	sweepN("plain", bt, 0, true)
+
+	// A model that cannot key the column scores on every Run and leaves
+	// the recorded classes (bt's, at 0) in place.
+	var calls atomic.Int64
+	vm := valueModel{bt: graded, calls: &calls}
+	for n := 1; n <= 3; n++ {
+		before := calls.Load()
+		if _, err := Run(vm, fleet, failHours, Config{Voters: n}); err != nil {
+			t.Fatal(err)
+		}
+		if calls.Load() == before {
+			t.Fatalf("value model N=%d: Run scored nothing", n)
+		}
+		check(fmt.Sprintf("value model N=%d", n), vm, Config{Voters: n}, false)
+	}
+	check("plain after value model", bt, Config{Voters: 7}, true)
 }
 
 // TestSweepErrors walks the validation surface of Prepare/PrepareBinned
