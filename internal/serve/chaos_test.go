@@ -212,7 +212,7 @@ func TestServeBoundedMemory(t *testing.T) {
 		s.Ingest("drive-0000", rec)
 		s.Ingest("drive-0001", rec)
 		for _, sh := range s.shards {
-			if fill := len(sh.queue); fill > depth {
+			if fill := sh.queued(); fill > depth {
 				t.Fatalf("shard %d queue fill %d exceeds bound %d", sh.id, fill, depth)
 			}
 		}

@@ -5,12 +5,14 @@
 // restores on startup, and per-shard ingest accounting is exported for
 // scraping.
 //
-// Concurrency model — shard ownership, not locks. Each shard goroutine
-// exclusively owns one *hddcart.Monitor plus its warning feed; nothing
-// else ever touches them. Producers reach a shard only through two
-// channels: a bounded item queue (the ingest path) and a control channel
-// whose requests run as closures inside the shard loop and are awaited
-// by the caller (the metrics/warnings/snapshot path). Because a drive's
+// Concurrency model — shard ownership. Each shard goroutine exclusively
+// owns one *hddcart.Monitor plus its warning feed; nothing else ever
+// touches them. Producers reach a shard only two ways: a bounded record
+// queue under a per-shard lock (the ingest path), which the shard
+// goroutine claims from in batches, and a control channel whose
+// requests run as closures inside the shard loop, between batches, and
+// are awaited by the caller (the metrics/warnings/snapshot path). The
+// lock guards the queue alone, never the monitor. Because a drive's
 // serial always hashes to the same shard, each drive's records are
 // observed by exactly one goroutine in arrival order, which is what
 // makes the service's alarms a pure function of the per-drive streams —
@@ -21,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -96,8 +99,10 @@ type Config struct {
 	// aggregated stats are shard-count independent.
 	Shards int
 	// QueueDepth bounds each shard's ingest queue (0 =
-	// DefaultQueueDepth). Memory is bounded by Shards × QueueDepth
-	// records regardless of load.
+	// DefaultQueueDepth): a shard holds at most QueueDepth records
+	// waiting to be claimed, plus the batch of up to 64 it is
+	// observing. Memory is bounded by Shards × (QueueDepth + 64) record
+	// slots, allocated up front, regardless of load.
 	QueueDepth int
 	// Policy selects the full-queue degradation policy.
 	Policy Policy
@@ -137,6 +142,12 @@ func (cfg *Config) Validate() error {
 	return nil
 }
 
+// claimBatch is the most queued records the shard goroutine claims at
+// once. A claim and its retire each take the queue lock once, so the
+// hop costs two lock round trips per claimBatch records instead of a
+// channel message per record.
+const claimBatch = 64
+
 // item is one routed ingest record.
 type item struct {
 	serial string
@@ -154,59 +165,148 @@ type ctlReq struct {
 
 // shard is one goroutine-owned partition of the fleet.
 type shard struct {
-	id    int
-	queue chan item
-	ctl   chan ctlReq
-	stop  chan struct{}
-	done  chan struct{}
+	id   int
+	ctl  chan ctlReq
+	stop chan struct{}
+	done chan struct{}
+	// wake carries one token when the queue goes from empty to
+	// non-empty; idle carries one when the last claimed or queued
+	// record retires. Both are 1-buffered, so a signal sent while
+	// nobody waits is kept for the next waiter.
+	wake chan struct{}
+	idle chan struct{}
 
-	// pending counts records accepted but not yet observed (or shed);
-	// Drain polls it to zero. accepted/rejected/shed are the drop
-	// accounting; all are plain counters updated with typed atomics so
-	// producers and the metrics reader never race.
-	pending  atomic.Int64
-	accepted atomic.Int64
-	rejected atomic.Int64
-	shed     atomic.Int64
+	// mu guards the ingest queue and the counters below it. The queue
+	// is a FIFO ring of slot ids (queue[head], …, n of them) over a pool
+	// of QueueDepth + claimBatch record slots: QueueDepth for queued
+	// records, claimBatch for the batch the shard goroutine holds.
+	// Producers copy a record into a free slot and append its id; the
+	// shard goroutine claims up to claimBatch ids into batch, reads
+	// those slots without the lock, then returns the ids to free. A
+	// shed drops the oldest queued id, never a claimed one.
+	mu      sync.Mutex
+	slots   []item
+	queue   []uint32
+	head, n int
+	free    []uint32 // free[:nfree] are the free slot ids
+	nfree   int
+	claimed int  // len of the batch the shard goroutine holds
+	closed  bool // set by the shard's final drain: Ingest answers Closed
+	// accepted/rejected/shed are the drop accounting; records accepted
+	// but not yet observed are n + claimed.
+	accepted, rejected, shed int64
 
 	// Owned exclusively by the shard goroutine (and by control-channel
 	// closures running inside it).
+	batch    []uint32
 	mon      *hddcart.Monitor
 	warnings []hddcart.MonitorWarning
 }
 
-// loop is the shard goroutine: it observes queued records, services
-// control requests, and on stop drains what was already accepted so no
-// accepted record is lost across shutdown.
+// newShard builds shard id's queue with room for depth queued records.
+func newShard(id, depth int, mon *hddcart.Monitor) *shard {
+	sh := &shard{
+		id:    id,
+		ctl:   make(chan ctlReq),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
+		wake:  make(chan struct{}, 1),
+		idle:  make(chan struct{}, 1),
+		slots: make([]item, depth+claimBatch),
+		queue: make([]uint32, depth),
+		free:  make([]uint32, depth+claimBatch),
+		nfree: depth + claimBatch,
+		batch: make([]uint32, claimBatch),
+		mon:   mon,
+	}
+	for i := range sh.free {
+		sh.free[i] = uint32(i)
+	}
+	return sh
+}
+
+// loop is the shard goroutine: it observes queued records a batch at a
+// time, services control requests between batches, and on stop drains
+// what was already accepted so no accepted record is lost across
+// shutdown.
 func (sh *shard) loop() {
 	defer close(sh.done)
 	for {
+		if k := sh.claim(false); k > 0 {
+			sh.observe(k)
+			select {
+			case req := <-sh.ctl:
+				req.fn(sh)
+				close(req.done)
+			default:
+			}
+			continue
+		}
 		select {
-		case it := <-sh.queue:
-			sh.observe(it)
+		case <-sh.wake:
 		case req := <-sh.ctl:
 			req.fn(sh)
 			close(req.done)
 		case <-sh.stop:
 			for {
-				select {
-				case it := <-sh.queue:
-					sh.observe(it)
-				default:
+				k := sh.claim(true)
+				if k == 0 {
 					return
 				}
+				sh.observe(k)
 			}
 		}
 	}
 }
 
-// observe feeds one record to the shard's monitor and appends any new
-// warning to the shard feed.
-func (sh *shard) observe(it item) {
-	if w, ok := sh.mon.Observe(it.serial, it.rec); ok {
-		sh.warnings = append(sh.warnings, w)
+// claim moves up to claimBatch of the oldest queued ids into sh.batch
+// and returns how many. With closing set, finding the queue empty also
+// closes it, so every record Ingest accepted is claimed by this drain.
+func (sh *shard) claim(closing bool) int {
+	sh.mu.Lock()
+	k := min(sh.n, claimBatch)
+	if k == 0 && closing {
+		sh.closed = true
 	}
-	sh.pending.Add(-1)
+	first := copy(sh.batch[:k], sh.queue[sh.head:])
+	copy(sh.batch[first:k], sh.queue)
+	sh.head = (sh.head + k) % len(sh.queue)
+	sh.n -= k
+	sh.claimed = k
+	sh.mu.Unlock()
+	return k
+}
+
+// observe feeds the k claimed records to the shard's monitor, appending
+// any new warning to the shard feed, then retires the batch: its slots
+// go back to the free list and, when nothing else is queued, Drain is
+// woken.
+func (sh *shard) observe(k int) {
+	for _, id := range sh.batch[:k] {
+		it := &sh.slots[id]
+		if w, ok := sh.mon.Observe(it.serial, it.rec); ok {
+			sh.warnings = append(sh.warnings, w)
+		}
+		it.serial = ""
+	}
+	sh.mu.Lock()
+	sh.nfree += copy(sh.free[sh.nfree:], sh.batch[:k])
+	sh.claimed = 0
+	idle := sh.n == 0
+	sh.mu.Unlock()
+	if idle {
+		signal(sh.idle)
+	}
+}
+
+// signal leaves a token in a 1-buffered channel unless one is there.
+//
+//hddlint:noalloc
+func signal(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
 }
 
 // do runs fn inside the shard goroutine and waits for it. After Close
@@ -255,14 +355,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d monitor: %w", i, err)
 		}
-		s.shards[i] = &shard{
-			id:    i,
-			queue: make(chan item, cfg.QueueDepth),
-			ctl:   make(chan ctlReq),
-			stop:  make(chan struct{}),
-			done:  make(chan struct{}),
-			mon:   mon,
-		}
+		s.shards[i] = newShard(i, cfg.QueueDepth, mon)
 	}
 	if cfg.SnapshotPath != "" {
 		// Runs before any shard goroutine exists, so the monitors are
@@ -333,8 +426,9 @@ func ShardOf(serial string, p int) int {
 // number of concurrent callers and never blocks unboundedly: a full
 // queue either rejects the record (RejectNew) or sheds the shard's
 // oldest queued record to admit it (ShedOldest), with both outcomes
-// counted exactly. The hot path is allocation-free — routing, the
-// queue send and the counters all stay off the heap.
+// counted exactly. Under the shard's queue lock it copies the record
+// into a free slot, so the hot path is allocation-free and sends a
+// channel message only when it wakes an idle shard.
 //
 //hddlint:noalloc
 func (s *Server) Ingest(serial string, rec smart.Record) Disposition {
@@ -342,42 +436,71 @@ func (s *Server) Ingest(serial string, rec smart.Record) Disposition {
 		return Closed
 	}
 	sh := s.shards[ShardOf(serial, len(s.shards))]
-	it := item{serial: serial, rec: rec}
-	sh.pending.Add(1)
-	for {
-		select {
-		case sh.queue <- it:
-			sh.accepted.Add(1)
-			return Accepted
-		default:
-		}
+	sh.mu.Lock()
+	if sh.closed {
+		sh.mu.Unlock()
+		return Closed
+	}
+	var id uint32
+	if sh.n == len(sh.queue) {
 		if s.cfg.Policy == RejectNew {
-			sh.pending.Add(-1)
-			sh.rejected.Add(1)
+			sh.rejected++
+			sh.mu.Unlock()
 			return Rejected
 		}
-		// ShedOldest: evict one queued record, then retry the send.
-		// The eviction can lose the race to the shard loop (which may
-		// observe the record first) — then the queue simply has room.
-		select {
-		case <-sh.queue:
-			sh.shed.Add(1)
-			sh.pending.Add(-1)
-		default:
+		// ShedOldest: the oldest queued record's slot takes the new one.
+		id = sh.queue[sh.head]
+		sh.head++
+		if sh.head == len(sh.queue) {
+			sh.head = 0
 		}
+		sh.n--
+		sh.shed++
+	} else {
+		sh.nfree--
+		id = sh.free[sh.nfree]
 	}
+	it := &sh.slots[id]
+	it.serial, it.rec = serial, rec
+	tail := sh.head + sh.n
+	if tail >= len(sh.queue) {
+		tail -= len(sh.queue)
+	}
+	sh.queue[tail] = id
+	sh.n++
+	sh.accepted++
+	wake := sh.n == 1
+	sh.mu.Unlock()
+	if wake {
+		signal(sh.wake)
+	}
+	return Accepted
 }
 
 // Drain blocks until every record accepted before the call has been
-// observed (or shed). It is a test/benchmark synchronization point:
+// observed (or shed). It sleeps until a shard retires its last record
+// rather than polling. It is a test/benchmark synchronization point:
 // call it with no concurrent Ingest traffic, then Warnings and Metrics
 // reflect the complete stream.
 func (s *Server) Drain() {
 	for _, sh := range s.shards {
-		for sh.pending.Load() > 0 {
-			time.Sleep(50 * time.Microsecond)
+		waited := false
+		for sh.pending() > 0 {
+			<-sh.idle
+			waited = true
+		}
+		if waited {
+			// Another Drain may be waiting on the token this one took.
+			signal(sh.idle)
 		}
 	}
+}
+
+// pending returns the number of records accepted but not yet observed.
+func (sh *shard) pending() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.n + sh.claimed
 }
 
 // Warnings drains the merged alarm feed: every shard's pending warnings
@@ -418,16 +541,16 @@ type ShardMetrics struct {
 	Shard int `json:"shard"`
 	// Monitor is the shard monitor's ingest accounting.
 	Monitor hddcart.MonitorStats `json:"monitor"`
-	// QueueDepth and QueueCap are the instantaneous queue fill and its
-	// bound.
+	// QueueDepth and QueueCap are the number of records waiting to be
+	// claimed, read when Metrics is called, and its bound.
 	QueueDepth int `json:"queue_depth"`
 	QueueCap   int `json:"queue_cap"`
-	// Accepted, Rejected and Shed count Ingest outcomes; Accepted −
-	// observed backlog = Pending.
+	// Accepted, Rejected and Shed count Ingest outcomes.
 	Accepted int64 `json:"accepted"`
 	Rejected int64 `json:"rejected"`
 	Shed     int64 `json:"shed"`
-	// Pending counts accepted records not yet observed.
+	// Pending counts accepted records not yet observed or shed: the
+	// queued ones and the batch the shard is observing.
 	Pending int64 `json:"pending"`
 	// FeedLength is the undrained warning feed length.
 	FeedLength int `json:"feed_length"`
@@ -466,10 +589,11 @@ type Metrics struct {
 	SnapshotRestored bool `json:"snapshot_restored"`
 }
 
-// Metrics gathers every shard's state through its control channel and
-// the fleet-wide totals. The per-shard monitor stats are read inside
-// the owning goroutine, so the numbers are a consistent point-in-time
-// view of each shard.
+// Metrics gathers every shard's state and the fleet-wide totals. The
+// queue and its counters are read together under the shard's queue
+// lock; the monitor stats are then read inside the owning goroutine
+// through its control channel, so each is a consistent point-in-time
+// view.
 func (s *Server) Metrics() Metrics {
 	m := Metrics{
 		Shards:             make([]ShardMetrics, 0, len(s.shards)),
@@ -485,16 +609,20 @@ func (s *Server) Metrics() Metrics {
 	}
 	for i, sh := range s.shards {
 		sm := ShardMetrics{Shard: i}
+		// The queue is read before the control hop: the shard services
+		// that between batches, when it may just have claimed the queue.
+		sh.mu.Lock()
+		sm.QueueDepth = sh.n
+		sm.QueueCap = len(sh.queue)
+		sm.Accepted = sh.accepted
+		sm.Rejected = sh.rejected
+		sm.Shed = sh.shed
+		sm.Pending = int64(sh.n + sh.claimed)
+		sh.mu.Unlock()
 		sh.do(func(sh *shard) {
 			sm.Monitor = sh.mon.Stats()
 			sm.FeedLength = len(sh.warnings)
 		})
-		sm.QueueDepth = len(sh.queue)
-		sm.QueueCap = cap(sh.queue)
-		sm.Accepted = sh.accepted.Load()
-		sm.Rejected = sh.rejected.Load()
-		sm.Shed = sh.shed.Load()
-		sm.Pending = sh.pending.Load()
 		m.Shards = append(m.Shards, sm)
 		m.Totals.add(&sm)
 	}
