@@ -42,9 +42,10 @@ func benchValue(d int) float64 {
 // throughput on the direct (in-process) ingest path: each iteration is
 // one hourly tick of a 1M-drive fleet — route, queue, observe, detect —
 // followed by a drain and a feed read, so the reported time covers
-// ingest-to-alarm-visible. drives/s is the sustained ingest rate;
-// alarm-ms is the post-tick latency until the merged feed is consistent
-// (queue flush + drain + merge).
+// ingest-to-alarm-visible. One untimed tick first inserts the fleet into
+// the monitors, so every timed tick is a warm one. drives/s is the
+// sustained ingest rate; alarm-ms is the post-tick latency until the
+// merged feed is consistent (queue flush + drain + merge).
 func BenchmarkServeIngest(b *testing.B) {
 	serials := buildBenchSerials(benchDrives)
 	s, err := New(Config{NewMonitor: newTestMonitor, Shards: 4, QueueDepth: 8192})
@@ -56,9 +57,8 @@ func BenchmarkServeIngest(b *testing.B) {
 	idx, _ := smart.Index(smart.RawReadErrorRate)
 	var drainNanos int64
 	alarms := 0
-	b.ResetTimer()
-	for tick := 0; tick < b.N; tick++ {
-		rec.Hour = tick
+	tick := func(hour int) {
+		rec.Hour = hour
 		for d, serial := range serials {
 			rec.Normalized[idx] = benchValue(d) + testScoreOffset
 			for s.Ingest(serial, rec) == Rejected {
@@ -70,10 +70,17 @@ func BenchmarkServeIngest(b *testing.B) {
 		alarms += len(s.Warnings())
 		drainNanos += int64(b.Elapsed() - drainStart)
 	}
+	tick(0)
+	drainNanos, alarms = 0, 0
+	b.ResetTimer()
+	for hour := 1; hour <= b.N; hour++ {
+		tick(hour)
+	}
 	b.StopTimer()
-	// The 3-vote window cannot trip before the third tick; after that
-	// every deteriorating drive must have alarmed exactly once.
-	if b.N >= 3 && alarms == 0 {
+	// The 3-vote window cannot trip before the third tick, the warm-up
+	// included; after that every deteriorating drive must have alarmed
+	// exactly once.
+	if b.N >= 2 && alarms == 0 {
 		b.Fatal("no alarms after a full window; the fixture is supposed to deteriorate drives")
 	}
 	b.ReportMetric(float64(benchDrives)*float64(b.N)/b.Elapsed().Seconds(), "drives/s")

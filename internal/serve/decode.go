@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"hddcart/internal/decimal"
 	"hddcart/internal/smart"
 )
 
@@ -43,9 +44,12 @@ const (
 // raw, in any order, each once and spelled exactly, with JSON whitespace
 // anywhere: a non-empty serial of printable ASCII with no escapes, an
 // integer hour that fits in an int, and smart.NumAttrs numbers in each
-// array. Numbers go through strconv.ParseFloat on the token bytes, as
-// encoding/json converts them. It writes the values into rec and returns
-// the serial's span; ok is false for every other line (rec is then partly
+// array. A plain decimal number with at most 19 significant digits is
+// converted by package decimal (Clinger's exact path, then
+// Eisel–Lemire), whose bits are strconv.ParseFloat's; any other number,
+// or one package decimal declines, goes through strconv.ParseFloat on
+// the token bytes, as encoding/json converts it. It writes the values
+// into rec and returns the serial's span; ok is false for every other line (rec is then partly
 // written), including everything json.Unmarshal would accept differently
 // — escapes and non-ASCII bytes it rewrites, case-folded or duplicate
 // keys it matches, nulls and unknown keys it skips.
@@ -127,7 +131,10 @@ func scanIngestLine(b []byte, rec *smart.Record) (serialStart, serialEnd int, ok
 }
 
 // scanFloats parses the JSON array at b[i] into dst, which it must fill
-// exactly, and returns the index past its ']'.
+// exactly, and returns the index past its ']'. Each number is read once
+// by decimal.Parse; a token it declines, or one it read that is not the
+// whole JSON number (see jsonDecimal), goes through scanNumber and
+// strconv.ParseFloat instead.
 //
 //hddlint:noalloc
 func scanFloats(b []byte, i int, dst []float64) (int, bool) {
@@ -143,13 +150,15 @@ func scanFloats(b []byte, i int, dst []float64) (int, bool) {
 			}
 			i = skipSpace(b, i+1)
 		}
-		end, _, ok := scanNumber(b, i)
-		if !ok {
-			return 0, false
-		}
-		v, err := strconv.ParseFloat(string(b[i:end]), 64)
-		if err != nil {
-			return 0, false
+		v, end, ok := decimal.Parse(b, i)
+		if !ok || !jsonDecimal(b, i, end) {
+			if end, _, ok = scanNumber(b, i); !ok {
+				return 0, false
+			}
+			var err error
+			if v, err = strconv.ParseFloat(string(b[i:end]), 64); err != nil {
+				return 0, false
+			}
 		}
 		dst[k], i = v, end
 	}
@@ -158,6 +167,22 @@ func scanFloats(b []byte, i int, dst []float64) (int, bool) {
 		return 0, false
 	}
 	return i + 1, true
+}
+
+// jsonDecimal reports whether b[i:end], a token decimal.Parse read, is a
+// whole JSON number: no leading zero before another digit, which JSON
+// forbids and Parse reads, and no exponent after it, which Parse leaves
+// unread.
+//
+//hddlint:noalloc
+func jsonDecimal(b []byte, i, end int) bool {
+	if b[i] == '-' {
+		i++
+	}
+	if b[i] == '0' && i+1 < end && b[i+1] != '.' {
+		return false
+	}
+	return end == len(b) || b[end] != 'e' && b[end] != 'E'
 }
 
 // scanNumber returns the end of the number token at b[i]; ok is false

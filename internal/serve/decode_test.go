@@ -170,6 +170,34 @@ func TestDecodeIngestLineSeeds(t *testing.T) {
 	}
 }
 
+// TestScanFloatsTokens puts single number tokens at the edges of
+// decimal.Parse and of JSON's grammar into every array slot: leading
+// zeros, exponents after a token Parse reads, digit counts on both
+// sides of its 19-digit limit and halfway cases. Each line must decode
+// as the standard decoder does, and the scanner must take exactly the
+// lines whose tokens are JSON numbers strconv converts without error.
+func TestScanFloatsTokens(t *testing.T) {
+	for _, tc := range []struct {
+		tok  string
+		fast bool
+	}{
+		{"0", true}, {"-0", true}, {"0.0", true}, {"-0.000", true}, {"0e0", true}, {"-0E-0", true},
+		{"0.5e1", true}, {"1.25E+2", true}, {"12e-3", true},
+		{"00", false}, {"-01", false}, {"00.5", false}, {"0.", false}, {"-", false}, {"1.5.", false},
+		{"9007199254740993", true}, {"4503599627370496.5", true}, {"0.30000000000000004", true},
+		{"9999999999999999999", true}, {"99999999999999999999", true}, {"1.2345678901234567891", true},
+		{"0." + strings.Repeat("0", 30), true}, {"0." + strings.Repeat("0", 45) + "1", true},
+		{"123456789012345678901234567890", true}, {"1e308", true}, {"1e309", false},
+	} {
+		line := jsonLine(`"d"`, "0", array(tc.tok, smart.NumAttrs), array(tc.tok, smart.NumAttrs))
+		var scratch smart.Record
+		if _, _, fast := scanIngestLine([]byte(line), &scratch); fast != tc.fast {
+			t.Errorf("%s: scanner accepted=%v, want %v", tc.tok, fast, tc.fast)
+		}
+		checkIngestLine(t, []byte(line))
+	}
+}
+
 // checkIngestLine requires decodeIngestLine to match the standard decoder
 // on line: the same serial and record bit for bit, or the same error.
 func checkIngestLine(t *testing.T, line []byte) {

@@ -197,10 +197,12 @@ type shard struct {
 	accepted, rejected, shed int64
 
 	// Owned exclusively by the shard goroutine (and by control-channel
-	// closures running inside it).
+	// closures running inside it); after it exits, by whoever holds
+	// closedMu.
 	batch    []uint32
 	mon      *hddcart.Monitor
 	warnings []hddcart.MonitorWarning
+	closedMu sync.Mutex
 }
 
 // newShard builds shard id's queue with room for depth queued records.
@@ -310,15 +312,16 @@ func signal(c chan struct{}) {
 }
 
 // do runs fn inside the shard goroutine and waits for it. After Close
-// the shard goroutine is gone, so fn runs in the caller instead — still
-// race-free because post-close requests are serialized by the server's
-// control mutex via the exported entry points.
+// the shard goroutine is gone, so fn runs in the caller instead, under
+// sh.closedMu, which serializes the callers as the goroutine did.
 func (sh *shard) do(fn func(*shard)) {
 	req := ctlReq{fn: fn, done: make(chan struct{})}
 	select {
 	case sh.ctl <- req:
 		<-req.done
 	case <-sh.done:
+		sh.closedMu.Lock()
+		defer sh.closedMu.Unlock()
 		fn(sh)
 	}
 }

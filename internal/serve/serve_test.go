@@ -2,8 +2,10 @@ package serve
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hddcart"
@@ -299,6 +301,52 @@ func TestCloseIdempotentAndClosedIngest(t *testing.T) {
 	// Accepted-before-close records were observed by the drain-on-stop.
 	if m := s.Metrics(); m.Totals.Monitor.Observed != 1 {
 		t.Errorf("observed %d, want 1", m.Totals.Monitor.Observed)
+	}
+}
+
+// TestServeCallsAfterClose calls Warnings, Metrics and SnapshotNow from
+// 8 goroutines at once after Close, when no shard goroutine is left to
+// serialize them: the race detector must stay quiet, every undrained
+// warning must be delivered exactly once, and every snapshot written.
+func TestServeCallsAfterClose(t *testing.T) {
+	const callers = 8
+	s, err := New(Config{NewMonitor: newTestMonitor, Shards: 4, QueueDepth: 1024,
+		SnapshotPath: filepath.Join(t.TempDir(), "state.snap")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range testFleet(12, 20) {
+		for _, rec := range d.recs {
+			s.Ingest(d.serial, rec)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	feed := s.Metrics().Totals.FeedLength
+	if feed == 0 {
+		t.Fatal("no undrained warnings at Close; the fleet is supposed to deteriorate drives")
+	}
+	var delivered atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				delivered.Add(int64(len(s.Warnings())))
+				if m := s.Metrics(); m.Totals.Pending != 0 {
+					t.Errorf("pending %d after Close, want 0", m.Totals.Pending)
+				}
+				if err := s.SnapshotNow(); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := delivered.Load(); got != int64(feed) {
+		t.Errorf("%d warnings delivered after Close, want the %d undrained", got, feed)
 	}
 }
 

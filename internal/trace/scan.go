@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strconv"
 
+	"hddcart/internal/decimal"
 	"hddcart/internal/smart"
 )
 
@@ -20,27 +21,22 @@ import (
 //   - serial and family: the bytes before the first and second comma;
 //   - failed: true or false;
 //   - fail_hour and hour: -?[0-9]{1,intDigits};
-//   - each value: -?[0-9]+(\.[0-9]+)? with at most 15 digits
-//     from the first nonzero one and at most len(pow10)-1 after the
-//     point.
+//   - each value: -?[0-9]+(\.[0-9]+)? with at most decimal.MaxDigits
+//     (19) digits from the first nonzero one and, unless it is zero, at
+//     most decimal.MaxFrac (40) after the point.
 //
-// A value is exact by Clinger's fast path: its digits m are below
-// 10^15 < 2^53 and 10^k is exact for k ≤ 22, so float64(m) and 10^k are
-// both exact doubles and the one IEEE division float64(m)/10^k rounds the
-// true quotient correctly — the value strconv.ParseFloat returns, whose
-// result is correctly rounded too.
-
-// sigLimit bounds a value's digits m: an m at or above it has 15
-// significant digits already, and a 16th could take m past 2^53.
-const sigLimit = 1e14
+// A value is read by package decimal's exact paths: Clinger's when its
+// digits m are below 2^53 and 10^k is exact (k ≤ 22), so the one IEEE
+// division float64(m)/10^k rounds the true quotient correctly, and
+// Eisel–Lemire's otherwise, which declines a value on or next to a
+// double or a halfway point between two. Either way the bits are the ones
+// strconv.ParseFloat returns, whose result is correctly rounded too. The
+// digit loop and Clinger's path inline here; only a value they decline
+// pays for a call.
 
 // intDigits bounds an hour's digits, so it fits an int on every
 // platform: 18 where int has 64 bits, 9 where it has 32.
 const intDigits = strconv.IntSize * 9 / 32
-
-// pow10 holds the powers of ten that are exact doubles.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
 // scanRow parses raw into rw's serial, meta and record when raw is a
 // canonical row of the native layout, and reports whether it was. On
@@ -86,16 +82,22 @@ func scanRow(rw *row, raw []byte) bool {
 		}
 		start := i
 		var m uint64
-		if i, m, ok = scanDigits(raw, i, 0); !ok || i == start {
+		if i, m, ok = decimal.Digits(raw, i, 0); !ok || i == start {
 			return false
 		}
-		v := float64(m)
+		k := 0
 		if i < len(raw) && raw[i] == '.' {
 			frac := i + 1
-			if i, m, ok = scanDigits(raw, frac, m); !ok || i == frac || i-frac >= len(pow10) {
+			if i, m, ok = decimal.Digits(raw, frac, m); !ok || i == frac {
 				return false
 			}
-			v = float64(m) / pow10[i-frac]
+			k = i - frac
+		}
+		v, ok := decimal.Exact(m, k)
+		if !ok {
+			if v, ok = decimal.EiselLemire(m, k); !ok {
+				return false
+			}
 		}
 		if neg {
 			v = -v
@@ -132,16 +134,4 @@ func scanInt(s []byte, i int) (v, next int, ok bool) {
 		v = -v
 	}
 	return v, i, true
-}
-
-// scanDigits appends the decimal digits at s[i:] to m and returns the
-// index after them; false if m would reach a 16th significant digit.
-func scanDigits(s []byte, i int, m uint64) (next int, _ uint64, ok bool) {
-	for ; i < len(s) && s[i]-'0' <= 9; i++ {
-		if m >= sigLimit {
-			return 0, 0, false
-		}
-		m = m*10 + uint64(s[i]-'0')
-	}
-	return i, m, true
 }

@@ -6,12 +6,14 @@ import (
 	"strings"
 	"testing"
 
+	"hddcart/internal/decimal"
 	"hddcart/internal/smart"
 )
 
 // numberCases are the numbers at the fast path's accept/decline
 // boundary: forms strconv accepts that the scanner declines, forms
-// neither accepts, and the digit limits on either side.
+// neither accepts, the digit limits on either side, and the values
+// package decimal converts by Eisel–Lemire or declines as halfway cases.
 var numberCases = []string{
 	"-0", "0", "0.", ".5", "-.5", "+1", "007", "1e5", "1.2345678e-05",
 	"Inf", "NaN", "1_0", " 1", "1 ", "", "-", "--1", "1..2", "1.2.3", "0x1p-2",
@@ -23,6 +25,10 @@ var numberCases = []string{
 	"1.0000000000000000000000", "0.0000000000000000000000",
 	"123456789012345678", "-123456789012345678", "1234567890123456789",
 	"9223372036854775807", "9223372036854775808", "-9223372036854775808",
+	"9007199254740993", "4503599627370496.5", "0.30000000000000004", // two halfway cases; 17 digits
+	"9999999999999999999", "99999999999999999999", "1.2345678901234567891", // 19, 20 and 20 digits
+	"0.0000000000000000000000000000000000000001", "0.00000000000000000000000000000000000000001", // 40, 41 fraction digits
+	"0." + strings.Repeat("0", 30), "-0." + strings.Repeat("0", 50), "0.00000000000000000000000000000000000000100",
 	"true", "false", "True", "TRUE", "t", "1", "f", "F", "FALSE", "False", "0",
 }
 
@@ -33,11 +39,11 @@ func TestScanNumber(t *testing.T) {
 }
 
 // FuzzTraceNumber holds the fast path to strconv on every field string:
-// the scanner accepts exactly the canonical forms, an accepted value has
-// strconv's bits (or Atoi's value), and a row holding the string in any
-// canonical column decodes through the block decoder to what ParseRow
-// gives, value for value or error for error, whether the scanner took it
-// or declined.
+// the scanner accepts only canonical forms and every short one, an
+// accepted value has strconv's bits (or Atoi's value), and a row holding
+// the string in any canonical column decodes through the block decoder
+// to what ParseRow gives, value for value or error for error, whether
+// the scanner took it or declined.
 func FuzzTraceNumber(f *testing.F) {
 	for _, s := range numberCases {
 		f.Add(s)
@@ -50,16 +56,21 @@ var (
 	canonicalInt   = regexp.MustCompile(`^-?[0-9]{1,` + strconv.Itoa(intDigits) + `}$`)
 )
 
-// wantFloat reports whether the scanner must accept s as a value: the
-// canonical form with at most 15 significant digits and 22 fraction
-// digits.
-func wantFloat(s string) bool {
+// floatDecision returns what the scanner may and must do with s as a
+// value. It may accept only the canonical form with at most 19
+// significant digits and, unless they are all zeros, at most 40 fraction
+// digits; it must accept one with at most 15 significant digits and 22
+// fraction digits, which Clinger's path always decides. In between,
+// Eisel–Lemire decides all but values on or next to a halfway point,
+// which the scanner declines.
+func floatDecision(s string) (may, must bool) {
 	m := canonicalFloat.FindStringSubmatch(s)
 	if m == nil {
-		return false
+		return false, false
 	}
 	sig := strings.TrimLeft(m[1]+m[2], "0")
-	return len(sig) <= 15 && len(m[2]) <= 22
+	may = len(sig) <= decimal.MaxDigits && (sig == "" || len(m[2]) <= decimal.MaxFrac)
+	return may, len(sig) <= 15 && len(m[2]) <= 22
 }
 
 // checkNumber checks the scanner's decision for s in each canonical
@@ -69,28 +80,29 @@ func checkNumber(t *testing.T, s string) {
 	if strings.ContainsAny(s, ",\"\r\n") {
 		return // not one field of an unquoted line
 	}
-	isFloat, isInt := wantFloat(s), canonicalInt.MatchString(s)
+	mayFloat, mustFloat := floatDecision(s)
+	isFlag, isInt := s == "true" || s == "false", canonicalInt.MatchString(s)
 	cols := []struct {
-		col    int
-		accept bool
+		col       int
+		may, must bool
 	}{
-		{2, s == "true" || s == "false"},
-		{3, isInt},
-		{4, isInt},
-		{5, isFloat},
+		{2, isFlag, isFlag},
+		{3, isInt, isInt},
+		{4, isInt, isInt},
+		{5, mayFloat, mustFloat},
 		// Raw[0] is the first value parseRow reads after a normalized one
 		// that the scanner has already overwritten: a declined row with an
 		// error there shows whether the decline reset the row.
-		{5 + smart.NumAttrs, isFloat},
-		{numColumns - 1, isFloat},
+		{5 + smart.NumAttrs, mayFloat, mustFloat},
+		{numColumns - 1, mayFloat, mustFloat},
 	}
 	for _, c := range cols {
 		fields := strings.Split("d,W,false,-1,7"+strings.Repeat(",1", 2*smart.NumAttrs), ",")
 		fields[c.col] = s
 		line := strings.Join(fields, ",")
 		var rw row
-		if got := scanRow(&rw, []byte(line)); got != c.accept {
-			t.Fatalf("column %d = %q: scanRow accepts: %v, want %v", c.col, s, got, c.accept)
+		if got := scanRow(&rw, []byte(line)); got && !c.may || !got && c.must {
+			t.Fatalf("column %d = %q: scanRow accepts: %v, want may %v, must %v", c.col, s, got, c.may, c.must)
 		}
 		checkLine(t, line)
 	}
