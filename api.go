@@ -15,7 +15,6 @@ import (
 	"hddcart/internal/reliability"
 	"hddcart/internal/simulate"
 	"hddcart/internal/smart"
-	"hddcart/internal/storagesim"
 )
 
 // Core SMART and data types, re-exported for downstream users.
@@ -93,12 +92,6 @@ type (
 	BoostEnsemble = boost.Ensemble
 	// BoostConfig are the AdaBoost hyper-parameters.
 	BoostConfig = boost.Config
-
-	// StorageSimConfig parameterizes the discrete-event storage-system
-	// simulation with proactive fault tolerance.
-	StorageSimConfig = storagesim.Config
-	// StorageSimResult aggregates one simulation run.
-	StorageSimResult = storagesim.Result
 )
 
 // Feature-set constructors (paper Table II and §IV-B).
@@ -185,12 +178,6 @@ func TrainRandomForest(ds *Dataset, cfg ForestConfig) (*Forest, error) {
 func TrainAdaBoost(ds *Dataset, cfg BoostConfig) (*BoostEnsemble, error) {
 	x, y, w := ds.XMatrix()
 	return boost.Train(x, y, w, cfg)
-}
-
-// SimulateStorageSystem runs the discrete-event RAID simulation with
-// proactive fault tolerance.
-func SimulateStorageSystem(cfg StorageSimConfig) (StorageSimResult, error) {
-	return storagesim.Run(cfg)
 }
 
 // NewVotingDetector returns a validated voting detector (paper §V-A3):

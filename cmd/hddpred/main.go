@@ -133,7 +133,7 @@ func eachDrive(path, format string, fn func(i int, d trace.DriveTrace)) error {
 			fn(i, d)
 		}
 	case "backblaze":
-		drives, stats, err := trace.ReadBackblazeStats(f, trace.BackblazeOptions{})
+		drives, stats, err := trace.ReadBackblazeStats(f)
 		if err != nil {
 			return err
 		}

@@ -387,7 +387,7 @@ func TestChaosBackblazeIngest(t *testing.T) {
 	e := chaosFixture(t)
 	doc := renderBackblaze(e)
 	parse := func(d string) ([]trace.DriveTrace, trace.ParseStats) {
-		drives, stats, err := trace.ReadBackblazeStats(strings.NewReader(d), trace.BackblazeOptions{})
+		drives, stats, err := trace.ReadBackblazeStats(strings.NewReader(d))
 		if err != nil {
 			t.Fatalf("ingest failed outright: %v", err)
 		}

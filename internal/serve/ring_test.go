@@ -23,6 +23,13 @@ func (sh *shard) queued() int {
 	return sh.n
 }
 
+// pending returns the number of records accepted but not yet observed.
+func (sh *shard) pending() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.n + sh.claimed
+}
+
 // waitTimeout fails the test when done is not closed within a generous
 // bound, so a lost wakeup fails instead of hanging the suite.
 func waitTimeout(t *testing.T, done <-chan struct{}, what string) {
@@ -197,10 +204,10 @@ func TestDrainWakesOnLastRetire(t *testing.T) {
 	}
 }
 
-// TestMetricsQueueWhileParked checks Metrics reads each queue when it
-// is called: with the shard goroutines parked (each serves just the
-// one control hop Metrics makes), QueueDepth and Pending count every
-// accepted record.
+// TestMetricsQueueWhileParked checks a shard's metrics row reads the
+// queue when it is taken: with the shard goroutines parked (their
+// monitor locks held, so the rows are read as Metrics reads them),
+// QueueDepth and Pending count every accepted record.
 func TestMetricsQueueWhileParked(t *testing.T) {
 	const sent = 40
 	s, err := New(Config{NewMonitor: newTestMonitor, Shards: 2, QueueDepth: 64})
@@ -208,25 +215,7 @@ func TestMetricsQueueWhileParked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	release := make(chan struct{})
-	parked := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sh.do(func(sh *shard) {
-				parked <- struct{}{}
-				req := <-sh.ctl
-				req.fn(sh)
-				close(req.done)
-				<-release
-			})
-		}(sh)
-	}
-	for range s.shards {
-		<-parked
-	}
+	release, wait := parkShards(s)
 	want := make([]int64, len(s.shards))
 	for d := 0; d < sent; d++ {
 		serial := fmt.Sprintf("drive-%04d", d)
@@ -235,20 +224,82 @@ func TestMetricsQueueWhileParked(t *testing.T) {
 		}
 		want[ShardOf(serial, len(s.shards))]++
 	}
-	m := s.Metrics()
-	for i, sm := range m.Shards {
+	var totals ShardMetrics
+	for i, sh := range s.shards {
+		sm := sh.metrics()
 		if int64(sm.QueueDepth) != want[i] || sm.Pending != want[i] || sm.Accepted != want[i] || sm.Monitor.Observed != 0 {
 			t.Errorf("parked shard %d: %+v, want %d queued and pending", i, sm, want[i])
 		}
+		totals.add(&sm)
 	}
-	if m.Totals.QueueDepth != sent || m.Totals.Pending != sent {
-		t.Errorf("totals %+v, want %d queued and pending", m.Totals, sent)
+	if totals.QueueDepth != sent || totals.Pending != sent {
+		t.Errorf("totals %+v, want %d queued and pending", totals, sent)
 	}
 	close(release)
-	wg.Wait()
+	wait()
 	s.Drain()
 	if tot := s.Metrics().Totals; tot.QueueDepth != 0 || tot.Pending != 0 || tot.Monitor.Observed != sent {
 		t.Errorf("after Drain: %+v", tot)
+	}
+}
+
+// TestMetricsRowConsistent calls Metrics in a loop while two goroutines
+// ingest into shedding shards: every shard row must be one point in
+// time, so Monitor.Observed + Pending + Shed == Accepted on each, with
+// records moving between all four counters while Metrics reads them.
+func TestMetricsRowConsistent(t *testing.T) {
+	const ingesters, drives, calls = 2, 8, 20000
+	s, err := New(Config{NewMonitor: newTestMonitor, Shards: 2, QueueDepth: 8, Policy: ShedOldest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	serials := make([]string, drives)
+	for d := range serials {
+		serials[d] = fmt.Sprintf("drive-%04d", d)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < ingesters; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for h := 0; ; h++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for d := c; d < drives; d += ingesters {
+					s.Ingest(serials[d], recAt(h, 0.5))
+				}
+				if h%8 == 7 {
+					runtime.Gosched() // a burst of 32 records at GOMAXPROCS 1
+				}
+			}
+		}(c)
+	}
+	rows, broken := 0, 0
+	for i := 0; i < calls; i++ {
+		runtime.Gosched() // interleave with the ingesters even at GOMAXPROCS 1
+		for _, sm := range s.Metrics().Shards {
+			rows++
+			if int64(sm.Monitor.Observed)+sm.Pending+sm.Shed != sm.Accepted {
+				if broken == 0 {
+					t.Errorf("call %d, shard %d: %d observed + %d pending + %d shed != %d accepted",
+						i, sm.Shard, sm.Monitor.Observed, sm.Pending, sm.Shed, sm.Accepted)
+				}
+				broken++
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if broken > 0 {
+		t.Errorf("%d of %d shard rows broke Observed + Pending + Shed == Accepted", broken, rows)
+	}
+	if tot := s.Metrics().Totals; tot.Monitor.Observed == 0 || tot.Shed == 0 {
+		t.Errorf("totals %+v: the run must both observe and shed records", tot)
 	}
 }
 

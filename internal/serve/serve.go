@@ -5,18 +5,19 @@
 // restores on startup, and per-shard ingest accounting is exported for
 // scraping.
 //
-// Concurrency model — shard ownership. Each shard goroutine exclusively
-// owns one *hddcart.Monitor plus its warning feed; nothing else ever
-// touches them. Producers reach a shard only two ways: a bounded record
-// queue under a per-shard lock (the ingest path), which the shard
-// goroutine claims from in batches, and a control channel whose
-// requests run as closures inside the shard loop, between batches, and
-// are awaited by the caller (the metrics/warnings/snapshot path). The
-// lock guards the queue alone, never the monitor. Because a drive's
-// serial always hashes to the same shard, each drive's records are
-// observed by exactly one goroutine in arrival order, which is what
-// makes the service's alarms a pure function of the per-drive streams —
-// independent of shard count, client concurrency and scheduling.
+// Concurrency model — one goroutine and two locks per shard. Each shard
+// has one *hddcart.Monitor plus its warning feed under a monitor lock,
+// and a bounded record queue under a queue lock. Producers append to the
+// queue (the ingest path); the shard goroutine, the monitor's only
+// Observe caller, claims from it in batches and holds the monitor lock
+// from the claim to the retire. The metrics, warnings, resolve and
+// snapshot paths take the same monitor lock, so they run between
+// batches and read one consistent point in time, before and after
+// Close alike. Because a drive's serial always hashes to the same shard,
+// each drive's records are observed by exactly one goroutine in arrival
+// order, which is what makes the service's alarms a pure function of
+// the per-drive streams — independent of shard count, client
+// concurrency and scheduling.
 package serve
 
 import (
@@ -154,36 +155,31 @@ type item struct {
 	rec    smart.Record
 }
 
-// ctlReq is a control-channel request: fn runs inside the shard loop
-// (with exclusive access to the shard's monitor and feed) and done is
-// closed when it has run, so the caller's values are visible to it by
-// the usual happens-before of channel operations.
-type ctlReq struct {
-	fn   func(*shard)
-	done chan struct{}
-}
-
-// shard is one goroutine-owned partition of the fleet.
+// shard is one partition of the fleet, observed by its own goroutine.
 type shard struct {
 	id   int
-	ctl  chan ctlReq
-	stop chan struct{}
-	done chan struct{}
-	// wake carries one token when the queue goes from empty to
-	// non-empty; idle carries one when the last claimed or queued
-	// record retires. Both are 1-buffered, so a signal sent while
-	// nobody waits is kept for the next waiter.
-	wake chan struct{}
-	idle chan struct{}
+	done chan struct{} // closed when the shard goroutine exits
 
-	// mu guards the ingest queue and the counters below it. The queue
-	// is a FIFO ring of slot ids (queue[head], …, n of them) over a pool
-	// of QueueDepth + claimBatch record slots: QueueDepth for queued
-	// records, claimBatch for the batch the shard goroutine holds.
-	// Producers copy a record into a free slot and append its id; the
-	// shard goroutine claims up to claimBatch ids into batch, reads
-	// those slots without the lock, then returns the ids to free. A
-	// shed drops the oldest queued id, never a claimed one.
+	// monMu guards the monitor and its warning feed. The shard
+	// goroutine is the only caller of Observe: it takes monMu before it
+	// claims a batch and releases it after the retire, so whoever holds
+	// monMu sees no batch in flight. Warnings, Resolve, Metrics and
+	// SnapshotNow take it too, before and after Close alike; batch is
+	// the shard goroutine's, used only under monMu.
+	monMu    sync.Mutex
+	mon      *hddcart.Monitor
+	warnings []hddcart.MonitorWarning
+	batch    []uint32
+
+	// mu guards the ingest queue and the counters below it; when both
+	// locks are taken, monMu comes first. The queue is a FIFO ring of
+	// slot ids (queue[head], …, n of them) over a pool of QueueDepth +
+	// claimBatch record slots: QueueDepth for queued records, claimBatch
+	// for the batch the shard goroutine holds. Producers copy a record
+	// into a free slot and append its id; the shard goroutine claims up
+	// to claimBatch ids into batch, reads those slots without mu, then
+	// returns the ids to free. A shed drops the oldest queued id, never
+	// a claimed one.
 	mu      sync.Mutex
 	slots   []item
 	queue   []uint32
@@ -191,29 +187,21 @@ type shard struct {
 	free    []uint32 // free[:nfree] are the free slot ids
 	nfree   int
 	claimed int  // len of the batch the shard goroutine holds
-	closed  bool // set by the shard's final drain: Ingest answers Closed
+	closed  bool // set by Close: Ingest answers Closed, the queue drains
 	// accepted/rejected/shed are the drop accounting; records accepted
 	// but not yet observed are n + claimed.
 	accepted, rejected, shed int64
-
-	// Owned exclusively by the shard goroutine (and by control-channel
-	// closures running inside it); after it exits, by whoever holds
-	// closedMu.
-	batch    []uint32
-	mon      *hddcart.Monitor
-	warnings []hddcart.MonitorWarning
-	closedMu sync.Mutex
+	// ready wakes the shard goroutine when the queue goes non-empty or
+	// the shard closes; idle wakes every Drain when pending reaches 0.
+	// Both wait on mu.
+	ready, idle sync.Cond
 }
 
 // newShard builds shard id's queue with room for depth queued records.
 func newShard(id, depth int, mon *hddcart.Monitor) *shard {
 	sh := &shard{
 		id:    id,
-		ctl:   make(chan ctlReq),
-		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
-		wake:  make(chan struct{}, 1),
-		idle:  make(chan struct{}, 1),
 		slots: make([]item, depth+claimBatch),
 		queue: make([]uint32, depth),
 		free:  make([]uint32, depth+claimBatch),
@@ -221,6 +209,8 @@ func newShard(id, depth int, mon *hddcart.Monitor) *shard {
 		batch: make([]uint32, claimBatch),
 		mon:   mon,
 	}
+	sh.ready.L = &sh.mu
+	sh.idle.L = &sh.mu
 	for i := range sh.free {
 		sh.free[i] = uint32(i)
 	}
@@ -228,48 +218,33 @@ func newShard(id, depth int, mon *hddcart.Monitor) *shard {
 }
 
 // loop is the shard goroutine: it observes queued records a batch at a
-// time, services control requests between batches, and on stop drains
-// what was already accepted so no accepted record is lost across
-// shutdown.
+// time under monMu and, once the shard is closed, exits when the queue
+// is empty, so every record Ingest accepted is observed.
 func (sh *shard) loop() {
 	defer close(sh.done)
-	for {
-		if k := sh.claim(false); k > 0 {
-			sh.observe(k)
-			select {
-			case req := <-sh.ctl:
-				req.fn(sh)
-				close(req.done)
-			default:
-			}
-			continue
-		}
-		select {
-		case <-sh.wake:
-		case req := <-sh.ctl:
-			req.fn(sh)
-			close(req.done)
-		case <-sh.stop:
-			for {
-				k := sh.claim(true)
-				if k == 0 {
-					return
-				}
-				sh.observe(k)
-			}
-		}
+	for sh.await() {
+		sh.monMu.Lock()
+		sh.observe(sh.claim())
+		sh.monMu.Unlock()
 	}
 }
 
+// await sleeps until a record is queued or the shard is closed, and
+// reports whether there is a record to claim.
+func (sh *shard) await() bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for sh.n == 0 && !sh.closed {
+		sh.ready.Wait()
+	}
+	return sh.n > 0
+}
+
 // claim moves up to claimBatch of the oldest queued ids into sh.batch
-// and returns how many. With closing set, finding the queue empty also
-// closes it, so every record Ingest accepted is claimed by this drain.
-func (sh *shard) claim(closing bool) int {
+// and returns how many.
+func (sh *shard) claim() int {
 	sh.mu.Lock()
 	k := min(sh.n, claimBatch)
-	if k == 0 && closing {
-		sh.closed = true
-	}
 	first := copy(sh.batch[:k], sh.queue[sh.head:])
 	copy(sh.batch[first:k], sh.queue)
 	sh.head = (sh.head + k) % len(sh.queue)
@@ -281,8 +256,8 @@ func (sh *shard) claim(closing bool) int {
 
 // observe feeds the k claimed records to the shard's monitor, appending
 // any new warning to the shard feed, then retires the batch: its slots
-// go back to the free list and, when nothing else is queued, Drain is
-// woken.
+// go back to the free list and, when nothing else is queued, every
+// Drain is woken.
 func (sh *shard) observe(k int) {
 	for _, id := range sh.batch[:k] {
 		it := &sh.slots[id]
@@ -294,36 +269,10 @@ func (sh *shard) observe(k int) {
 	sh.mu.Lock()
 	sh.nfree += copy(sh.free[sh.nfree:], sh.batch[:k])
 	sh.claimed = 0
-	idle := sh.n == 0
+	if sh.n == 0 {
+		sh.idle.Broadcast()
+	}
 	sh.mu.Unlock()
-	if idle {
-		signal(sh.idle)
-	}
-}
-
-// signal leaves a token in a 1-buffered channel unless one is there.
-//
-//hddlint:noalloc
-func signal(c chan struct{}) {
-	select {
-	case c <- struct{}{}:
-	default:
-	}
-}
-
-// do runs fn inside the shard goroutine and waits for it. After Close
-// the shard goroutine is gone, so fn runs in the caller instead, under
-// sh.closedMu, which serializes the callers as the goroutine did.
-func (sh *shard) do(fn func(*shard)) {
-	req := ctlReq{fn: fn, done: make(chan struct{})}
-	select {
-	case sh.ctl <- req:
-		<-req.done
-	case <-sh.done:
-		sh.closedMu.Lock()
-		defer sh.closedMu.Unlock()
-		fn(sh)
-	}
 }
 
 // Server is a sharded fleet-monitoring service. Create with New, feed
@@ -393,7 +342,10 @@ func (s *Server) Close() error {
 		<-s.tickerDone
 	}
 	for _, sh := range s.shards {
-		close(sh.stop)
+		sh.mu.Lock()
+		sh.closed = true
+		sh.mu.Unlock()
+		sh.ready.Signal()
 	}
 	for _, sh := range s.shards {
 		<-sh.done
@@ -430,8 +382,8 @@ func ShardOf(serial string, p int) int {
 // queue either rejects the record (RejectNew) or sheds the shard's
 // oldest queued record to admit it (ShedOldest), with both outcomes
 // counted exactly. Under the shard's queue lock it copies the record
-// into a free slot, so the hot path is allocation-free and sends a
-// channel message only when it wakes an idle shard.
+// into a free slot, so the hot path is allocation-free and signals the
+// shard goroutine only when the queue was empty.
 //
 //hddlint:noalloc
 func (s *Server) Ingest(serial string, rec smart.Record) Disposition {
@@ -475,39 +427,29 @@ func (s *Server) Ingest(serial string, rec smart.Record) Disposition {
 	wake := sh.n == 1
 	sh.mu.Unlock()
 	if wake {
-		signal(sh.wake)
+		sh.ready.Signal()
 	}
 	return Accepted
 }
 
 // Drain blocks until every record accepted before the call has been
-// observed (or shed). It sleeps until a shard retires its last record
-// rather than polling. It is a test/benchmark synchronization point:
-// call it with no concurrent Ingest traffic, then Warnings and Metrics
-// reflect the complete stream.
+// observed (or shed). It sleeps on the shard's idle condition, which
+// the retire of its last pending record broadcasts, rather than
+// polling. It is a test/benchmark synchronization point: call it with
+// no concurrent Ingest traffic, then Warnings and Metrics reflect the
+// complete stream.
 func (s *Server) Drain() {
 	for _, sh := range s.shards {
-		waited := false
-		for sh.pending() > 0 {
-			<-sh.idle
-			waited = true
+		sh.mu.Lock()
+		for sh.n+sh.claimed > 0 {
+			sh.idle.Wait()
 		}
-		if waited {
-			// Another Drain may be waiting on the token this one took.
-			signal(sh.idle)
-		}
+		sh.mu.Unlock()
 	}
 }
 
-// pending returns the number of records accepted but not yet observed.
-func (sh *shard) pending() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.n + sh.claimed
-}
-
 // Warnings drains the merged alarm feed: every shard's pending warnings
-// are collected through the control channel, merged in shard order and
+// are taken under its monitor lock, merged in shard order and
 // sorted by (hour, serial). The order is a pure function of the warning
 // set, so two runs of the same streams — at any shard count or client
 // concurrency — drain identical feeds. Each warning is delivered
@@ -515,12 +457,10 @@ func (sh *shard) pending() int {
 func (s *Server) Warnings() []hddcart.MonitorWarning {
 	var all []hddcart.MonitorWarning
 	for _, sh := range s.shards {
-		var batch []hddcart.MonitorWarning
-		sh.do(func(sh *shard) {
-			batch = sh.warnings
-			sh.warnings = nil
-		})
-		all = append(all, batch...)
+		sh.monMu.Lock()
+		all = append(all, sh.warnings...)
+		sh.warnings = nil
+		sh.monMu.Unlock()
 	}
 	SortWarnings(all)
 	return all
@@ -552,8 +492,8 @@ type ShardMetrics struct {
 	Accepted int64 `json:"accepted"`
 	Rejected int64 `json:"rejected"`
 	Shed     int64 `json:"shed"`
-	// Pending counts accepted records not yet observed or shed: the
-	// queued ones and the batch the shard is observing.
+	// Pending counts accepted records not yet observed or shed. Rows
+	// are read between batches, so it equals QueueDepth.
 	Pending int64 `json:"pending"`
 	// FeedLength is the undrained warning feed length.
 	FeedLength int `json:"feed_length"`
@@ -592,11 +532,10 @@ type Metrics struct {
 	SnapshotRestored bool `json:"snapshot_restored"`
 }
 
-// Metrics gathers every shard's state and the fleet-wide totals. The
-// queue and its counters are read together under the shard's queue
-// lock; the monitor stats are then read inside the owning goroutine
-// through its control channel, so each is a consistent point-in-time
-// view.
+// Metrics gathers every shard's state and the fleet-wide totals. Each
+// shard row is one point in time: it is read under the shard's monitor
+// lock, when no batch is in flight, so Monitor.Observed + Pending +
+// Shed == Accepted holds on every row.
 func (s *Server) Metrics() Metrics {
 	m := Metrics{
 		Shards:             make([]ShardMetrics, 0, len(s.shards)),
@@ -610,26 +549,28 @@ func (s *Server) Metrics() Metrics {
 	if taken := s.lastSnapshotUnix.Load(); taken != 0 {
 		m.SnapshotAgeSeconds = time.Since(time.Unix(taken, 0)).Seconds()
 	}
-	for i, sh := range s.shards {
-		sm := ShardMetrics{Shard: i}
-		// The queue is read before the control hop: the shard services
-		// that between batches, when it may just have claimed the queue.
-		sh.mu.Lock()
-		sm.QueueDepth = sh.n
-		sm.QueueCap = len(sh.queue)
-		sm.Accepted = sh.accepted
-		sm.Rejected = sh.rejected
-		sm.Shed = sh.shed
-		sm.Pending = int64(sh.n + sh.claimed)
-		sh.mu.Unlock()
-		sh.do(func(sh *shard) {
-			sm.Monitor = sh.mon.Stats()
-			sm.FeedLength = len(sh.warnings)
-		})
+	for _, sh := range s.shards {
+		sh.monMu.Lock()
+		sm := sh.metrics()
+		sh.monMu.Unlock()
 		m.Shards = append(m.Shards, sm)
 		m.Totals.add(&sm)
 	}
 	return m
+}
+
+// metrics reads the shard's row; the caller holds monMu.
+func (sh *shard) metrics() ShardMetrics {
+	sm := ShardMetrics{Shard: sh.id, Monitor: sh.mon.Stats(), FeedLength: len(sh.warnings)}
+	sh.mu.Lock()
+	sm.QueueDepth = sh.n
+	sm.QueueCap = len(sh.queue)
+	sm.Accepted = sh.accepted
+	sm.Rejected = sh.rejected
+	sm.Shed = sh.shed
+	sm.Pending = int64(sh.n + sh.claimed)
+	sh.mu.Unlock()
+	return sm
 }
 
 // Resolve clears a drive's warning and quarantine state on its owning
@@ -637,7 +578,9 @@ func (s *Server) Metrics() Metrics {
 // fix).
 func (s *Server) Resolve(serial string) {
 	sh := s.shards[ShardOf(serial, len(s.shards))]
-	sh.do(func(sh *shard) { sh.mon.Resolve(serial) })
+	sh.monMu.Lock()
+	sh.mon.Resolve(serial)
+	sh.monMu.Unlock()
 }
 
 // Shards returns the configured shard count.

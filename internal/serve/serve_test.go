@@ -350,27 +350,24 @@ func TestServeCallsAfterClose(t *testing.T) {
 	}
 }
 
-// parkShards blocks every shard goroutine inside a control request
-// until the returned release is closed, so tests can measure or fill
-// queues with no consumer running.
+// parkShards holds every shard's monitor lock, so no shard goroutine
+// can claim a batch, until the returned release is closed; wait returns
+// once the locks are given back. Tests use it to measure or fill queues
+// with no consumer running.
 func parkShards(s *Server) (release chan struct{}, wait func()) {
 	release = make(chan struct{})
-	parked := make(chan struct{}, len(s.shards))
-	var wg sync.WaitGroup
 	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sh.do(func(*shard) {
-				parked <- struct{}{}
-				<-release
-			})
-		}(sh)
+		sh.monMu.Lock()
 	}
-	for range s.shards {
-		<-parked
-	}
-	return release, wg.Wait
+	unparked := make(chan struct{})
+	go func() {
+		<-release
+		for _, sh := range s.shards {
+			sh.monMu.Unlock()
+		}
+		close(unparked)
+	}()
+	return release, func() { <-unparked }
 }
 
 // TestIngestAllocs pins the hot path's zero-allocation contract (the

@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -206,8 +207,8 @@ func (s *Server) snapshotLoop() {
 }
 
 // SnapshotNow writes the service state snapshot to Config.SnapshotPath:
-// each shard's monitor state (gathered inside the owning goroutine, so
-// every shard's contribution is internally consistent) plus its
+// each shard's monitor state (encoded under the shard's monitor lock,
+// so every shard's contribution is internally consistent) plus its
 // undrained warning feed, streamed shard by shard to a temporary file,
 // synced and renamed into place so the path always holds either the
 // previous or the new complete snapshot, never a torn write, even across
@@ -221,12 +222,11 @@ func (s *Server) SnapshotNow() error {
 	taken := time.Now().Unix()
 	err := installFile(s.cfg.SnapshotPath, func(w io.Writer) error {
 		return writeEnvelope(w, SnapshotVersion, taken, s.cfg.Policy.String(), len(s.shards),
-			func(i int, buf *bytes.Buffer) (feed []hddcart.MonitorWarning, err error) {
-				s.shards[i].do(func(sh *shard) {
-					err = sh.mon.EncodeSnapshot(buf)
-					feed = append(feed, sh.warnings...)
-				})
-				return feed, err
+			func(i int, buf *bytes.Buffer) ([]hddcart.MonitorWarning, error) {
+				sh := s.shards[i]
+				sh.monMu.Lock()
+				defer sh.monMu.Unlock()
+				return slices.Clone(sh.warnings), sh.mon.EncodeSnapshot(buf)
 			})
 	})
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 // smart_<id>_normalized / smart_<id>_raw). This importer converts it into
 // the library's trace format so models train on real data: rows are
 // grouped by serial, ordered by date, and day indices become trace hours
-// (daily sampling instead of the paper's hourly — change-rate intervals
-// should be scaled accordingly by the caller).
+// 24 apart (daily sampling instead of the paper's hourly — change-rate
+// intervals should be scaled accordingly by the caller).
 //
 // Real dumps are not clean. Rows arrive with missing serials, duplicated
 // (serial, date) snapshots, NaN/Inf/out-of-range attribute values and
@@ -26,23 +26,9 @@ import (
 // a trace and never skips silently — every rejected row and discarded
 // value is accounted for in ParseStats with a line-numbered RowError.
 
-// BackblazeOptions controls the import.
-type BackblazeOptions struct {
-	// ModelFilter, when non-empty, keeps only drives whose model column
-	// equals it (the paper separates families; Backblaze models map
-	// naturally onto them).
-	ModelFilter string
-	// HoursPerRow is the time step between consecutive rows of one drive
-	// (Backblaze snapshots are daily → 24). 0 means 24.
-	HoursPerRow int
-}
-
-// ReadBackblaze parses a Backblaze drive-stats CSV stream, discarding the
-// row accounting. See ReadBackblazeStats.
-func ReadBackblaze(r io.Reader, opts BackblazeOptions) ([]DriveTrace, error) {
-	drives, _, err := ReadBackblazeStats(r, opts)
-	return drives, err
-}
+// backblazeStep is the trace-hour step between consecutive rows of one
+// drive: Backblaze snapshots are daily.
+const backblazeStep = 24
 
 // ReadBackblazeStats parses a Backblaze drive-stats CSV stream. Rows of one
 // drive need not be contiguous; the whole stream is materialized, grouped
@@ -59,15 +45,8 @@ func ReadBackblaze(r io.Reader, opts BackblazeOptions) ([]DriveTrace, error) {
 // it happened on. The error return is reserved for stream-level problems:
 // unreadable input, a missing header, or a header without the required
 // columns.
-func ReadBackblazeStats(r io.Reader, opts BackblazeOptions) ([]DriveTrace, ParseStats, error) {
+func ReadBackblazeStats(r io.Reader) ([]DriveTrace, ParseStats, error) {
 	var stats ParseStats
-	step := opts.HoursPerRow
-	if step == 0 {
-		step = 24
-	}
-	if step < 1 {
-		return nil, stats, fmt.Errorf("trace: backblaze HoursPerRow %d must be positive", opts.HoursPerRow)
-	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // Backblaze adds columns over the years
 	cr.LazyQuotes = true    // stray quotes degrade a row, not the stream
@@ -141,9 +120,6 @@ func ReadBackblazeStats(r io.Reader, opts BackblazeOptions) ([]DriveTrace, Parse
 			return strings.TrimSpace(fields[i])
 		}
 		model := get(col["model"])
-		if opts.ModelFilter != "" && model != opts.ModelFilter {
-			continue
-		}
 		serial := get(col["serial_number"])
 		if serial == "" {
 			stats.drop(line, "", "missing serial_number")
@@ -226,7 +202,7 @@ func ReadBackblazeStats(r io.Reader, opts BackblazeOptions) ([]DriveTrace, Parse
 				continue
 			}
 			rec := d.rows[i].rec
-			rec.Hour = len(dt.Records) * step
+			rec.Hour = len(dt.Records) * backblazeStep
 			dt.Records = append(dt.Records, rec)
 			if d.rows[i].failed {
 				dt.Meta.Failed = true
@@ -236,7 +212,7 @@ func ReadBackblazeStats(r io.Reader, opts BackblazeOptions) ([]DriveTrace, Parse
 			continue
 		}
 		if dt.Meta.Failed {
-			dt.Meta.FailHour = len(dt.Records) * step
+			dt.Meta.FailHour = len(dt.Records) * backblazeStep
 		}
 		out = append(out, dt)
 	}

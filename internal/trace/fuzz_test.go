@@ -35,7 +35,7 @@ func FuzzBackblazeCSV(f *testing.F) {
 		"2024-01-01,X\n" +
 		"2024-\"01,X,M,0,7\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		drives, stats, err := ReadBackblazeStats(bytes.NewReader(data), BackblazeOptions{})
+		drives, stats, err := ReadBackblazeStats(bytes.NewReader(data))
 		if err != nil {
 			return // stream-level rejection is fine; panics are not
 		}

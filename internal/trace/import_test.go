@@ -17,7 +17,7 @@ const backblazeSample = `date,serial_number,model,capacity_bytes,failure,smart_1
 `
 
 func TestReadBackblaze(t *testing.T) {
-	drives, err := ReadBackblaze(strings.NewReader(backblazeSample), BackblazeOptions{})
+	drives, _, err := ReadBackblazeStats(strings.NewReader(backblazeSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,17 +54,6 @@ func TestReadBackblaze(t *testing.T) {
 	}
 }
 
-func TestReadBackblazeModelFilter(t *testing.T) {
-	drives, err := ReadBackblaze(strings.NewReader(backblazeSample),
-		BackblazeOptions{ModelFilter: "ST4000DM000"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(drives) != 1 || drives[0].Meta.Serial != "ZA001" {
-		t.Errorf("filter kept %d drives", len(drives))
-	}
-}
-
 func TestReadBackblazeUnsortedRows(t *testing.T) {
 	// Rows arrive date-shuffled; the importer must sort them.
 	shuffled := `date,serial_number,model,failure,smart_1_normalized,smart_1_raw
@@ -72,7 +61,7 @@ func TestReadBackblazeUnsortedRows(t *testing.T) {
 2024-01-01,X,M,0,100,1
 2024-01-02,X,M,0,95,2
 `
-	drives, err := ReadBackblaze(strings.NewReader(shuffled), BackblazeOptions{HoursPerRow: 24})
+	drives, _, err := ReadBackblazeStats(strings.NewReader(shuffled))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +73,14 @@ func TestReadBackblazeUnsortedRows(t *testing.T) {
 }
 
 func TestReadBackblazeErrors(t *testing.T) {
-	if _, err := ReadBackblaze(strings.NewReader(""), BackblazeOptions{}); err == nil {
+	if _, _, err := ReadBackblazeStats(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := ReadBackblaze(strings.NewReader("a,b,c\n1,2,3\n"), BackblazeOptions{}); err == nil {
+	if _, _, err := ReadBackblazeStats(strings.NewReader("a,b,c\n1,2,3\n")); err == nil {
 		t.Error("missing required columns accepted")
 	}
 	noSmart := "date,serial_number,model,failure\n2024-01-01,X,M,0\n"
-	if _, err := ReadBackblaze(strings.NewReader(noSmart), BackblazeOptions{}); err == nil {
+	if _, _, err := ReadBackblazeStats(strings.NewReader(noSmart)); err == nil {
 		t.Error("CSV without smart_* columns accepted")
 	}
 }
@@ -108,7 +97,7 @@ func TestReadBackblazeStatsAccounting(t *testing.T) {
 2024-01-03,,M,0,100,3
 2024-01-04,X,M,0,100,1e18
 `
-	drives, stats, err := ReadBackblazeStats(strings.NewReader(in), BackblazeOptions{})
+	drives, stats, err := ReadBackblazeStats(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +142,7 @@ func TestReadBackblazeConflictingModel(t *testing.T) {
 2024-01-01,X,M1,0,1
 2024-01-02,X,M2,0,2
 `
-	drives, stats, err := ReadBackblazeStats(strings.NewReader(in), BackblazeOptions{})
+	drives, stats, err := ReadBackblazeStats(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +163,7 @@ func TestReadBackblazeErrorCap(t *testing.T) {
 	for i := 0; i < maxRowErrors+20; i++ {
 		sb.WriteString("2024-01-01,,M,0,1\n") // missing serial, dropped
 	}
-	_, stats, err := ReadBackblazeStats(strings.NewReader(sb.String()), BackblazeOptions{})
+	_, stats, err := ReadBackblazeStats(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
